@@ -15,8 +15,8 @@ from .problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
 from .solver import NlpSolution, SolverConfig, SolverError, kkt_residuals, solve
 from .laplace import (LaplaceComponent, PathMixture, SingularComponentError,
                       build_component, build_mixture, future_log_ratios,
-                      logdet_ratio, mixture_weights, multimodal_cost,
-                      nullspace_basis, sample_paths)
+                      mixture_weights, multimodal_cost, nullspace_basis,
+                      sample_paths)
 from .kodp import (KodpPolicy, PolicyError, backward_pass, cost_to_go,
                    quadratize, step_policy)
 from .execution import (CompositeController, Rollout, RolloutError,
@@ -34,7 +34,7 @@ __all__ = [
     "free_skeleton", "validate_skeleton",
     "NlpSolution", "SolverConfig", "SolverError", "kkt_residuals", "solve",
     "LaplaceComponent", "PathMixture", "SingularComponentError",
-    "build_component", "build_mixture", "future_log_ratios", "logdet_ratio",
+    "build_component", "build_mixture", "future_log_ratios",
     "mixture_weights", "multimodal_cost", "nullspace_basis", "sample_paths",
     "KodpPolicy", "PolicyError", "backward_pass", "cost_to_go", "quadratize",
     "step_policy",

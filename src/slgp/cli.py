@@ -308,8 +308,12 @@ def cmd_simulate(args) -> int:
     except PolicyError as exc:
         print(f"policy construction failed: {exc}", file=sys.stderr)
         return 2
-    controller = build_controller(policies, [c for _, _, c in kept],
-                                  mode=mode, hysteresis=hysteresis)
+    try:
+        controller = build_controller(policies, [c for _, _, c in kept],
+                                      mode=mode, hysteresis=hysteresis)
+    except SingularComponentError as exc:
+        print(f"controller construction failed: {exc}", file=sys.stderr)
+        return 2
 
     if args.truth:
         try:

@@ -102,9 +102,11 @@ def select_skeleton(weights: Array, incumbent: int | None, hysteresis: float) ->
     return incumbent
 
 
-def compose(controller: CompositeController, n: int, past: Array,
-            incumbent: int | None = None) -> Array:
-    """Next-configuration command at step n for the observed past pair."""
+def _control(controller: CompositeController, n: int, past: Array,
+             incumbent: int | None) -> tuple[Array, int, Array]:
+    """One controller step: the weights, the chosen skeleton and the
+    command, weighing the skeletons once.  In blending mode the chosen
+    skeleton is the heaviest one and the command blends all of them."""
     weights = online_weights(controller, n, past)
     deltas = _deltas(controller, n, past)
     commands = np.stack([
@@ -112,8 +114,15 @@ def compose(controller: CompositeController, n: int, past: Array,
         for p, dp in zip(controller.policies, deltas)
     ])
     if controller.mode == BLENDING:
-        return weights @ commands
-    return commands[select_skeleton(weights, incumbent, controller.hysteresis)]
+        return weights, int(np.argmax(weights)), weights @ commands
+    chosen = select_skeleton(weights, incumbent, controller.hysteresis)
+    return weights, chosen, commands[chosen]
+
+
+def compose(controller: CompositeController, n: int, past: Array,
+            incumbent: int | None = None) -> Array:
+    """Next-configuration command at step n for the observed past pair."""
+    return _control(controller, n, past, incumbent)[2]
 
 
 @dataclass(frozen=True)
@@ -180,14 +189,8 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     incumbent: int | None = None
 
     for n in range(1, N + 1):
-        w = online_weights(controller, n, past)
-        weights[n - 1] = w
-        if controller.mode == SWITCHING:
-            incumbent = select_skeleton(w, incumbent, controller.hysteresis)
-            active[n - 1] = incumbent
-        else:
-            active[n - 1] = int(np.argmax(w))
-        cmd = compose(controller, n, past, incumbent)
+        weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
+        active[n - 1] = incumbent
         commands[n - 1] = cmd
         x = cmd.copy()
         if noise_scale > 0.0:

@@ -28,6 +28,7 @@ UNNORMALIZED = "unnormalized"
 UNIFORM_NA = "uniform_na"
 
 _EIG_FLOOR = 1e-10
+_RANK_TOL = 1e-8
 
 
 class SingularComponentError(RuntimeError):
@@ -37,7 +38,7 @@ class SingularComponentError(RuntimeError):
         self.smallest = smallest
 
 
-def nullspace_basis(J: Array, tol: float = 1e-8) -> Array:
+def nullspace_basis(J: Array, tol: float = _RANK_TOL) -> Array:
     """Orthonormal basis of the numerical nullspace of J.
 
     Singular directions are those with singular value below
@@ -69,7 +70,7 @@ def _project_spd(H, W: Array, label: str) -> tuple[Array, Array]:
         return A, np.zeros((0, 0))
     eigs = np.linalg.eigvalsh(A)
     floor = _EIG_FLOOR * np.trace(A) / r
-    if eigs[0] < floor:
+    if eigs[0] <= floor:
         raise SingularComponentError(label, float(eigs[0]))
     return A, np.linalg.cholesky(A)
 
@@ -143,10 +144,6 @@ def build_component(problem: PathProblem, skeleton: Skeleton,
                             rank=W.shape[1], f_star=solution.f_star,
                             log_ratio=log_ratio, chol=chol, chol0=chol0,
                             hess=hess, hess0=hess0, jac_active=J)
-
-
-def logdet_ratio(component: LaplaceComponent) -> float:
-    return component.log_ratio
 
 
 def mixture_weights(f_star, log_ratio) -> Array:
@@ -235,29 +232,103 @@ def sample_paths(component: LaplaceComponent, count: int, seed: int,
     return np.ascontiguousarray(flat.T.reshape(count, N, d))
 
 
+def _band_columns(H, N: int, d: int) -> Array:
+    """Upper band of a block-pentadiagonal matrix, block column by block column.
+
+    Entry [k + 1] is the (3d, d) stack of blocks (k-2, k), (k-1, k) and
+    (k, k) of H for block k = 1..N.  Entries 0 and 1 stand for the two
+    prefix blocks and stay zero, so folds into them need no bounds checks.
+    Only the nonzeros of the sparse matrix are read.
+    """
+    coo = sp.coo_matrix(H)
+    rb, cb = coo.row // d, coo.col // d
+    upper = rb <= cb
+    rb, cb = rb[upper], cb[upper]
+    if np.any(cb - rb > 2):
+        raise ValueError("Hessian couples blocks more than two steps apart")
+    band = np.zeros((N + 2, 3 * d, d))
+    np.add.at(band, (cb + 2, (2 - cb + rb) * d + coo.row[upper] % d,
+                     coo.col[upper] % d), coo.data[upper])
+    return band
+
+
+def _rows_by_last_block(J: Array, N: int, d: int) -> list[list[Array]]:
+    """Constraint rows over their window of blocks k-2..k, grouped by the
+    last block k they touch.  All-zero rows are left out."""
+    groups: list[list[Array]] = [[] for _ in range(N + 1)]
+    nonzero = J != 0.0
+    padded = np.hstack([np.zeros((J.shape[0], 2 * d)), J])
+    for i in np.flatnonzero(nonzero.any(axis=1)):
+        cols = np.flatnonzero(nonzero[i])
+        first, last = cols[0] // d + 1, cols[-1] // d + 1
+        if last - first > 2:
+            raise ValueError(f"constraint row {i} spans more than three steps")
+        groups[last].append(padded[i, (last - 1) * d:(last + 2) * d])
+    return groups
+
+
 def future_log_ratios(component: LaplaceComponent) -> Array:
     """Per-step log entropy ratios of the conditional future distribution.
 
-    For step n the future block covers configurations n..N.  The active
-    constraint Jacobian is restricted to the future columns (rows without
-    future support drop out), a fresh nullspace basis is computed, and
-    both trailing principal Hessian sub-blocks are projected onto it.
-    Entry n-1 of the result corresponds to step n; entry 0 equals the
-    component's full log_ratio.
+    Entry n-1 is 1/2 (logdet H0_f - logdet H_f), where H_f and H0_f are
+    the trailing blocks over steps n..N of the full and the effort-only
+    Hessian, projected onto the nullspace of the active rows' future
+    columns; entry 0 equals the component's full log_ratio.  One backward
+    block recursion over k = N..1 gives all N entries in O(N d^3):
+
+    * the rows whose last nonzero block is k are split by the singular
+      values of their block-k part (rank tolerance as in nullspace_basis);
+      Z_k spans the nullspace and x_k = T_k (x_{k-2}, x_{k-1}) + Z_k y
+      satisfies the independent rows;
+    * the pivot Z_k^T G_k Z_k of each Hessian, with the later blocks
+      already folded into G_k, adds its log-determinant to the running
+      sums; eliminating y folds the Schur complement into blocks k-2 and
+      k-1;
+    * row combinations that vanish on block k but still touch block k-2
+      or k-1 join the rows ending at block k-1, where they are ranked
+      against the scale of the block they came from.
+
+    The pivots for k >= n are exactly those of the elimination of the
+    future from n with the past held fixed, and the log-determinant ratio
+    does not depend on the basis of the nullspace, so entry n-1 is the
+    suffix sum of the pivot terms from k = n.
     """
     N, d = component.x_star.shape
-    H = component.hess.toarray()
-    H0 = component.hess0.toarray()
-    J = component.jac_active
-    out = np.empty(N)
-    for n in range(1, N + 1):
-        lo = (n - 1) * d
-        Jf = J[:, lo:]
-        if Jf.shape[0]:
-            keep = np.abs(Jf).max(axis=1) > 0.0
-            Jf = Jf[keep]
-        W = nullspace_basis(Jf)
-        _, chol = _project_spd(H[lo:, lo:], W, f"future block at step {n}")
-        _, chol0 = _project_spd(H0[lo:, lo:], W, f"future effort block at step {n}")
-        out[n - 1] = 0.5 * (_logdet_from_chol(chol0) - _logdet_from_chol(chol))
-    return out
+    sid = component.skeleton_id
+    bands = (_band_columns(component.hess, N, d),
+             _band_columns(component.hess0, N, d))
+    groups = _rows_by_last_block(component.jac_active, N, d)
+    scale = np.zeros(N + 1)
+    terms = np.zeros(N)
+    for k in range(N, 0, -1):
+        Z, T = np.eye(d), np.zeros((d, 2 * d))
+        if groups[k]:
+            R = np.array(groups[k])
+            L, M = R[:, :2 * d], R[:, 2 * d:]
+            U, s, vt = np.linalg.svd(M)
+            ref = max(s[0], scale[k])
+            rank = int(np.sum(s > _RANK_TOL * ref))
+            Z = vt[rank:].T
+            T = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ L)
+            for row in U[:, rank:].T @ L:
+                # A combination free of block k that still constrains the
+                # earlier blocks: treat it as a row ending at block k-1.
+                if k > 1 and np.abs(row).max() > _RANK_TOL * ref:
+                    groups[k - 1].append(np.concatenate([np.zeros(d), row]))
+                    scale[k - 1] = max(scale[k - 1], ref)
+        logdets = []
+        for band, label in zip(bands, ("future block", "future effort block")):
+            C, E = band[k + 1, :2 * d].T, band[k + 1, 2 * d:]
+            ETC = E @ T + C
+            S = T.T @ ETC + ETC.T @ T - T.T @ E @ T
+            _, chol = _project_spd(E, Z, f"{label} of '{sid}' at step {k}")
+            if chol.size:
+                B = scipy.linalg.solve_triangular(chol, Z.T @ ETC, lower=True)
+                S -= B.T @ B
+            S = 0.5 * (S + S.T)
+            band[k, 2 * d:] += S[d:, d:]
+            band[k, d:2 * d] += S[:d, d:]
+            band[k - 1, 2 * d:] += S[:d, :d]
+            logdets.append(_logdet_from_chol(chol))
+        terms[k - 1] = 0.5 * (logdets[1] - logdets[0])
+    return np.cumsum(terms[::-1])[::-1]

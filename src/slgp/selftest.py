@@ -2,9 +2,9 @@
 
 Each suite returns (ok, detail) and is deterministic.  The heavy
 recursions are cross-checked against separately written references: a
-textbook value recursion for first-order LQ problems and a dense KKT
-solve for constrained quadratic instances.  run_suites prints one
-PASS/FAIL line per suite.
+textbook value recursion for first-order LQ problems, a dense KKT solve
+for constrained quadratic instances, and a dense per-step projection for
+the future log ratios.  run_suites prints one PASS/FAIL line per suite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
 from .kodp import (PolicyExpansion, StepQuadratics, backward_pass, cost_to_go,
                    quadratize, step_policy)
-from .laplace import (UNNORMALIZED, build_component, build_mixture,
+from .laplace import (UNNORMALIZED, _logdet_from_chol, _project_spd,
+                      build_component, build_mixture, future_log_ratios,
                       mixture_weights, multimodal_cost, nullspace_basis,
                       sample_paths)
 from .problem import PathProblem, assemble, free_skeleton
@@ -362,6 +363,50 @@ def suite_nullspace() -> tuple[bool, str]:
     return worst <= 1e-8, f"max residual {worst:.2e} (tol 1e-8)"
 
 
+def _dense_future_log_ratios(component) -> Array:
+    """Dense per-step oracle for laplace.future_log_ratios.
+
+    For every step n it restricts the active rows to the future columns
+    n..N (rows without future support drop out), takes a fresh nullspace
+    basis, and projects both trailing principal Hessian blocks onto it:
+    O(N^4 d^3), for tests only.
+    """
+    N, d = component.x_star.shape
+    H = component.hess.toarray()
+    H0 = component.hess0.toarray()
+    J = component.jac_active
+    out = np.empty(N)
+    for n in range(1, N + 1):
+        lo = (n - 1) * d
+        Jf = J[:, lo:]
+        if Jf.shape[0]:
+            Jf = Jf[np.abs(Jf).max(axis=1) > 0.0]
+        W = nullspace_basis(Jf)
+        _, chol = _project_spd(H[lo:, lo:], W, f"future block at step {n}")
+        _, chol0 = _project_spd(H0[lo:, lo:], W, f"future effort block at step {n}")
+        out[n - 1] = 0.5 * (_logdet_from_chol(chol0) - _logdet_from_chol(chol))
+    return out
+
+
+def suite_future_ratios() -> tuple[bool, str]:
+    """The backward block recursion for the per-step future log ratios
+    matches the dense per-step projection on both tworoute skeletons."""
+    scenario = build_scenario(ScenarioParams(name="tworoute", N=16, T=2.0))
+    start = time.perf_counter()
+    worst = 0.0
+    for sk in scenario.skeletons:
+        sol = solve(scenario.problem, sk)
+        if not sol.converged:
+            return False, f"tworoute solve '{sk.id}' did not converge"
+        comp = build_component(scenario.problem, sk, sol)
+        got = future_log_ratios(comp)
+        worst = max(worst, float(np.abs(got - _dense_future_log_ratios(comp)).max()),
+                    abs(float(got[0]) - comp.log_ratio))
+    elapsed = time.perf_counter() - start
+    return worst <= 1e-8, (f"{len(scenario.skeletons)} skeletons, max abs err "
+                           f"{worst:.2e} (tol 1e-8), {elapsed:.2f}s")
+
+
 def suite_determinism() -> tuple[bool, str]:
     """The plan/simulate pipeline is bit-identical across repeated runs."""
     params = ScenarioParams(name="tworoute", N=16, T=2.0)
@@ -401,6 +446,7 @@ ALL_SUITES = {
     "jacobians": suite_feature_jacobians,
     "simplex": suite_weight_simplex,
     "nullspace": suite_nullspace,
+    "future": suite_future_ratios,
     "determinism": suite_determinism,
 }
 

@@ -1,12 +1,16 @@
 """Command-line surface: artifacts, schemas, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from slgp.cli import main
+from slgp.laplace import build_component
 
 PLAN_WEIGHTS_HEADER = ["skeletonId", "status", "fStar", "logRatio",
                        "entropyRatio", "rank", "weight"]
@@ -190,6 +194,27 @@ def test_bad_arguments_exit_with_a_message(tmp_path):
             main(argv)
 
 
+def test_singular_future_block_fails_controller_construction(tmp_path,
+                                                              monkeypatch,
+                                                              capsys):
+    # Strip the effort curvature of the last step from every component after
+    # its full-path checks: the future block at step N becomes singular.
+    def last_step_without_effort(problem, skeleton, solution):
+        comp = build_component(problem, skeleton, solution)
+        keep = np.ones(comp.hess0.shape[0])
+        keep[-problem.d:] = 0.0
+        mask = sp.diags(keep)
+        return dataclasses.replace(comp, hess0=(mask @ comp.hess0 @ mask).tocsr())
+
+    monkeypatch.setattr("slgp.cli.build_component", last_step_without_effort)
+    code = main(["simulate", "--scenario", "tworoute", "--out",
+                 str(tmp_path / "sim"), "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("controller construction failed: ")
+    assert "future effort block of 'via-near' at step 40" in err
+
+
 def test_unknown_subcommand_and_scenario_are_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["explode"])
@@ -203,6 +228,10 @@ def test_unknown_subcommand_and_scenario_are_rejected(tmp_path):
 def test_selftest_subset_passes():
     assert main(["selftest", "--suite", "nullspace", "--suite",
                  "simplex"]) == 0
+
+
+def test_selftest_future_suite_passes():
+    assert main(["selftest", "--suite", "future"]) == 0
 
 
 def test_selftest_rejects_unknown_suite():

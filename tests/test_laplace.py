@@ -12,7 +12,9 @@ from slgp.laplace import (LaplaceComponent, SingularComponentError,
                           mixture_weights, multimodal_cost, nullspace_basis,
                           sample_paths)
 from slgp.laplace import _logdet_from_chol, _project_spd  # noqa: PLC2701
-from slgp.problem import PathProblem, assemble, free_skeleton
+from slgp.problem import Mode, PathProblem, Skeleton, Switch, assemble, free_skeleton
+from slgp.scenarios import ScenarioParams, build_scenario
+from slgp.selftest import _dense_future_log_ratios  # noqa: PLC2701
 from slgp.solver import solve
 
 
@@ -285,3 +287,49 @@ def test_future_ratios_start_at_the_full_ratio_and_stay_nonpositive(elbow):
     assert ratios[0] == pytest.approx(comp.log_ratio, abs=1e-9)
     assert (ratios <= 1e-9).all()
     assert np.isfinite(ratios).all()
+
+
+@pytest.mark.parametrize("bundle", ["elbow", "push", "tworoute"])
+def test_future_ratios_match_the_dense_projection(bundle, request):
+    components = request.getfixturevalue(bundle).components.values()
+    for comp in [c for c in components if c is not None]:
+        ratios = future_log_ratios(comp)
+        assert np.abs(ratios - _dense_future_log_ratios(comp)).max() <= 1e-8
+
+
+def test_long_horizon_future_ratios_match_the_dense_projection():
+    scenario = build_scenario(ScenarioParams(name="tworoute", N=160))
+    for sk in scenario.skeletons:
+        sol = solve(scenario.problem, sk)
+        assert sol.converged
+        comp = build_component(scenario.problem, sk, sol)
+        ratios = future_log_ratios(comp)
+        assert np.abs(ratios - _dense_future_log_ratios(comp)).max() <= 1e-8
+
+
+def test_future_ratios_carry_dependent_row_combinations_back():
+    # Both rows at step 5 move x_5[0] alike, so one combination pins x_4[0]
+    # alone.  The rows at step 7 move x_7[1] alike, so one combination pins
+    # x_5[1], up to a 1e-12 entry on x_6[1] that is below the rank
+    # tolerance; the third row is the sum of the first two: 5 rows of
+    # rank 4.
+    problem = _lq(N=8)
+    pin_back = AffineFeature(np.array([[-1.0, 0.0, 1.0, 0.0],
+                                       [-2.0, 0.0, 1.0, 0.0]]),
+                             np.array([0.1, 0.3]), window=2)
+    pin_skip = AffineFeature(np.array([[0.0, 1.0, 0.0, 1e-12, 0.0, 1.0],
+                                       [0.0, 2.0, 0.0, 0.0, 0.0, 1.0],
+                                       [0.0, 3.0, 0.0, 1e-12, 0.0, 2.0]]),
+                             np.array([-0.6, -0.7, -1.3]), window=3)
+    skeleton = Skeleton(id="pins",
+                        modes=(Mode("a", (1, 4)), Mode("b", (5, 6)),
+                               Mode("c", (7, 8))),
+                        switches=(Switch("s5", 5, eq=(pin_back,)),
+                                  Switch("s7", 7, eq=(pin_skip,))))
+    sol = solve(problem, skeleton)
+    assert sol.converged
+    comp = build_component(problem, skeleton, sol)
+    assert comp.rank == problem.N * problem.d - 4
+    ratios = future_log_ratios(comp)
+    assert np.abs(ratios - _dense_future_log_ratios(comp)).max() <= 1e-8
+    assert ratios[0] == pytest.approx(comp.log_ratio, abs=1e-9)
