@@ -1,14 +1,16 @@
 """Banded SPD linear solves for block-tridiagonal Gauss-Newton systems.
 
-Features couple at most three consecutive configurations, so J^T J has
-scalar bandwidth at most 3d - 1.  Factor and solve cost O(N d^3).
+Features couple at most three consecutive configurations, so the
+Gauss-Newton Hessian is a sum of per-step 3d x 3d blocks and has scalar
+bandwidth at most 3d - 1.  It is built straight into LAPACK upper banded
+storage, ab[u + i - j, j] = H[i, j] for bandwidth u.  Factor and solve
+cost O(N d^3).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 Array = np.ndarray
 
@@ -17,38 +19,41 @@ class FactorizationError(RuntimeError):
     """The banded Cholesky factorization hit a non-positive pivot."""
 
 
-def matrix_bandwidth(H) -> int:
-    if sp.issparse(H):
-        coo = H.tocoo()
-        if coo.nnz == 0:
-            return 0
-        return int(np.abs(coo.row - coo.col).max())
-    H = np.asarray(H)
-    rows, cols = np.nonzero(H)
-    return int(np.abs(rows - cols).max()) if rows.size else 0
+def band_from_step_blocks(blocks: Array) -> Array:
+    """Upper banded storage, bandwidth 3d - 1, of the sum of per-step blocks.
 
-
-def to_banded_upper(H, bandwidth: int) -> Array:
-    """LAPACK upper banded storage: ab[u + i - j, j] = H[i, j]."""
-    n = H.shape[0]
-    ab = np.zeros((bandwidth + 1, n))
-    sparse = sp.issparse(H)
-    for k in range(bandwidth + 1):
-        diag = H.diagonal(k) if sparse else np.diagonal(H, k)
-        ab[bandwidth - k, k:] = diag
-    return ab
-
-
-def banded_cholesky_solve(H, rhs: Array, bandwidth: int | None = None) -> Array:
-    """Solve H x = rhs for SPD banded H (dense array or scipy sparse).
-
-    Raises FactorizationError when H is not numerically positive definite.
+    blocks[n-1] is a symmetric (3d, 3d) matrix over the window
+    (x_{n-2}, x_{n-1}, x_n) of step n = 1..N.  Rows and columns of the
+    prefix configurations x_{-1} and x_0 are dropped, so the result is the
+    (N d, N d) matrix over x_1..x_N, as an array of shape (3d, N d).
     """
+    N, w, _ = blocks.shape
+    d = w // 3
+    u = w - 1
+    a, b = np.triu_indices(w)
+    width = (N + 2) * d
+    # Band entries over the path with the prefix in front; block n-1 starts
+    # at column (n-1) d, where x_{n-2} sits.
+    flat = (u + a - b) * width + (np.arange(N) * d)[:, None] + b
+    ab = np.bincount(flat.ravel(), weights=blocks[:, a, b].ravel(),
+                     minlength=w * width).reshape(w, width)[:, 2 * d:]
+    # Entries in the top-left corner couple to a prefix row; LAPACK never
+    # reads them, and zeros keep the storage canonical.
+    cols = np.arange(min(u, N * d))
+    ab[:, :cols.size][np.add.outer(np.arange(w), cols) < u] = 0.0
+    return np.ascontiguousarray(ab)
+
+
+def banded_cholesky_solve(ab: Array, rhs: Array) -> Array:
+    """Solve H x = rhs for SPD H given in upper banded storage ab.
+
+    ab has shape (u + 1, n) for bandwidth u.  Raises FactorizationError
+    when H is not numerically positive definite.
+    """
+    ab = np.asarray(ab, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if H.shape[0] != H.shape[1] or rhs.shape[0] != H.shape[0]:
-        raise ValueError(f"shape mismatch: H {H.shape}, rhs {rhs.shape}")
-    u = matrix_bandwidth(H) if bandwidth is None else int(bandwidth)
-    ab = to_banded_upper(H, u)
+    if ab.ndim != 2 or rhs.shape[0] != ab.shape[1]:
+        raise ValueError(f"shape mismatch: banded {ab.shape}, rhs {rhs.shape}")
     try:
         cb = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

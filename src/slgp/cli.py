@@ -134,8 +134,9 @@ def _plan_scenario(scenario: Scenario, solver_cfg: SolverConfig,
                    collect_trace: bool = False):
     """Solve every skeleton (thread pool) and build Laplace components.
 
-    Returns (solutions, components) keyed by skeleton order; components
-    hold None for skeletons whose solve failed.
+    Returns (solutions, components, drop reasons) in skeleton order; a
+    skeleton without a component has None there and the reason: the solver
+    status, or the SingularComponentError with its smallest eigenvalue.
     """
     for sk in scenario.skeletons:
         bad = validate_skeleton(sk, scenario.successors, scenario.problem.N)
@@ -149,19 +150,22 @@ def _plan_scenario(scenario: Scenario, solver_cfg: SolverConfig,
 
     with ThreadPoolExecutor(max_workers=_workers(len(scenario.skeletons))) as pool:
         solutions = list(pool.map(run, scenario.skeletons))
-    components = []
+    components, reasons = [], []
     for sk, sol in zip(scenario.skeletons, solutions):
-        if sol.converged:
-            try:
-                components.append(build_component(scenario.problem, sk, sol))
-            except SingularComponentError:
-                components.append(None)
+        comp, reason = None, None
+        if not sol.converged:
+            reason = f"solver status {sol.status}"
         else:
-            components.append(None)
-    return solutions, components
+            try:
+                comp = build_component(scenario.problem, sk, sol)
+            except SingularComponentError as exc:
+                reason = str(exc)
+        components.append(comp)
+        reasons.append(reason)
+    return solutions, components, reasons
 
 
-def _solution_payload(sk, sol, comp, weight) -> dict:
+def _solution_payload(sk, sol, comp, weight, reason) -> dict:
     payload = {
         "skeletonId": sk.id,
         "status": sol.status,
@@ -177,6 +181,8 @@ def _solution_payload(sk, sol, comp, weight) -> dict:
         payload["rank"] = comp.rank
     if weight is not None:
         payload["weight"] = weight
+    if reason is not None:
+        payload["dropReason"] = reason
     return payload
 
 
@@ -191,16 +197,16 @@ def cmd_plan(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    solutions, components = _plan_scenario(scenario, solver_cfg,
-                                           collect_trace=args.trace)
+    solutions, components, reasons = _plan_scenario(scenario, solver_cfg,
+                                                    collect_trace=args.trace)
     live = [c for c in components if c is not None]
     mixture = build_mixture(live, prior_mode=prior_mode) if live else None
     weight_of = ({c.skeleton_id: float(w) for c, w in zip(live, mixture.weights)}
                  if mixture else {})
 
-    for sk, sol, comp in zip(scenario.skeletons, solutions, components):
+    for sk, sol, comp, reason in zip(scenario.skeletons, solutions, components, reasons):
         _write_json(out / f"solution-{sk.id}.json",
-                    _solution_payload(sk, sol, comp, weight_of.get(sk.id)))
+                    _solution_payload(sk, sol, comp, weight_of.get(sk.id), reason))
         if args.trace and sol.trace:
             _write_csv(out / f"trace-{sk.id}.csv",
                        ("outer", "inner", "merit", "violation", "stepNorm"),
@@ -222,11 +228,13 @@ def cmd_plan(args) -> int:
              f"dt={params.dt:g}, sigma={params.sigma:g})",
              f"skeletons: {len(scenario.skeletons)}, converged: "
              f"{sum(s.converged for s in solutions)}"]
-    for sk, sol, comp in zip(scenario.skeletons, solutions, components):
+    for sk, sol, comp, reason in zip(scenario.skeletons, solutions, components, reasons):
         part = (f"  {sk.id:<16} status={sol.status:<20} fStar={sol.f_star:.6f}")
         if comp is not None:
             part += (f" logRatio={comp.log_ratio:.6f}"
                      f" weight={weight_of.get(sk.id, 0.0):.6f}")
+        else:
+            part += f" dropped: {reason}"
         lines.append(part)
     if mixture:
         lines.append(f"multimodal cost ({prior_mode}): {mixture.cost:.6f}")
@@ -292,11 +300,11 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    solutions, components = _plan_scenario(scenario, solver_cfg)
+    solutions, components, reasons = _plan_scenario(scenario, solver_cfg)
     kept = [(sk, sol, comp) for sk, sol, comp
             in zip(scenario.skeletons, solutions, components) if comp is not None]
-    dropped = [sk.id for sk, _, comp in zip(scenario.skeletons, solutions, components)
-               if comp is None]
+    dropped = [(sk.id, reason) for sk, reason in zip(scenario.skeletons, reasons)
+               if reason is not None]
     if not kept:
         print("no skeleton converged; nothing to execute", file=sys.stderr)
         return 2
@@ -389,8 +397,7 @@ def cmd_simulate(args) -> int:
              f"hysteresis: {hysteresis:g}  noise: {noise:g}",
              f"truth skeleton: {truth.id}",
              f"skeletons executed: {', '.join(sk.id for sk, _, _ in kept)}"]
-    if dropped:
-        lines.append(f"dropped (no converged solution): {', '.join(dropped)}")
+    lines.extend(f"dropped {sid}: {reason}" for sid, reason in dropped)
     lines.append(f"seeds: {seeds[0]}..{seeds[-1]} ({len(seeds)} total), "
                  f"aborted: {aborted}")
     if errors:

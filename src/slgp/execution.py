@@ -21,7 +21,7 @@ import numpy as np
 
 from .kodp import KodpPolicy, cost_to_go, step_policy
 from .laplace import LaplaceComponent, future_log_ratios
-from .problem import PathProblem, Skeleton, assemble, cost_value, step_constraints, _eval_feature
+from .problem import PathProblem, Skeleton, assemble, cost_value, step_constraints
 
 Array = np.ndarray
 
@@ -205,10 +205,8 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
 
     stack = assemble(problem, truth_skeleton, path)
     trace = np.zeros(N)
-    for value, jac_index in ((stack.eq, stack.eq_index), (stack.ineq, stack.ineq_index)):
-        for val, (step, _) in zip(value, jac_index):
-            v = abs(val) if jac_index is stack.eq_index else max(val, 0.0)
-            trace[step - 1] = max(trace[step - 1], v)
+    np.maximum.at(trace, stack.eq_steps - 1, np.abs(stack.eq))
+    np.maximum.at(trace, stack.ineq_steps - 1, np.clip(stack.ineq, 0.0, None))
     final_error = float("nan")
     if target is not None:
         coords, values = target

@@ -11,6 +11,14 @@ Cost features carry a ``group`` tag.  ``"effort"`` rows define the
 negative log density of the uncontrolled (passive) path distribution;
 ``"task"`` rows are state costs.  The split matters downstream where the
 two Hessians are compared against each other.
+
+A feature may also define ``eval_batch(xs)``: xs stacks M windows as an
+(M, window, d) array, and the result is the values (M, size) and the
+Jacobians (M, size, window * d), row m equal to ``eval(xs[m])``.
+``problem.assemble`` evaluates each feature once over all the steps where
+it applies, through ``eval_batch`` when present and by stacking ``eval``
+otherwise.  The bundled features index windows from their last two axes,
+so one method serves both: ``eval_batch = eval``.
 """
 
 from __future__ import annotations
@@ -23,35 +31,9 @@ EFFORT = "effort"
 TASK = "task"
 
 
-def finite_diff_accel(window: Array, dt: float) -> Array:
-    """Second-difference acceleration of the newest configuration.
-
-    Parameters
-    ----------
-    window : (3, d) array of consecutive configurations, oldest first.
-    dt : timestep, must be positive.
-    """
-    xs = np.asarray(window, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] != 3:
-        raise ValueError(f"expected a (3, d) window, got shape {xs.shape}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return (xs[2] - 2.0 * xs[1] + xs[0]) / dt**2
-
-
-def dynamics_feature(window: Array, dt: float, sigma: float,
-                     coords: Array | None = None) -> Array:
-    """Scaled second-difference residual of a double-integrator step.
-
-    Half the squared norm of this residual is the negative log density of
-    one uncontrolled transition, so the scale is 1 / (sigma * dt^{3/2}).
-    """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    acc = finite_diff_accel(window, dt) * dt**2
-    if coords is not None:
-        acc = acc[np.asarray(coords, dtype=int)]
-    return acc / (sigma * dt**1.5)
+def _constant(jac: Array, xs: Array) -> Array:
+    """A constant Jacobian repeated over the batch axes of xs (read-only)."""
+    return np.broadcast_to(jac, xs.shape[:-2] + jac.shape)
 
 
 class AccelerationPenalty:
@@ -82,8 +64,10 @@ class AccelerationPenalty:
         self._jac = jac
 
     def eval(self, xs: Array) -> tuple[Array, Array]:
-        r = self.scale * (xs[2] - 2.0 * xs[1] + xs[0])[self.coords]
-        return r, self._jac
+        r = self.scale * (xs[..., 2, :] - 2.0 * xs[..., 1, :] + xs[..., 0, :])
+        return r[..., self.coords], _constant(self._jac, xs)
+
+    eval_batch = eval
 
 
 class DriftPenalty:
@@ -114,8 +98,10 @@ class DriftPenalty:
         self._jac = jac
 
     def eval(self, xs: Array) -> tuple[Array, Array]:
-        r = self.scale * (xs[1] - xs[0])[self.coords]
-        return r, self._jac
+        r = self.scale * (xs[..., 1, :] - xs[..., 0, :])
+        return r[..., self.coords], _constant(self._jac, xs)
+
+    eval_batch = eval
 
 
 class AffineFeature:
@@ -135,7 +121,10 @@ class AffineFeature:
         self.group = group
 
     def eval(self, xs: Array) -> tuple[Array, Array]:
-        return self.A @ xs.ravel() + self.b, self.A
+        flat = xs.reshape(xs.shape[:-2] + (-1,))
+        return flat @ self.A.T + self.b, _constant(self.A, xs)
+
+    eval_batch = eval
 
 
 def coordinate_target(dim: int, coords, values, weight: float = 1.0,

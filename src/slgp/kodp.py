@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .features import EFFORT
-from .problem import PathProblem, Skeleton, step_constraints, _eval_feature
+from .problem import PathProblem, Skeleton, assemble, step_gram
 from .solver import NlpSolution
 
 Array = np.ndarray
@@ -112,48 +111,27 @@ def quadratize(problem: PathProblem, skeleton: Skeleton, solution: NlpSolution,
     flagged active in solution.active_set, frozen thereafter.
     """
     x = solution.x_star
-    d = problem.d
+    d, N = problem.d, problem.N
     width = 3 * d
+    stack = assemble(problem, skeleton, x)
+    # One Gram matrix of the rows [J_i | r_i] per step holds the Hessian,
+    # the gradient and twice the constant of the step's cost.
+    weights = np.where(stack.effort_mask, effort_weight, 1.0)
+    gram = step_gram(stack.cost_steps,
+                     np.column_stack([stack.cost_blocks, stack.residuals]), weights, N)
+    if proximal_rho:
+        gram[:, 2 * d:width, 2 * d:width] += 2.0 * proximal_rho * np.eye(d)
     active = solution.active_set
-    ineq_cursor = 0
+    con_steps = (stack.eq_steps, stack.ineq_steps[active])
+    con_rows = (stack.eq_blocks, stack.ineq_blocks[active])
+    bounds = [np.searchsorted(st, np.arange(1, N + 2)) for st in con_steps]
     steps = []
-    for n in range(1, problem.N + 1):
-        F = np.zeros((width, width))
-        phi = np.zeros(width)
-        const = 0.0
-        feats = list(problem.step_costs[n - 1])
-        if n == problem.N:
-            feats.extend(problem.terminal_costs)
-        for feat in feats:
-            label = getattr(feat, "name", type(feat).__name__)
-            r, jac = _eval_feature(problem, x, n, label, feat)
-            w = effort_weight if getattr(feat, "group", None) == EFFORT else 1.0
-            pad = np.zeros((feat.size, width))
-            pad[:, width - feat.window * d:] = jac
-            F += w * (pad.T @ pad)
-            phi += w * (pad.T @ r)
-            const += 0.5 * w * float(r @ r)
-        if proximal_rho:
-            F[2 * d:, 2 * d:] += 2.0 * proximal_rho * np.eye(d)
-        eq_feats, ineq_feats = step_constraints(skeleton, n)
-        rows = []
-        for _, feat in eq_feats:
-            label = getattr(feat, "name", type(feat).__name__)
-            _, jac = _eval_feature(problem, x, n, label, feat)
-            pad = np.zeros((feat.size, width))
-            pad[:, width - feat.window * d:] = jac
-            rows.append(pad)
-        for _, feat in ineq_feats:
-            label = getattr(feat, "name", type(feat).__name__)
-            _, jac = _eval_feature(problem, x, n, label, feat)
-            mask = active[ineq_cursor:ineq_cursor + feat.size]
-            ineq_cursor += feat.size
-            if mask.any():
-                pad = np.zeros((int(mask.sum()), width))
-                pad[:, width - feat.window * d:] = jac[mask]
-                rows.append(pad)
-        con = np.vstack(rows) if rows else np.zeros((0, width))
-        steps.append(StepQuadratics(n=n, hess=F, grad=phi, const=const, con_jac=con))
+    for n in range(1, N + 1):
+        con = np.vstack([rows[b[n - 1]:b[n]] for rows, b in zip(con_rows, bounds)])
+        steps.append(StepQuadratics(n=n, hess=gram[n - 1, :width, :width],
+                                    grad=gram[n - 1, :width, width],
+                                    const=0.5 * float(gram[n - 1, width, width]),
+                                    con_jac=con))
     return PolicyExpansion(steps=tuple(steps), skeleton_id=skeleton.id, d=d,
                            x_ref=x.copy(), prefix=np.asarray(problem.prefix, float).copy())
 

@@ -10,8 +10,8 @@ features on windows of at most three consecutive configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -195,68 +195,92 @@ def step_constraints(skeleton: Skeleton, n: int):
 class FeatureStack:
     """All residuals, constraint values, and Jacobians at one path.
 
-    Jacobians are CSR over the flattened path (N*d columns); prefix
-    configurations are constants and contribute no columns.  Index tuples
-    give (step, label) per row.
+    Cost, equality and inequality rows each come in canonical order: step
+    by step, and within a step in the order of the step's cost features
+    (terminal costs last) or of step_constraints.  Index tuples give
+    (step, label) per row and the *_steps arrays the step alone.  The
+    Jacobian of a row is a dense block over the window (x_{n-2}, x_{n-1},
+    x_n) of its step n, zero-padded on the left for features on one or two
+    configurations.  Columns of the prefix configurations keep the
+    feature's derivative; they are constants, not decision variables, so
+    `transpose_dot` and the CSR views `jac`, `eq_jac` and `ineq_jac` (over
+    the N*d path columns, built on first use) drop them.
     """
 
+    N: int
+    d: int
     residuals: Array
-    jac: sp.csr_matrix
     effort_mask: Array
     eq: Array
-    eq_jac: sp.csr_matrix
     ineq: Array
-    ineq_jac: sp.csr_matrix
+    cost_steps: Array
+    eq_steps: Array
+    ineq_steps: Array
     cost_index: tuple
     eq_index: tuple
     ineq_index: tuple
+    cost_blocks: Array
+    eq_blocks: Array
+    ineq_blocks: Array
 
     @property
     def n_vars(self) -> int:
-        return self.jac.shape[1]
+        return self.N * self.d
+
+    @cached_property
+    def jac(self) -> sp.csr_matrix:
+        return self._csr(self.cost_blocks, self.cost_steps)
+
+    @cached_property
+    def eq_jac(self) -> sp.csr_matrix:
+        return self._csr(self.eq_blocks, self.eq_steps)
+
+    @cached_property
+    def ineq_jac(self) -> sp.csr_matrix:
+        return self._csr(self.ineq_blocks, self.ineq_steps)
+
+    def _columns(self, steps: Array) -> Array:
+        """Column of every block entry in the path with the prefix in front:
+        configuration m starts at column (m + 1) d."""
+        return ((steps - 1) * self.d)[:, None] + np.arange(3 * self.d)
+
+    def _csr(self, blocks: Array, steps: Array) -> sp.csr_matrix:
+        cols = self._columns(steps) - 2 * self.d
+        rows = np.broadcast_to(np.arange(len(steps))[:, None], cols.shape)
+        keep = (cols >= 0) & (blocks != 0.0)
+        return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
+                             shape=(len(steps), self.n_vars))
+
+    def transpose_dot(self, cost: Array, eq: Array, ineq: Array) -> Array:
+        """J^T cost + J_h^T eq + J_g^T ineq over the N*d path variables."""
+        out = np.zeros((self.N + 2) * self.d)
+        for blocks, steps, coeff in ((self.cost_blocks, self.cost_steps, cost),
+                                     (self.eq_blocks, self.eq_steps, eq),
+                                     (self.ineq_blocks, self.ineq_steps, ineq)):
+            out += np.bincount(self._columns(steps).ravel(),
+                               weights=(blocks * coeff[:, None]).ravel(),
+                               minlength=out.size)
+        return out[2 * self.d:]
 
 
-class _RowCollector:
-    def __init__(self, n_vars: int):
-        self.n_vars = n_vars
-        self.vals: list[Array] = []
-        self.rows: list[Array] = []
-        self.cols: list[Array] = []
-        self.data: list[Array] = []
-        self.index: list[tuple[int, str]] = []
-        self.offset = 0
+def step_gram(steps: Array, rows: Array, weights: Array, N: int) -> Array:
+    """Per-step weighted Gram matrices, shape (N, width, width).
 
-    def add(self, step: int, label: str, value: Array, jac: Array, col_blocks: list[int]):
-        if not np.all(np.isfinite(value)) or not np.all(np.isfinite(jac)):
-            raise FeatureEvalError(step, label, "nonfinite value or Jacobian")
-        size, d = value.shape[0], jac.shape[1] // len(col_blocks)
-        self.vals.append(value)
-        for k, m in enumerate(col_blocks):
-            if m < 1:
-                continue  # prefix column: constant, not a decision variable
-            block = jac[:, k * d:(k + 1) * d]
-            r, c = np.nonzero(block)
-            self.rows.append(r + self.offset)
-            self.cols.append(c + (m - 1) * d)
-            self.data.append(block[r, c])
-        self.index.extend((step, label) for _ in range(size))
-        self.offset += size
-
-    def build(self):
-        vals = np.concatenate(self.vals) if self.vals else np.zeros(0)
-        if self.rows:
-            rows = np.concatenate(self.rows)
-            cols = np.concatenate(self.cols)
-            data = np.concatenate(self.data)
-        else:
-            rows = cols = np.zeros(0, dtype=int)
-            data = np.zeros(0)
-        jac = sp.coo_matrix((data, (rows, cols)), shape=(self.offset, self.n_vars)).tocsr()
-        return vals, jac, tuple(self.index)
+    Entry n-1 is the sum of weights[i] rows[i] rows[i]^T over the rows i
+    with steps[i] == n.  The rows of each step are stacked into one padded
+    slab, so the sums are one batched matrix product.
+    """
+    order = np.argsort(steps, kind="stable")
+    s = steps[order]
+    slot = np.arange(len(s)) - np.searchsorted(s, s)
+    slabs = np.zeros((2, N, int(slot.max()) + 1 if len(s) else 0, rows.shape[1]))
+    slabs[0, s - 1, slot] = rows[order]
+    slabs[1, s - 1, slot] = rows[order] * weights[order, None]
+    return slabs[0].transpose(0, 2, 1) @ slabs[1]
 
 
-def _eval_feature(problem: PathProblem, x: Array, n: int, label: str, feat):
-    xs = problem.window(x, n, feat.window)
+def _eval_feature(feat, xs: Array, n: int, label: str):
+    """Value and Jacobian of one feature on the window xs of step n, checked."""
     try:
         value, jac = feat.eval(xs)
     except FeatureEvalError:
@@ -265,14 +289,105 @@ def _eval_feature(problem: PathProblem, x: Array, n: int, label: str, feat):
         raise FeatureEvalError(n, label, repr(exc)) from exc
     value = np.atleast_1d(np.asarray(value, dtype=float))
     jac = np.asarray(jac, dtype=float)
-    if value.shape != (feat.size,) or jac.shape != (feat.size, feat.window * problem.d):
+    if value.shape != (feat.size,) or jac.shape != (feat.size, feat.window * xs.shape[1]):
         raise FeatureEvalError(n, label, f"bad shapes {value.shape}, {jac.shape}")
+    if not np.all(np.isfinite(value)) or not np.all(np.isfinite(jac)):
+        raise FeatureEvalError(n, label, "nonfinite value or Jacobian")
     return value, jac
+
+
+def _eval_group(feat, label: str, xp: Array, steps: Array):
+    """Values (M, size) and Jacobians (M, size, window*d) of one feature at
+    each of its M steps; xp is the path with the two prefix rows in front.
+
+    A FeatureEvalError names the first step that fails: when eval_batch
+    raises, the steps are evaluated one by one to find it.
+    """
+    w, d = feat.window, xp.shape[1]
+    first = int(steps[0])
+    if w not in (1, 2, 3):
+        raise FeatureEvalError(first, label, f"window {w} is not 1, 2 or 3")
+    xs = xp[steps[:, None] + np.arange(2 - w, 2)]
+
+    def per_step():
+        evals = [_eval_feature(feat, xs[m], int(n), label) for m, n in enumerate(steps)]
+        return np.stack([v for v, _ in evals]), np.stack([j for _, j in evals])
+
+    batch = getattr(feat, "eval_batch", None)
+    if batch is None:
+        return per_step()
+    try:
+        values, jacs = batch(xs)
+    except FeatureEvalError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - reported with step/feature index
+        per_step()
+        raise FeatureEvalError(first, label, f"batch over steps {first}..{int(steps[-1])}: "
+                                             f"{exc!r}") from exc
+    values = np.asarray(values, dtype=float)
+    jacs = np.asarray(jacs, dtype=float)
+    if values.shape != (len(steps), feat.size) or jacs.shape != (len(steps), feat.size, w * d):
+        raise FeatureEvalError(first, label, f"bad batch shapes {values.shape}, {jacs.shape}")
+    finite = np.isfinite(values).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
+    if not finite.all():
+        raise FeatureEvalError(int(steps[np.argmin(finite)]), label,
+                               "nonfinite value or Jacobian")
+    return values, jacs
+
+
+class _Rows:
+    """Canonical row layout of one kind of row (cost, eq or ineq): each
+    feature object with its label, the steps where it applies and the
+    first row it fills at each."""
+
+    def __init__(self):
+        self.groups: dict = {}
+        self.index: list[tuple[int, str]] = []
+        self.count = 0
+
+    def add(self, n: int, label: str, feat) -> None:
+        group = self.groups.get((id(feat), label))
+        if group is None:
+            group = self.groups[(id(feat), label)] = (feat, label, [], [])
+        group[2].append(n)
+        group[3].append(self.count)
+        self.index.extend([(n, label)] * feat.size)
+        self.count += feat.size
+
+    def evaluate(self, xp: Array):
+        """Values, steps and (rows, 3d) Jacobian blocks in row order, the
+        rows of each feature, and the failures as (step, row, error)."""
+        width = 3 * xp.shape[1]
+        values = np.zeros(self.count)
+        steps = np.zeros(self.count, dtype=int)
+        blocks = np.zeros((self.count, width))
+        rows_of, failures = [], []
+        for feat, label, at, first in self.groups.values():
+            try:
+                vals, jacs = _eval_group(feat, label, xp, np.array(at))
+            except FeatureEvalError as exc:
+                row = first[at.index(exc.step)] if exc.step in at else first[0]
+                failures.append((exc.step, row, exc))
+                continue
+            rows = (np.array(first)[:, None] + np.arange(feat.size)).ravel()
+            values[rows] = vals.ravel()
+            steps[rows] = np.repeat(at, feat.size)
+            jacs = jacs.reshape(len(rows), -1)
+            blocks[rows, width - jacs.shape[1]:] = jacs
+            rows_of.append((feat, rows))
+        return values, steps, blocks, rows_of, failures
+
+
+def _label(feat) -> str:
+    return getattr(feat, "name", type(feat).__name__)
 
 
 def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack:
     """Evaluate and stack all cost and constraint features at a path.
 
+    Each feature object is evaluated once over all the steps where it
+    applies.  A failure raises the FeatureEvalError of the first row in
+    canonical step order that fails, as a step-by-step evaluation would.
     Deterministic: identical inputs produce bit-identical stacks.
     """
     structural = skeleton_structure_violations(skeleton, problem.N)
@@ -282,37 +397,38 @@ def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack
     if x.shape != (problem.N, problem.d):
         raise ValueError(f"path must be ({problem.N}, {problem.d}), got {x.shape}")
 
-    n_vars = problem.N * problem.d
-    cost = _RowCollector(n_vars)
-    eqs = _RowCollector(n_vars)
-    ineqs = _RowCollector(n_vars)
-    effort: list[Array] = []
-
+    kinds = (_Rows(), _Rows(), _Rows())
+    cost, eqs, ineqs = kinds
     for n in range(1, problem.N + 1):
-        feats = list(problem.step_costs[n - 1])
+        feats = problem.step_costs[n - 1]
         if n == problem.N:
-            feats.extend(problem.terminal_costs)
+            feats = tuple(feats) + tuple(problem.terminal_costs)
         for feat in feats:
-            label = getattr(feat, "name", type(feat).__name__)
-            value, jac = _eval_feature(problem, x, n, label, feat)
-            blocks = list(range(n - feat.window + 1, n + 1))
-            cost.add(n, label, value, jac, blocks)
-            effort.append(np.full(feat.size, getattr(feat, "group", None) == EFFORT))
+            cost.add(n, _label(feat), feat)
         eq_feats, ineq_feats = step_constraints(skeleton, n)
-        for collector, items in ((eqs, eq_feats), (ineqs, ineq_feats)):
+        for rows, items in ((eqs, eq_feats), (ineqs, ineq_feats)):
             for owner, feat in items:
-                label = f"{owner}:{getattr(feat, 'name', type(feat).__name__)}"
-                value, jac = _eval_feature(problem, x, n, label, feat)
-                blocks = list(range(n - feat.window + 1, n + 1))
-                collector.add(n, label, value, jac, blocks)
+                rows.add(n, f"{owner}:{_label(feat)}", feat)
 
-    residuals, jac, cost_index = cost.build()
-    eq, eq_jac, eq_index = eqs.build()
-    ineq, ineq_jac, ineq_index = ineqs.build()
-    effort_mask = np.concatenate(effort) if effort else np.zeros(0, dtype=bool)
-    return FeatureStack(residuals=residuals, jac=jac, effort_mask=effort_mask,
-                        eq=eq, eq_jac=eq_jac, ineq=ineq, ineq_jac=ineq_jac,
-                        cost_index=cost_index, eq_index=eq_index, ineq_index=ineq_index)
+    xp = np.vstack([problem.prefix, x])
+    (residuals, cost_steps, cost_blocks, cost_rows, cost_fail), \
+        (eq, eq_steps, eq_blocks, _, eq_fail), \
+        (ineq, ineq_steps, ineq_blocks, _, ineq_fail) = [rows.evaluate(xp) for rows in kinds]
+    failures = [(step, kind, row, exc)
+                for kind, fails in enumerate((cost_fail, eq_fail, ineq_fail))
+                for step, row, exc in fails]
+    if failures:
+        raise min(failures, key=lambda f: f[:3])[3]
+    effort_mask = np.zeros(residuals.size, dtype=bool)
+    for feat, rows in cost_rows:
+        effort_mask[rows] = getattr(feat, "group", None) == EFFORT
+    return FeatureStack(N=problem.N, d=problem.d, residuals=residuals,
+                        effort_mask=effort_mask, eq=eq, ineq=ineq,
+                        cost_steps=cost_steps, eq_steps=eq_steps,
+                        ineq_steps=ineq_steps, cost_index=tuple(cost.index),
+                        eq_index=tuple(eqs.index), ineq_index=tuple(ineqs.index),
+                        cost_blocks=cost_blocks, eq_blocks=eq_blocks,
+                        ineq_blocks=ineq_blocks)
 
 
 def cost_value(stack: FeatureStack) -> float:

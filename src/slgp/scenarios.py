@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .features import (EFFORT, AccelerationPenalty, AffineFeature, Array,
-                       DriftPenalty, coordinate_target)
+                       DriftPenalty, _constant, coordinate_target)
 from .problem import Mode, PathProblem, Skeleton, Switch, free_skeleton
 
 
@@ -101,26 +101,31 @@ class Scenario:
 # --- planar arm kinematics ------------------------------------------------
 
 def arm_joint_positions(theta: Array, lengths) -> Array:
-    """World positions of every link tip of a planar chain rooted at 0."""
-    phi = np.cumsum(theta)
+    """World positions of every link tip of a planar chain rooted at 0.
+
+    theta is (..., K) with any leading batch axes; the result is (..., K, 2).
+    """
+    phi = np.cumsum(theta, axis=-1)
     lengths = np.asarray(lengths, dtype=float)
-    return np.column_stack([np.cumsum(lengths * np.cos(phi)),
-                            np.cumsum(lengths * np.sin(phi))])
+    pts = np.empty(phi.shape + (2,))
+    np.cumsum(lengths * np.cos(phi), axis=-1, out=pts[..., 0])
+    np.cumsum(lengths * np.sin(phi), axis=-1, out=pts[..., 1])
+    return pts
 
 
 def arm_joint_jacobians(theta: Array, lengths) -> Array:
-    """d position_k / d theta_i, shape (K, 2, K); zero for i > k."""
-    phi = np.cumsum(theta)
-    lengths = np.asarray(lengths, dtype=float)
-    K = len(lengths)
-    dx = -lengths * np.sin(phi)
-    dy = lengths * np.cos(phi)
-    jac = np.zeros((K, 2, K))
-    for k in range(K):
-        for i in range(k + 1):
-            jac[k, 0, i] = dx[i:k + 1].sum()
-            jac[k, 1, i] = dy[i:k + 1].sum()
-    return jac
+    """d position_k / d theta_i, shape (..., K, 2, K); zero for i > k.
+
+    Joint i turns every tip k >= i about the tip i - 1 (the root for
+    i = 0), so the column is the offset p_k - p_{i-1} turned by 90 degrees.
+    """
+    pts = arm_joint_positions(theta, lengths)
+    pivots = np.zeros_like(pts)
+    pivots[..., 1:, :] = pts[..., :-1, :]
+    # offset[..., k, c, i] = coordinate c of p_k - p_{i-1}
+    offset = pts[..., :, :, None] - np.swapaxes(pivots, -1, -2)[..., None, :, :]
+    K = pts.shape[-2]
+    return offset[..., ::-1, :] * (np.array([[-1.0], [1.0]]) * np.tri(K)[:, None, :])
 
 
 class ArmPointTarget:
@@ -137,10 +142,12 @@ class ArmPointTarget:
         self.name = name
 
     def eval(self, xs: Array):
-        theta = xs[0]
+        theta = xs[..., 0, :]
         pts = arm_joint_positions(theta, self.lengths)
         jac = arm_joint_jacobians(theta, self.lengths)
-        return self.w * (pts[-1] - self.target), self.w * jac[-1]
+        return self.w * (pts[..., -1, :] - self.target), self.w * jac[..., -1, :, :]
+
+    eval_batch = eval
 
 
 class ArmJointHeight:
@@ -155,11 +162,13 @@ class ArmJointHeight:
         self.name = name or f"joint{joint}-on-table"
 
     def eval(self, xs: Array):
-        theta = xs[0]
+        theta = xs[..., 0, :]
         pts = arm_joint_positions(theta, self.lengths)
         jac = arm_joint_jacobians(theta, self.lengths)
         k = self.joint - 1
-        return np.array([pts[k, 1]]), jac[k, 1:2, :].copy()
+        return pts[..., k, 1:2], jac[..., k, 1:2, :]
+
+    eval_batch = eval
 
 
 class ArmTableClearance:
@@ -174,11 +183,13 @@ class ArmTableClearance:
         self.name = name
 
     def eval(self, xs: Array):
-        theta = xs[0]
+        theta = xs[..., 0, :]
         pts = arm_joint_positions(theta, self.lengths)
         jac = arm_joint_jacobians(theta, self.lengths)
         idx = [j - 1 for j in self.joints]
-        return -pts[idx, 1], -jac[idx, 1, :]
+        return -pts[..., idx, 1], -jac[..., idx, 1, :]
+
+    eval_batch = eval
 
 
 def build_elbow(params: ScenarioParams) -> Scenario:
@@ -238,14 +249,15 @@ def build_elbow(params: ScenarioParams) -> Scenario:
 
 # --- quasi-static push ----------------------------------------------------
 
-def _rot(theta: float) -> Array:
+def _rot(theta: Array) -> Array:
+    """Rotation matrices (..., 2, 2) for angles of any shape."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
-def _drot(theta: float) -> Array:
+def _drot(theta: Array) -> Array:
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[-s, -c], [c, -s]])
+    return np.stack([np.stack([-s, -c], -1), np.stack([c, -s], -1)], -2)
 
 
 class BoxAtRest:
@@ -266,7 +278,9 @@ class BoxAtRest:
 
     def eval(self, xs: Array):
         b = slice(self.box0, self.box0 + 3)
-        return xs[1][b] - xs[0][b], self._jac
+        return xs[..., 1, b] - xs[..., 0, b], _constant(self._jac, xs)
+
+    eval_batch = eval
 
 
 class ContactFacePlane:
@@ -286,18 +300,21 @@ class ContactFacePlane:
         self.name = name
 
     def eval(self, xs: Array):
-        x = xs[0]
-        pf = x[self.finger0:self.finger0 + 2]
-        b = x[self.box0:self.box0 + 2]
-        th = x[self.box0 + 2]
+        x = xs[..., 0, :]
+        pf = x[..., self.finger0:self.finger0 + 2]
+        b = x[..., self.box0:self.box0 + 2]
+        th = x[..., self.box0 + 2]
         R, dR = _rot(th), _drot(th)
         n = R @ self.normal
         rel = pf - b - R @ self.contact
-        jac = np.zeros((1, self.dim))
-        jac[0, self.finger0:self.finger0 + 2] = n
-        jac[0, self.box0:self.box0 + 2] = -n
-        jac[0, self.box0 + 2] = (dR @ self.normal) @ rel - n @ (dR @ self.contact)
-        return np.array([n @ rel]), jac
+        jac = np.zeros(x.shape[:-1] + (1, self.dim))
+        jac[..., 0, self.finger0:self.finger0 + 2] = n
+        jac[..., 0, self.box0:self.box0 + 2] = -n
+        jac[..., 0, self.box0 + 2] = (np.sum((dR @ self.normal) * rel, axis=-1)
+                                      - np.sum(n * (dR @ self.contact), axis=-1))
+        return np.sum(n * rel, axis=-1)[..., None], jac
+
+    eval_batch = eval
 
 
 class ContactPointTouch:
@@ -315,16 +332,18 @@ class ContactPointTouch:
         self.name = name
 
     def eval(self, xs: Array):
-        x = xs[0]
-        pf = x[self.finger0:self.finger0 + 2]
-        b = x[self.box0:self.box0 + 2]
-        th = x[self.box0 + 2]
+        x = xs[..., 0, :]
+        pf = x[..., self.finger0:self.finger0 + 2]
+        b = x[..., self.box0:self.box0 + 2]
+        th = x[..., self.box0 + 2]
         R, dR = _rot(th), _drot(th)
-        jac = np.zeros((2, self.dim))
-        jac[:, self.finger0:self.finger0 + 2] = np.eye(2)
-        jac[:, self.box0:self.box0 + 2] = -np.eye(2)
-        jac[:, self.box0 + 2] = -dR @ self.contact
+        jac = np.zeros(x.shape[:-1] + (2, self.dim))
+        jac[..., :, self.finger0:self.finger0 + 2] = np.eye(2)
+        jac[..., :, self.box0:self.box0 + 2] = -np.eye(2)
+        jac[..., :, self.box0 + 2] = -(dR @ self.contact)
         return pf - b - R @ self.contact, jac
+
+    eval_batch = eval
 
 
 def build_push(params: ScenarioParams) -> Scenario:

@@ -15,13 +15,12 @@ convergence is gated directly on the KKT residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
-import scipy.sparse as sp
 
-from .banded import FactorizationError, banded_cholesky_solve
+from .banded import FactorizationError, band_from_step_blocks, banded_cholesky_solve
 from .problem import (FeatureStack, PathProblem, Skeleton, assemble,
-                      constraint_violation, cost_value)
+                      constraint_violation, cost_value, step_gram)
 
 Array = np.ndarray
 
@@ -116,27 +115,22 @@ def _merit(stack: FeatureStack, al: ALState) -> float:
 
 
 def _merit_grad(stack: FeatureStack, al: ALState) -> Array:
-    grad = stack.jac.T @ stack.residuals
-    if stack.eq.size:
-        grad = grad + stack.eq_jac.T @ (al.nu + 2.0 * al.mu * stack.eq)
-    if stack.ineq.size:
-        coeff = np.where(al.active_rows(stack.ineq),
-                         al.lam + 2.0 * al.mu * stack.ineq, al.lam)
-        grad = grad + stack.ineq_jac.T @ coeff
-    return np.asarray(grad).ravel()
+    coeff = np.where(al.active_rows(stack.ineq),
+                     al.lam + 2.0 * al.mu * stack.ineq, al.lam)
+    return stack.transpose_dot(stack.residuals, al.nu + 2.0 * al.mu * stack.eq, coeff)
 
 
-def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> sp.csr_matrix:
-    n = stack.n_vars
-    H = (stack.jac.T @ stack.jac).tocsr()
-    if stack.eq.size:
-        H = H + 2.0 * al.mu * (stack.eq_jac.T @ stack.eq_jac)
-    if stack.ineq.size:
-        active = al.active_rows(stack.ineq)
-        if active.any():
-            Jg = stack.ineq_jac[active]
-            H = H + 2.0 * al.mu * (Jg.T @ Jg)
-    return (H + damping * sp.identity(n, format="csr")).tocsr()
+def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> Array:
+    """J^T J + 2 mu (J_h^T J_h + J_{g,I}^T J_{g,I}) + damping I in upper
+    banded storage, summed from the per-step blocks of the rows."""
+    active = al.active_rows(stack.ineq)
+    steps = np.concatenate([stack.cost_steps, stack.eq_steps, stack.ineq_steps[active]])
+    rows = np.vstack([stack.cost_blocks, stack.eq_blocks, stack.ineq_blocks[active]])
+    weights = np.concatenate([np.ones(stack.residuals.size),
+                              np.full(steps.size - stack.residuals.size, 2.0 * al.mu)])
+    ab = band_from_step_blocks(step_gram(steps, rows, weights, stack.N))
+    ab[-1] += damping
+    return ab
 
 
 def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float) -> Array:
@@ -148,9 +142,8 @@ def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float) -> Array
     grad = _merit_grad(stack, al)
     level = damping
     while True:
-        H = _merit_hessian(stack, al, level)
         try:
-            return banded_cholesky_solve(H, -grad)
+            return banded_cholesky_solve(_merit_hessian(stack, al, level), -grad)
         except FactorizationError:
             level = max(level, 1e-12) * 10.0
             if level > _DAMPING_MAX:
@@ -159,17 +152,11 @@ def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float) -> Array
 
 
 def _lagrangian_stationarity(stack: FeatureStack, lam: Array, nu: Array) -> float:
-    grad = stack.jac.T @ stack.residuals
-    if stack.eq.size:
-        grad = grad + stack.eq_jac.T @ nu
-    if stack.ineq.size:
-        grad = grad + stack.ineq_jac.T @ lam
+    grad = stack.transpose_dot(stack.residuals, nu, lam)
     return float(np.abs(grad).max()) if grad.size else 0.0
 
 
-def kkt_residuals(problem: PathProblem, skeleton: Skeleton, x: Array,
-                  lam: Array, nu: Array) -> KktResiduals:
-    stack = assemble(problem, skeleton, x)
+def _kkt(stack: FeatureStack, lam: Array, nu: Array) -> KktResiduals:
     eq_v = float(np.abs(stack.eq).max()) if stack.eq.size else 0.0
     ineq_v = float(np.clip(stack.ineq, 0.0, None).max()) if stack.ineq.size else 0.0
     comp = float(np.abs(lam * stack.ineq).max()) if stack.ineq.size else 0.0
@@ -178,20 +165,27 @@ def kkt_residuals(problem: PathProblem, skeleton: Skeleton, x: Array,
                         complementarity=comp)
 
 
-def _inner_gauss_newton(problem, skeleton, x_flat, al, cfg, grad_tol, trace, outer):
-    """Minimize the AL merit for fixed multipliers.
+def kkt_residuals(problem: PathProblem, skeleton: Skeleton, x: Array,
+                  lam: Array, nu: Array) -> KktResiduals:
+    return _kkt(assemble(problem, skeleton, x), lam, nu)
 
-    Returns (x, reason, iterations) with reason in
+
+def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol,
+                        trace, outer):
+    """Minimize the AL merit for fixed multipliers, starting from x_flat
+    and its stack.
+
+    The accepted trial point keeps its stack, so no point is assembled
+    twice.  Returns (x, stack at x, reason, iterations) with reason in
     {"gradient", "step", "line-search", "max-inner"}.
     """
     shape = (problem.N, problem.d)
-    stack = assemble(problem, skeleton, x_flat.reshape(shape))
     small_steps = 0
     for it in range(cfg.max_inner):
         merit = _merit(stack, al)
         grad = _merit_grad(stack, al)
         if float(np.abs(grad).max()) <= grad_tol:
-            return x_flat, "gradient", it
+            return x_flat, stack, "gradient", it
         dx = gauss_newton_step(stack, al, cfg.hessian_reg)
         slope = float(grad @ dx)
         alpha = 1.0
@@ -211,16 +205,16 @@ def _inner_gauss_newton(problem, skeleton, x_flat, al, cfg, grad_tol, trace, out
             trace.append((outer, it, merit, constraint_violation(stack),
                           alpha * float(np.abs(dx).max()) if accepted else 0.0))
         if not accepted:
-            return x_flat, "line-search", it + 1
+            return x_flat, stack, "line-search", it + 1
         x_flat = trial
         stack = trial_stack
         if alpha * float(np.abs(dx).max()) <= cfg.tol_step:
             small_steps += 1
             if small_steps >= 2:
-                return x_flat, "step", it + 1
+                return x_flat, stack, "step", it + 1
         else:
             small_steps = 0
-    return x_flat, "max-inner", cfg.max_inner
+    return x_flat, stack, "max-inner", cfg.max_inner
 
 
 def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
@@ -260,10 +254,9 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
             grad_tol = max(0.5 * grad_gate, min(1e-2, 1e-2 * viol_prev))
         else:
             grad_tol = 0.5 * grad_gate
-        x, reason, used = _inner_gauss_newton(problem, skeleton, x, al, cfg,
-                                              grad_tol, trace, outer)
+        x, stack, reason, used = _inner_gauss_newton(problem, skeleton, x, stack, al,
+                                                     cfg, grad_tol, trace, outer)
         total_inner += used
-        stack = assemble(problem, skeleton, x.reshape(shape))
         lam_new = np.clip(al.lam + 2.0 * al.mu * stack.ineq, 0.0, None)
         nu_new = al.nu + 2.0 * al.mu * stack.eq
         viol = constraint_violation(stack)
@@ -294,13 +287,11 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
         viol_prev = max(viol, 1e-300)
 
     x_star = x.reshape(shape).copy()
-    stack = assemble(problem, skeleton, x_star)
     active = np.zeros(stack.ineq.size, dtype=bool)
     if stack.ineq.size:
         active = (stack.ineq >= -ACTIVE_G_TOL) & (al.lam > ACTIVE_LAMBDA_MIN)
-    kkt = kkt_residuals(problem, skeleton, x_star, al.lam, al.nu)
     return NlpSolution(x_star=x_star, lam=al.lam.copy(), nu=al.nu.copy(),
                        f_star=cost_value(stack), status=status, active_set=active,
-                       kkt=kkt, outer_iterations=outer_done,
+                       kkt=_kkt(stack, al.lam, al.nu), outer_iterations=outer_done,
                        inner_iterations=total_inner,
                        trace=tuple(trace) if trace is not None else ())

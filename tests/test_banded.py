@@ -6,8 +6,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from slgp.banded import (FactorizationError, banded_cholesky_solve,
-                         matrix_bandwidth, to_banded_upper)
+from slgp.banded import (FactorizationError, band_from_step_blocks,
+                         banded_cholesky_solve)
+
+
+def matrix_bandwidth(H) -> int:
+    if sp.issparse(H):
+        coo = H.tocoo()
+        if coo.nnz == 0:
+            return 0
+        return int(np.abs(coo.row - coo.col).max())
+    rows, cols = np.nonzero(np.asarray(H))
+    return int(np.abs(rows - cols).max()) if rows.size else 0
+
+
+def to_banded_upper(H, bandwidth: int | None = None):
+    """LAPACK upper banded storage: ab[u + i - j, j] = H[i, j]."""
+    u = matrix_bandwidth(H) if bandwidth is None else bandwidth
+    ab = np.zeros((u + 1, H.shape[0]))
+    for k in range(u + 1):
+        ab[u - k, k:] = H.diagonal(k) if sp.issparse(H) else np.diagonal(H, k)
+    return ab
 
 
 def _block_tridiagonal_spd(n_blocks, d, rng):
@@ -27,7 +46,7 @@ def _block_tridiagonal_spd(n_blocks, d, rng):
 
 def test_identity_returns_rhs():
     rhs = np.arange(5.0)
-    assert np.allclose(banded_cholesky_solve(np.eye(5), rhs), rhs)
+    assert np.allclose(banded_cholesky_solve(to_banded_upper(np.eye(5)), rhs), rhs)
 
 
 def test_bandwidth_detection():
@@ -52,7 +71,7 @@ def test_matches_dense_solve_on_random_spd_systems():
     for _ in range(5):
         A = _block_tridiagonal_spd(10, 6, rng)  # 60 x 60
         rhs = rng.normal(size=60)
-        x = banded_cholesky_solve(A, rhs)
+        x = banded_cholesky_solve(to_banded_upper(A), rhs)
         x_dense = np.linalg.solve(A, rhs)
         rel = np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense)
         assert rel < 1e-10
@@ -62,14 +81,14 @@ def test_accepts_sparse_input():
     rng = np.random.default_rng(21)
     A = _block_tridiagonal_spd(6, 3, rng)
     rhs = rng.normal(size=A.shape[0])
-    x = banded_cholesky_solve(sp.csr_matrix(A), rhs)
+    x = banded_cholesky_solve(to_banded_upper(sp.csr_matrix(A)), rhs)
     assert np.allclose(A @ x, rhs, atol=1e-9)
 
 
 def test_indefinite_matrix_raises():
     A = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(FactorizationError):
-        banded_cholesky_solve(A, np.ones(3))
+        banded_cholesky_solve(to_banded_upper(A), np.ones(3))
 
 
 def test_cost_scales_roughly_linearly_with_horizon():
@@ -79,7 +98,7 @@ def test_cost_scales_roughly_linearly_with_horizon():
     d, reps = 4, 5
     times = {}
     for n_blocks in (50, 500):
-        A = sp.csr_matrix(_block_tridiagonal_spd(n_blocks, d, rng))
+        A = to_banded_upper(sp.csr_matrix(_block_tridiagonal_spd(n_blocks, d, rng)))
         rhs = rng.normal(size=n_blocks * d)
         banded_cholesky_solve(A, rhs)  # warm up
         best = np.inf
@@ -91,3 +110,24 @@ def test_cost_scales_roughly_linearly_with_horizon():
     ratio = times[500] / times[50]
     # 10x the size: linear predicts ~10, cubic ~1000; allow generous noise.
     assert ratio < 120, f"solve-time ratio {ratio:.1f} suggests superlinear scaling"
+
+
+def _dense_from_step_blocks(blocks):
+    # Oracle: place every step block on the padded path, then cut the prefix.
+    N, w, _ = blocks.shape
+    d = w // 3
+    H = np.zeros(((N + 2) * d, (N + 2) * d))
+    for n in range(N):
+        H[n * d:n * d + w, n * d:n * d + w] += blocks[n]
+    return H[2 * d:, 2 * d:]
+
+
+@pytest.mark.parametrize("N,d", [(6, 2), (2, 1), (2, 2), (5, 3)])
+def test_step_blocks_fill_the_band_of_the_dense_sum(N, d):
+    rng = np.random.default_rng(31 + N + d)
+    G = rng.normal(size=(N, 3 * d, 3 * d))
+    blocks = G + G.transpose(0, 2, 1)
+    H = _dense_from_step_blocks(blocks)
+    ab = band_from_step_blocks(blocks)
+    assert ab.shape == (3 * d, N * d)
+    assert np.array_equal(ab, to_banded_upper(H, 3 * d - 1))

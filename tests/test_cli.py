@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from slgp.cli import main
-from slgp.laplace import build_component
+from slgp.laplace import SingularComponentError, build_component
 
 PLAN_WEIGHTS_HEADER = ["skeletonId", "status", "fStar", "logRatio",
                        "entropyRatio", "rank", "weight"]
@@ -213,6 +213,34 @@ def test_singular_future_block_fails_controller_construction(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("controller construction failed: ")
     assert "future effort block of 'via-near' at step 40" in err
+
+
+def test_singular_component_is_reported_as_the_drop_reason(tmp_path, monkeypatch):
+    # The far route converges, but its component is declared singular.
+    def singular_far(problem, skeleton, solution):
+        if skeleton.id == "via-far":
+            raise SingularComponentError("projected Hessian (via-far)", -2.5e-13)
+        return build_component(problem, skeleton, solution)
+
+    monkeypatch.setattr("slgp.cli.build_component", singular_far)
+    code, out = _plan(tmp_path, "tworoute")
+    assert code == 0
+    reason = ("projected Hessian (via-far) is numerically singular "
+              "(smallest eigenvalue -2.500e-13)")
+    far = json.loads((out / "solution-via-far.json").read_text())
+    assert far["status"] == "converged" and far["dropReason"] == reason
+    assert "dropReason" not in json.loads((out / "solution-via-near.json").read_text())
+    report = (out / "report.txt").read_text()
+    assert f"dropped: {reason}" in report
+    header, rows = _read_csv(out / "weights.csv")
+    assert header == PLAN_WEIGHTS_HEADER
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "tworoute", "--out", str(sim),
+                 "--seeds", "0"]) == 0
+    report = (sim / "report.txt").read_text()
+    assert f"dropped via-far: {reason}" in report
+    assert "no converged solution" not in report
 
 
 def test_unknown_subcommand_and_scenario_are_rejected(tmp_path):

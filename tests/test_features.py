@@ -4,54 +4,61 @@ import numpy as np
 import pytest
 
 from slgp.features import (AccelerationPenalty, AffineFeature, DriftPenalty,
-                           check_jacobian, coordinate_target,
-                           dynamics_feature, finite_diff_accel)
+                           check_jacobian, coordinate_target)
+
+
+def _accel(window, dt):
+    # Second-difference acceleration read off the unit-sigma effort residual.
+    window = np.asarray(window, dtype=float)
+    r, _ = AccelerationPenalty(window.shape[1], dt, sigma=1.0).eval(window)
+    return r * dt**1.5 / dt**2
 
 
 def test_constant_window_has_zero_acceleration():
     window = np.full((3, 4), 1.7)
-    assert np.array_equal(finite_diff_accel(window, dt=0.1), np.zeros(4))
+    assert np.array_equal(_accel(window, dt=0.1), np.zeros(4))
 
 
 def test_linear_ramp_has_zero_acceleration():
     window = np.array([[0.0], [1.0], [2.0]])
-    assert np.array_equal(finite_diff_accel(window, dt=1.0), np.zeros(1))
+    assert np.array_equal(_accel(window, dt=1.0), np.zeros(1))
 
 
 def test_quadratic_window_acceleration_value():
     window = np.array([[0.0], [1.0], [4.0]])
-    assert finite_diff_accel(window, dt=1.0) == pytest.approx([2.0])
+    assert _accel(window, dt=1.0) == pytest.approx([2.0])
 
 
 def test_acceleration_scales_with_inverse_dt_squared():
     rng = np.random.default_rng(3)
     window = rng.normal(size=(3, 2))
-    a1 = finite_diff_accel(window, dt=0.5)
-    a2 = finite_diff_accel(window, dt=1.0)
+    a1 = _accel(window, dt=0.5)
+    a2 = _accel(window, dt=1.0)
     assert np.allclose(a1, 4.0 * a2)
 
 
 def test_window_shape_is_validated():
+    feat = AccelerationPenalty(3, dt=0.1, sigma=1.0)
+    with pytest.raises(IndexError):
+        feat.eval(np.zeros((2, 3)))
+    with pytest.raises(IndexError):
+        feat.eval(np.zeros(3))
     with pytest.raises(ValueError):
-        finite_diff_accel(np.zeros((2, 3)), dt=0.1)
+        AccelerationPenalty(2, dt=0.0, sigma=0.1)
     with pytest.raises(ValueError):
-        finite_diff_accel(np.zeros(3), dt=0.1)
-    with pytest.raises(ValueError):
-        finite_diff_accel(np.zeros((3, 2)), dt=0.0)
-    with pytest.raises(ValueError):
-        finite_diff_accel(np.zeros((3, 2)), dt=-1.0)
+        AccelerationPenalty(2, dt=-1.0, sigma=0.1)
 
 
 def test_zero_acceleration_window_has_zero_residual():
     window = np.array([[0.2, -1.0], [0.5, -0.5], [0.8, 0.0]])
-    r = dynamics_feature(window, dt=0.25, sigma=0.3)
+    r, _ = AccelerationPenalty(2, dt=0.25, sigma=0.3).eval(window)
     assert np.allclose(r, 0.0)
 
 
 def test_unit_step_residual_and_transition_cost():
     # One unit of displacement in the last step at dt = sigma = 1.
     window = np.array([[0.0], [0.0], [1.0]])
-    r = dynamics_feature(window, dt=1.0, sigma=1.0)
+    r, _ = AccelerationPenalty(1, dt=1.0, sigma=1.0).eval(window)
     assert r == pytest.approx([1.0])
     assert 0.5 * float(r @ r) == pytest.approx(0.5)
 
@@ -60,29 +67,46 @@ def test_doubling_sigma_halves_the_residual():
     rng = np.random.default_rng(11)
     for _ in range(20):
         window = rng.normal(size=(3, 3))
-        r1 = dynamics_feature(window, dt=0.2, sigma=0.1)
-        r2 = dynamics_feature(window, dt=0.2, sigma=0.2)
+        r1, _ = AccelerationPenalty(3, dt=0.2, sigma=0.1).eval(window)
+        r2, _ = AccelerationPenalty(3, dt=0.2, sigma=0.2).eval(window)
         assert np.allclose(r1, 2.0 * r2)
 
 
-def test_dynamics_feature_coordinate_selection():
+def test_acceleration_penalty_coordinate_selection():
     window = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
-    r = dynamics_feature(window, dt=1.0, sigma=1.0, coords=[1])
+    r, _ = AccelerationPenalty(2, dt=1.0, sigma=1.0, coords=[1]).eval(window)
     assert r == pytest.approx([2.0])
 
 
-def test_dynamics_feature_rejects_bad_sigma():
+def test_acceleration_penalty_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        dynamics_feature(np.zeros((3, 1)), dt=1.0, sigma=0.0)
+        AccelerationPenalty(1, dt=1.0, sigma=0.0)
 
 
-def test_acceleration_penalty_matches_dynamics_feature():
+def test_acceleration_penalty_matches_the_scaled_second_difference():
     rng = np.random.default_rng(7)
     feat = AccelerationPenalty(3, dt=0.2, sigma=0.4)
     for _ in range(10):
         window = rng.normal(size=(3, 3))
         r, _ = feat.eval(window)
-        assert np.allclose(r, dynamics_feature(window, dt=0.2, sigma=0.4))
+        expected = (window[2] - 2.0 * window[1] + window[0]) / (0.4 * 0.2**1.5)
+        assert np.allclose(r, expected)
+
+
+def test_batched_evaluation_matches_each_window():
+    rng = np.random.default_rng(37)
+    feats = (AccelerationPenalty(3, dt=0.2, sigma=0.4, coords=[2, 0]),
+             DriftPenalty(3, dt=0.2, sigma=0.5, coords=[1]),
+             AffineFeature(rng.normal(size=(2, 6)), rng.normal(size=2), window=2))
+    for feat in feats:
+        xs = rng.normal(size=(5, feat.window, 3))
+        values, jacs = feat.eval_batch(xs)
+        assert values.shape == (5, feat.size)
+        assert jacs.shape == (5, feat.size, feat.window * 3)
+        for m in range(5):
+            value, jac = feat.eval(xs[m])
+            assert np.abs(values[m] - value).max() <= 1e-12
+            assert np.array_equal(jacs[m], jac)
 
 
 def test_acceleration_penalty_jacobian_is_exact():

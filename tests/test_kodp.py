@@ -8,7 +8,8 @@ import pytest
 from slgp.features import AccelerationPenalty, coordinate_target
 from slgp.kodp import (StepQuadratics, backward_pass, cost_to_go, quadratize,
                        step_policy)
-from slgp.problem import PathProblem, assemble, cost_value, free_skeleton
+from slgp.problem import (PathProblem, assemble, cost_value, free_skeleton,
+                          step_constraints)
 from slgp.selftest import _dense_qp_oracle, _roll_policy  # noqa: PLC2701
 from slgp.solver import SolverConfig, solve
 
@@ -103,6 +104,60 @@ def test_proximal_rho_pads_the_current_block_only():
     for st1, st2 in zip(base.steps, prox.steps):
         assert np.allclose(st2.hess - st1.hess, bump)
         assert np.array_equal(st2.grad, st1.grad)
+
+
+def _per_step_quadratics(problem, skeleton, solution, effort_weight, proximal_rho):
+    """Oracle: every feature at every step on its own, padded into the window."""
+    x, d = solution.x_star, problem.d
+    width = 3 * d
+    cursor, out = 0, []
+    for n in range(1, problem.N + 1):
+        F, phi, const = np.zeros((width, width)), np.zeros(width), 0.0
+        feats = list(problem.step_costs[n - 1])
+        if n == problem.N:
+            feats += list(problem.terminal_costs)
+        for feat in feats:
+            r, jac = feat.eval(problem.window(x, n, feat.window))
+            w = effort_weight if getattr(feat, "group", None) == "effort" else 1.0
+            pad = np.zeros((feat.size, width))
+            pad[:, width - feat.window * d:] = jac
+            F += w * (pad.T @ pad)
+            phi += w * (pad.T @ r)
+            const += 0.5 * w * float(r @ r)
+        F[2 * d:, 2 * d:] += 2.0 * proximal_rho * np.eye(d)
+        eq, ineq = step_constraints(skeleton, n)
+        rows = []
+        for kind, items in (("eq", eq), ("ineq", ineq)):
+            for _, feat in items:
+                _, jac = feat.eval(problem.window(x, n, feat.window))
+                keep = np.ones(feat.size, dtype=bool)
+                if kind == "ineq":
+                    keep = solution.active_set[cursor:cursor + feat.size]
+                    cursor += feat.size
+                pad = np.zeros((int(keep.sum()), width))
+                pad[:, width - feat.window * d:] = jac[keep]
+                rows.append(pad)
+        con = np.vstack(rows) if rows else np.zeros((0, width))
+        out.append((F, phi, const, con))
+    return out
+
+
+@pytest.mark.parametrize("name", ["elbow", "push", "tworoute"])
+def test_quadratize_matches_the_per_step_expansion(name, request):
+    bundle = request.getfixturevalue(name)
+    problem = bundle.scenario.problem
+    for sk in bundle.scenario.skeletons:
+        sol = bundle.solution(sk.id)
+        for effort_weight, rho in ((1.0, 0.0), (2.5, 0.3)):
+            exp = quadratize(problem, sk, sol, effort_weight=effort_weight,
+                             proximal_rho=rho)
+            oracle = _per_step_quadratics(problem, sk, sol, effort_weight, rho)
+            for st, (F, phi, const, con) in zip(exp.steps, oracle, strict=True):
+                assert np.abs(st.hess - F).max() <= 1e-12 * max(1.0, np.abs(F).max())
+                assert np.abs(st.grad - phi).max() <= 1e-12 * max(1.0, np.abs(phi).max())
+                assert st.const == pytest.approx(const, rel=1e-12, abs=1e-12)
+                assert st.con_jac.shape == con.shape
+                assert np.abs(st.con_jac - con).max(initial=0.0) <= 1e-12
 
 
 # --- backward pass -------------------------------------------------------

@@ -1,11 +1,13 @@
 """Path problems, skeleton validation, and feature stacking."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
-from slgp.problem import (Mode, PathProblem, Skeleton, SkeletonError, Switch,
-                          assemble, constraint_violation, cost_value,
+from slgp.features import EFFORT, AccelerationPenalty, AffineFeature, coordinate_target
+from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
+                          SkeletonError, Switch, assemble, constraint_violation, cost_value,
                           free_skeleton, skeleton_structure_violations,
                           step_constraints, validate_skeleton)
 
@@ -174,3 +176,181 @@ def test_contact_equality_rows_cover_exactly_the_contact_window(elbow):
     assert steps == list(range(start, params.N + 1))
     # one pinned joint -> one equality row per contact step
     assert stack.eq.size == params.N - start + 1
+
+
+# --- batched evaluation ------------------------------------------------------
+
+
+def _per_step_oracle(problem, skeleton, x):
+    """Rows of every kind, one feature at one step at a time through eval."""
+    d = problem.d
+    kinds = {"cost": [], "eq": [], "ineq": []}
+    for n in range(1, problem.N + 1):
+        costs = list(problem.step_costs[n - 1])
+        if n == problem.N:
+            costs += list(problem.terminal_costs)
+        eq, ineq = step_constraints(skeleton, n)
+        for kind, items in (("cost", [(None, f) for f in costs]), ("eq", eq),
+                            ("ineq", ineq)):
+            for owner, feat in items:
+                label = feat.name if owner is None else f"{owner}:{feat.name}"
+                value, jac = feat.eval(problem.window(x, n, feat.window))
+                block = np.zeros((feat.size, 3 * d))
+                block[:, (3 - feat.window) * d:] = jac
+                for i in range(feat.size):
+                    kinds[kind].append((n, label, float(np.atleast_1d(value)[i]),
+                                        block[i], getattr(feat, "group", None) == EFFORT))
+    return kinds
+
+
+def _dense(rows, N, d):
+    J = np.zeros((len(rows), (N + 2) * d))
+    for i, (n, _, _, block, _) in enumerate(rows):
+        J[i, (n - 1) * d:(n + 2) * d] = block
+    return J[:, 2 * d:]
+
+
+@pytest.mark.parametrize("name", ["elbow", "push", "tworoute"])
+def test_batched_stack_matches_the_per_step_oracle(name, request):
+    scenario = request.getfixturevalue(name).scenario
+    problem = scenario.problem
+    rng = np.random.default_rng(41)
+    for skeleton in scenario.skeletons:
+        for _ in range(2):
+            x = (np.tile(problem.prefix[1], (problem.N, 1))
+                 + rng.normal(scale=0.3, size=(problem.N, problem.d)))
+            stack = assemble(problem, skeleton, x)
+            oracle = _per_step_oracle(problem, skeleton, x)
+            for kind, values, blocks, steps, index, jac in (
+                    ("cost", stack.residuals, stack.cost_blocks, stack.cost_steps,
+                     stack.cost_index, stack.jac),
+                    ("eq", stack.eq, stack.eq_blocks, stack.eq_steps,
+                     stack.eq_index, stack.eq_jac),
+                    ("ineq", stack.ineq, stack.ineq_blocks, stack.ineq_steps,
+                     stack.ineq_index, stack.ineq_jac)):
+                rows = oracle[kind]
+                assert index == tuple((n, label) for n, label, *_ in rows)
+                assert np.array_equal(steps, [n for n, *_ in rows])
+                assert np.abs(values - [v for _, _, v, _, _ in rows]).max(initial=0) <= 1e-12
+                assert np.abs(blocks - np.array([b for *_, b, _ in rows]).reshape(
+                    blocks.shape)).max(initial=0) <= 1e-12
+                assert np.abs(jac.toarray() - _dense(rows, problem.N, problem.d)
+                              ).max(initial=0) <= 1e-12
+            assert np.array_equal(stack.effort_mask,
+                                  [e for *_, e in oracle["cost"]])
+
+
+class _EvalOnly:
+    """A user feature without eval_batch: assemble stacks its eval."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.window, self.size, self.name = inner.window, inner.size, inner.name
+        self.group = getattr(inner, "group", None)
+
+    def eval(self, xs):
+        return self.inner.eval(xs)
+
+
+def test_features_without_eval_batch_assemble_identically(elbow):
+    problem = elbow.scenario.problem
+    skeleton = elbow.scenario.skeleton("fix-both")
+    wrapped = {}
+
+    def wrap(feats):
+        return tuple(wrapped.setdefault(id(f), _EvalOnly(f)) for f in feats)
+
+    plain_problem = dataclasses.replace(
+        problem, step_costs=tuple(wrap(fs) for fs in problem.step_costs),
+        terminal_costs=wrap(problem.terminal_costs))
+    plain_skeleton = dataclasses.replace(
+        skeleton,
+        modes=tuple(dataclasses.replace(m, eq=wrap(m.eq), ineq=wrap(m.ineq))
+                    for m in skeleton.modes),
+        switches=tuple(dataclasses.replace(s, eq=wrap(s.eq), ineq=wrap(s.ineq))
+                       for s in skeleton.switches))
+    x = elbow.solution("fix-both").x_star
+    a = assemble(problem, skeleton, x)
+    b = assemble(plain_problem, plain_skeleton, x)
+    for field in ("cost_index", "eq_index", "ineq_index", "effort_mask",
+                  "cost_steps", "eq_steps", "ineq_steps"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    for field in ("residuals", "eq", "ineq", "cost_blocks", "eq_blocks", "ineq_blocks"):
+        assert np.abs(getattr(a, field) - getattr(b, field)).max() <= 1e-12
+
+
+class _Sqrt:
+    """sqrt(x[coord]) on one configuration, nonfinite where x[coord] < 0."""
+
+    window, size = 1, 1
+
+    def __init__(self, coord=0, name="sqrt"):
+        self.coord, self.name = coord, name
+
+    def eval(self, xs):
+        v = xs[..., 0, self.coord:self.coord + 1]
+        jac = np.zeros(v.shape + (xs.shape[-1],))
+        jac[..., 0, self.coord] = 0.5 / np.sqrt(np.abs(v[..., 0]))
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(v), jac
+
+    eval_batch = eval
+
+
+class _SqrtEvalOnly(_Sqrt):
+    eval_batch = None
+
+
+class _SqrtRaising(_Sqrt):
+    """Raises on a negative coordinate, in a batch and at a single step."""
+
+    def eval(self, xs):
+        if np.any(xs[..., 0, self.coord] < 0):
+            raise ValueError("negative")
+        return super().eval(xs)
+
+    eval_batch = eval
+
+
+@pytest.mark.parametrize("feat", [_Sqrt(), _SqrtEvalOnly()], ids=["batch", "fallback"])
+def test_nonfinite_batch_names_the_first_bad_step_and_label(feat):
+    problem = _toy_problem()
+    sk = Skeleton(id="rooted", modes=(Mode("m", (1, 6), ineq=(feat,)),))
+    x = np.ones((6, 2))
+    x[3, 0] = x[4, 0] = -1.0
+    with pytest.raises(FeatureEvalError) as err:
+        assemble(problem, sk, x)
+    assert err.value.step == 4
+    assert err.value.label == "m:sqrt"
+    assert "feature 'm:sqrt' at step 4: nonfinite" in str(err.value)
+
+
+def test_raising_batch_names_the_step_that_raises():
+    problem = _toy_problem()
+    sk = Skeleton(id="rooted", modes=(Mode("m", (1, 6), eq=(_SqrtRaising(),)),))
+    x = np.ones((6, 2))
+    x[3, 0] = x[4, 0] = -1.0
+    with pytest.raises(FeatureEvalError) as err:
+        assemble(problem, sk, x)
+    assert err.value.step == 4
+    assert err.value.label == "m:sqrt"
+    assert "ValueError('negative')" in str(err.value)
+
+
+def test_first_bad_step_wins_across_costs_and_constraints():
+    d = 2
+    problem = PathProblem.uniform(
+        N=6, d=d, dt=0.2, sigma=0.4, prefix=np.zeros((2, d)),
+        per_step=(AccelerationPenalty(d, 0.2, 0.4), _Sqrt(1, "cost-sqrt")))
+    sk = Skeleton(id="rooted", modes=(Mode("m", (1, 6), eq=(_SqrtRaising(0),),
+                                           ineq=(_Sqrt(0, "ineq-sqrt"),)),))
+    x = np.ones((6, d))
+    x[4, 1] = -1.0  # cost nonfinite at step 5
+    x[2, 0] = -1.0  # eq raises and ineq nonfinite at step 3
+    with pytest.raises(FeatureEvalError) as err:
+        assemble(problem, sk, x)
+    assert (err.value.step, err.value.label) == (3, "m:sqrt")
+    x[2, 1] = -1.0  # the cost at step 3 comes first in canonical row order
+    with pytest.raises(FeatureEvalError) as err:
+        assemble(problem, sk, x)
+    assert (err.value.step, err.value.label) == (3, "cost-sqrt")

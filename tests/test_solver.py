@@ -8,7 +8,7 @@ from slgp.problem import (Mode, PathProblem, Skeleton, assemble,
                           constraint_violation, free_skeleton)
 from slgp.solver import (ALState, SolverConfig, gauss_newton_step,
                          kkt_residuals, solve)
-from slgp.solver import _merit  # noqa: PLC2701 - merit decrease is observable
+from slgp.solver import _merit, _merit_grad, _merit_hessian  # noqa: PLC2701
 
 
 def _lsq_problem(N=5, d=2):
@@ -163,3 +163,59 @@ def test_elbow_free_skeleton_converges_cleanly(elbow):
     stack = assemble(elbow.scenario.problem, elbow.scenario.skeleton("free"),
                      sol.x_star)
     assert constraint_violation(stack) < 1e-7
+
+
+def _dense_from_band(ab):
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    H = np.zeros((n, n))
+    for k in range(u + 1):
+        H += np.diag(ab[u - k, k:], k)
+        if k:
+            H += np.diag(ab[u - k, k:], -k)
+    return H
+
+
+@pytest.mark.parametrize("name,sid", [("elbow", "fix-both"), ("push", "two-finger")])
+def test_banded_merit_hessian_matches_the_dense_oracle(name, sid, request):
+    bundle = request.getfixturevalue(name)
+    problem = bundle.scenario.problem
+    skeleton = bundle.scenario.skeleton(sid)
+    stack = assemble(problem, skeleton, bundle.solution(sid).x_star)
+    rng = np.random.default_rng(43)
+    # Multipliers on a random subset of the inequality rows, so the active
+    # set mixes rows with g >= 0 and rows held only by lambda > 0.
+    lam = np.where(rng.random(stack.ineq.size) < 0.4, rng.random(stack.ineq.size), 0.0)
+    al = ALState(lam=lam, nu=rng.normal(size=stack.eq.size), mu=3.0)
+    active = al.active_rows(stack.ineq)
+    assert stack.ineq.size == 0 or (lam[active] > 0).any() and not active.all()
+    J, Jh = stack.jac.toarray(), stack.eq_jac.toarray()
+    Jg = stack.ineq_jac.toarray()[active]
+    damping = 1e-3
+    H = (J.T @ J + 2.0 * al.mu * (Jh.T @ Jh + Jg.T @ Jg)
+         + damping * np.eye(stack.n_vars))
+    ab = _merit_hessian(stack, al, damping)
+    assert ab.shape == (3 * problem.d, stack.n_vars)
+    assert np.abs(_dense_from_band(ab) - H).max() <= 1e-12 * np.abs(H).max()
+    coeff = np.where(active, lam + 2.0 * al.mu * stack.ineq, lam)
+    grad = (J.T @ stack.residuals + Jh.T @ (al.nu + 2.0 * al.mu * stack.eq)
+            + stack.ineq_jac.toarray().T @ coeff)
+    assert np.abs(_merit_grad(stack, al) - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_solve_never_assembles_one_point_twice_in_a_row(elbow, monkeypatch):
+    points = []
+
+    def counting_assemble(problem, skeleton, x):
+        points.append(np.array(x, copy=True))
+        return assemble(problem, skeleton, x)
+
+    monkeypatch.setattr("slgp.solver.assemble", counting_assemble)
+    scenario = elbow.scenario
+    sol = solve(scenario.problem, scenario.skeleton("fix-joint-2"), collect_trace=True)
+    assert sol.converged
+    for prev, cur in zip(points, points[1:]):
+        assert not np.array_equal(cur, prev)
+    # One assemble at the start, then one per line-search trial.
+    accepted = sum(1 for *_, step in sol.trace if step > 0.0)
+    assert len(points) - 1 >= accepted
+    assert np.array_equal(points[-1], sol.x_star)
