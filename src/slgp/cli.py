@@ -398,6 +398,8 @@ def cmd_simulate(args) -> int:
              f"truth skeleton: {truth.id}",
              f"skeletons executed: {', '.join(sk.id for sk, _, _ in kept)}"]
     lines.extend(f"dropped {sid}: {reason}" for sid, reason in dropped)
+    lines.extend(f"policy {p.skeleton_id} step {n}: {note}"
+                 for p in policies for n, note in p.notes)
     lines.append(f"seeds: {seeds[0]}..{seeds[-1]} ({len(seeds)} total), "
                  f"aborted: {aborted}")
     if errors:

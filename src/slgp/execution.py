@@ -16,10 +16,10 @@ equality manifold of the executing skeleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
-from .kodp import KodpPolicy, cost_to_go, step_policy
+from .kodp import KodpPolicy
 from .laplace import LaplaceComponent, future_log_ratios
 from .problem import PathProblem, Skeleton, assemble, cost_value, step_constraints
 
@@ -40,11 +40,53 @@ class RolloutError(RuntimeError):
 
 @dataclass(frozen=True)
 class CompositeController:
+    """Per-skeleton policies, their components and future log ratios.
+
+    __post_init__ stacks the policies into per-step tables, so one control
+    step is a few batched array operations over all K skeletons.  Row
+    n-1 of each table serves step n:
+
+      past_ref  (N, K, 2d)      reference (x_{n-2}, x_{n-1}), prefix-padded;
+      V, v      (N, K, 2d[, 2d]) quadratic and linear cost-to-go terms;
+      offset    (N, K)          v_bar minus the future log ratio;
+      gain      (N, K, d, 2d)   feedback gains K;
+      command   (N, K, d)       x_ref + u_ff, the command at zero deviation.
+    """
+
     policies: tuple[KodpPolicy, ...]
     components: tuple[LaplaceComponent, ...]
     future_ratios: Array
     mode: str
     hysteresis: float = 0.0
+    past_ref: Array = field(init=False, repr=False, compare=False)
+    V: Array = field(init=False, repr=False, compare=False)
+    v: Array = field(init=False, repr=False, compare=False)
+    offset: Array = field(init=False, repr=False, compare=False)
+    gain: Array = field(init=False, repr=False, compare=False)
+    command: Array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pols = self.policies
+        shapes = {p.x_ref.shape for p in pols}
+        if len(shapes) != 1:
+            raise ValueError(f"policies must share one horizon and dimension, "
+                             f"got x_ref shapes {sorted(shapes)}")
+        (N, _), = shapes
+        if np.shape(self.future_ratios) != (len(pols), N):
+            raise ValueError(f"future_ratios must have shape ({len(pols)}, {N}), "
+                             f"got {np.shape(self.future_ratios)}")
+        padded = np.stack([np.concatenate([p.prefix, p.x_ref]) for p in pols], axis=1)
+        tables = {
+            "past_ref": np.concatenate([padded[:-2], padded[1:-1]], axis=-1),
+            "V": np.stack([p.V for p in pols], axis=1),
+            "v": np.stack([p.v for p in pols], axis=1),
+            "offset": (np.stack([p.v_bar for p in pols], axis=1)
+                       - np.asarray(self.future_ratios, dtype=float).T),
+            "gain": np.stack([p.K for p in pols], axis=1),
+            "command": padded[2:] + np.stack([p.u_ff for p in pols], axis=1),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
 
     @property
     def skeleton_ids(self) -> tuple[str, ...]:
@@ -54,7 +96,7 @@ class CompositeController:
 def build_controller(policies, components, mode: str = SWITCHING,
                      hysteresis: float = 0.0) -> CompositeController:
     """Pair policies with their Laplace components and precompute the
-    per-step future log entropy ratios."""
+    per-step future log entropy ratios and the stacked step tables."""
     policies = tuple(policies)
     components = tuple(components)
     if mode not in (BLENDING, SWITCHING):
@@ -73,19 +115,25 @@ def build_controller(policies, components, mode: str = SWITCHING,
                                hysteresis=hysteresis)
 
 
-def _deltas(controller: CompositeController, n: int, past: Array) -> Array:
+def _deviations(controller: CompositeController, n: int, past: Array) -> Array:
+    """Deviation of the observed past pair from every skeleton's reference
+    pair at step n, as a (K, 2d) array."""
+    N, _, two_d = controller.past_ref.shape
+    if not 1 <= n <= N:
+        raise ValueError(f"step {n} outside horizon [1, {N}]")
     past = np.asarray(past, dtype=float)
-    return np.stack([(past - p.past_reference(n)).ravel()
-                     for p in controller.policies])
+    if past.shape != (2, two_d // 2):
+        raise ValueError(f"past at step {n} must have shape (2, {two_d // 2}), "
+                         f"got {past.shape}")
+    return past.reshape(two_d) - controller.past_ref[n - 1]
 
 
 def online_weights(controller: CompositeController, n: int, past: Array) -> Array:
     """Normalized skeleton weights at step n given the observed past pair."""
-    deltas = _deltas(controller, n, past)
-    logits = np.array([
-        -cost_to_go(p, n, dp) + controller.future_ratios[i, n - 1]
-        for i, (p, dp) in enumerate(zip(controller.policies, deltas))
-    ])
+    dp = _deviations(controller, n, past)
+    Vdp = np.matmul(controller.V[n - 1], dp[:, :, None])[:, :, 0]
+    logits = -np.einsum("ki,ki->k", dp, 0.5 * Vdp + controller.v[n - 1])
+    logits -= controller.offset[n - 1]
     logits -= logits.max()
     w = np.exp(logits)
     return w / w.sum()
@@ -108,11 +156,9 @@ def _control(controller: CompositeController, n: int, past: Array,
     command, weighing the skeletons once.  In blending mode the chosen
     skeleton is the heaviest one and the command blends all of them."""
     weights = online_weights(controller, n, past)
-    deltas = _deltas(controller, n, past)
-    commands = np.stack([
-        p.reference(n) + step_policy(p, n, dp)[0]
-        for p, dp in zip(controller.policies, deltas)
-    ])
+    dp = _deviations(controller, n, past)
+    commands = (controller.command[n - 1]
+                + np.matmul(controller.gain[n - 1], dp[:, :, None])[:, :, 0])
     if controller.mode == BLENDING:
         return weights, int(np.argmax(weights)), weights @ commands
     chosen = select_skeleton(weights, incumbent, controller.hysteresis)
@@ -181,27 +227,30 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     bumps = {int(step): np.asarray(vec, dtype=float) for step, vec in disturbances}
     std = problem.sigma * noise_scale * problem.dt**1.5
 
-    path = np.zeros((N, d))
+    # The realized path behind the prefix; the past pair at step n is the
+    # view padded[n-1:n+1].
+    padded = np.zeros((N + 2, d))
+    padded[:2] = problem.prefix
+    path = padded[2:]
     commands = np.zeros((N, d))
     weights = np.zeros((N, K))
     active = np.zeros(N, dtype=int)
-    past = np.asarray(problem.prefix, dtype=float).copy()
+    # One draw gives the same per-step stream as N draws of d normals.
+    noise = np.zeros((N, d))
+    if noise_scale > 0.0:
+        noise = rng.standard_normal((N, d)) * std
+        noise[:, ~problem.actuated] = 0.0
     incumbent: int | None = None
 
     for n in range(1, N + 1):
+        past = padded[n - 1:n + 1]
         weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
         active[n - 1] = incumbent
         commands[n - 1] = cmd
-        x = cmd.copy()
-        if noise_scale > 0.0:
-            eta = rng.standard_normal(d) * std
-            eta[~problem.actuated] = 0.0
-            x = x + eta
+        x = cmd + noise[n - 1]
         if n in bumps:
             x = x + bumps[n]
-        x = _project_equalities(problem, truth_skeleton, n, past, x)
-        path[n - 1] = x
-        past = np.vstack([past[1], x])
+        path[n - 1] = _project_equalities(problem, truth_skeleton, n, past, x)
 
     stack = assemble(problem, truth_skeleton, path)
     trace = np.zeros(N)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .problem import PathProblem, Skeleton, assemble, step_gram
+from .problem import RANK_TOL, PathProblem, Skeleton, assemble, step_gram
 from .solver import NlpSolution
 
 Array = np.ndarray
@@ -137,7 +137,8 @@ def quadratize(problem: PathProblem, skeleton: Skeleton, solution: NlpSolution,
 
 
 def _independent_columns(m: Array) -> Array:
-    """Indices of a maximal independent column subset of m, by pivoted QR."""
+    """Indices of a maximal independent column subset of m, by pivoted QR
+    with the shared relative rank tolerance."""
     r = m.shape[1]
     if r == 0:
         return np.zeros(0, dtype=int)
@@ -145,7 +146,7 @@ def _independent_columns(m: Array) -> Array:
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
         return np.zeros(0, dtype=int)
-    keep = piv[: int(np.sum(diag > 1e-10 * diag[0]))]
+    keep = piv[: int(np.sum(diag > RANK_TOL * diag[0]))]
     return np.sort(keep)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .problem import PathProblem, Skeleton, assemble
+from .problem import RANK_TOL, PathProblem, Skeleton, assemble
 from .solver import NlpSolution
 
 Array = np.ndarray
@@ -28,7 +28,6 @@ UNNORMALIZED = "unnormalized"
 UNIFORM_NA = "uniform_na"
 
 _EIG_FLOOR = 1e-10
-_RANK_TOL = 1e-8
 
 
 class SingularComponentError(RuntimeError):
@@ -38,7 +37,7 @@ class SingularComponentError(RuntimeError):
         self.smallest = smallest
 
 
-def nullspace_basis(J: Array, tol: float = _RANK_TOL) -> Array:
+def nullspace_basis(J: Array, tol: float = RANK_TOL) -> Array:
     """Orthonormal basis of the numerical nullspace of J.
 
     Singular directions are those with singular value below
@@ -307,13 +306,13 @@ def future_log_ratios(component: LaplaceComponent) -> Array:
             L, M = R[:, :2 * d], R[:, 2 * d:]
             U, s, vt = np.linalg.svd(M)
             ref = max(s[0], scale[k])
-            rank = int(np.sum(s > _RANK_TOL * ref))
+            rank = int(np.sum(s > RANK_TOL * ref))
             Z = vt[rank:].T
             T = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ L)
             for row in U[:, rank:].T @ L:
                 # A combination free of block k that still constrains the
                 # earlier blocks: treat it as a row ending at block k-1.
-                if k > 1 and np.abs(row).max() > _RANK_TOL * ref:
+                if k > 1 and np.abs(row).max() > RANK_TOL * ref:
                     groups[k - 1].append(np.concatenate([np.zeros(d), row]))
                     scale[k - 1] = max(scale[k - 1], ref)
         logdets = []

@@ -18,6 +18,13 @@ import scipy.sparse as sp
 
 from .features import EFFORT, Array
 
+# Relative rank tolerance for active constraint rows: a direction whose
+# singular value or pivoted-QR diagonal falls below RANK_TOL times the
+# largest counts as dependent.  Shared by the Laplace nullspaces and
+# future-ratio recursion and by the policy builder's row filter, so both
+# drop the same rows.
+RANK_TOL = 1e-8
+
 
 class SkeletonError(ValueError):
     """Raised by assemble when the skeleton structure is invalid."""

@@ -169,6 +169,18 @@ def test_explicit_truth_skeleton_is_honored(tmp_path):
 # --- validation and exit codes ----------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["elbow", "push", "tworoute"])
+def test_simulate_runs_every_bundled_scenario(tmp_path, name):
+    out = tmp_path / name
+    assert main(["simulate", "--scenario", name, "--seeds", "0..1",
+                 "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "aborted: 0" in report
+    if name == "push":
+        assert ("policy single-finger step 16: dropped 1 dependent "
+                "constraint rows\n") in report
+
+
 def test_bad_arguments_exit_with_a_message(tmp_path):
     out = str(tmp_path / "x")
     for argv in (

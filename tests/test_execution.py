@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slgp.execution import (CompositeController, RolloutError,
-                            build_controller, compose, online_weights,
-                            rms_final_error, rollout, select_skeleton)
+from slgp.execution import (BLENDING, CompositeController, RolloutError,
+                            _project_equalities, build_controller, compose,
+                            online_weights, rms_final_error, rollout,
+                            select_skeleton)
 from slgp.features import AffineFeature
-from slgp.kodp import KodpPolicy, backward_pass, quadratize
+from slgp.kodp import (KodpPolicy, backward_pass, cost_to_go, quadratize,
+                       step_policy)
 from slgp.laplace import build_component, mixture_weights
 from slgp.problem import Mode, Skeleton
 from slgp.scenarios import ScenarioParams, build_scenario
@@ -130,6 +132,111 @@ def test_opposed_feedforwards_blend_to_zero_and_switch_to_the_first():
     assert compose(ctrl, 1, past) == pytest.approx([0.0], abs=1e-15)
     switch = dataclasses.replace(ctrl, mode="switching")
     assert compose(switch, 1, past) == pytest.approx([0.6])
+
+
+def test_out_of_horizon_steps_and_bad_pasts_are_rejected(routes):
+    sc, pols, comps = routes
+    ctrl = build_controller(pols, comps)
+    N, d = sc.problem.N, sc.problem.d
+    past = sc.problem.prefix
+    for query in (online_weights, compose):
+        for n in (0, N + 1):
+            with pytest.raises(ValueError, match=f"step {n} "):
+                query(ctrl, n, past)
+        for bad in (past[:1], past.ravel(), np.zeros((2, d + 1))):
+            with pytest.raises(ValueError, match="step 3"):
+                query(ctrl, 3, bad)
+
+
+def test_direct_construction_checks_the_table_shapes(routes):
+    sc, pols, comps = routes
+    ratios = np.zeros((2, sc.problem.N))
+    with pytest.raises(ValueError, match="future_ratios"):
+        CompositeController(policies=tuple(pols), components=tuple(comps),
+                            future_ratios=ratios[:, 1:], mode="blending")
+    short = dataclasses.replace(pols[1], x_ref=pols[1].x_ref[1:])
+    with pytest.raises(ValueError, match="horizon"):
+        CompositeController(policies=(pols[0], short), components=(),
+                            future_ratios=ratios, mode="blending")
+
+
+def _policy_loop(ctrl, n, past, incumbent):
+    """Weights and command from a loop over the per-policy queries."""
+    logits, commands = [], []
+    for p, ratios in zip(ctrl.policies, ctrl.future_ratios):
+        dp = (past - p.past_reference(n)).ravel()
+        logits.append(-cost_to_go(p, n, dp) + ratios[n - 1])
+        commands.append(p.reference(n) + step_policy(p, n, dp)[0])
+    logits = np.array(logits)
+    w = np.exp(logits - logits.max())
+    w /= w.sum()
+    if ctrl.mode == BLENDING:
+        return w, w @ np.array(commands)
+    return w, commands[select_skeleton(w, incumbent, ctrl.hysteresis)]
+
+
+def _bundle_controller(bundle):
+    problem = bundle.scenario.problem
+    kept = [sk for sk in bundle.scenario.skeletons
+            if bundle.component(sk.id) is not None]
+    pols = [backward_pass(quadratize(problem, sk, bundle.solution(sk.id)))
+            for sk in kept]
+    return build_controller(pols, [bundle.component(sk.id) for sk in kept])
+
+
+@pytest.mark.parametrize("name", ["tworoute", "elbow"])
+def test_stacked_tables_match_the_per_policy_queries(name, request):
+    bundle = request.getfixturevalue(name)
+    base = _bundle_controller(bundle)
+    problem = bundle.scenario.problem
+    rng = np.random.default_rng(17)
+    for mode in ("blending", "switching"):
+        ctrl = dataclasses.replace(base, mode=mode)
+        for n in range(1, problem.N + 1):
+            owner = ctrl.policies[int(rng.integers(len(ctrl.policies)))]
+            past = owner.past_reference(n) + rng.normal(scale=1e-3,
+                                                        size=(2, problem.d))
+            incumbent = int(rng.integers(len(ctrl.policies)))
+            w_loop, cmd_loop = _policy_loop(ctrl, n, past, incumbent)
+            w = online_weights(ctrl, n, past)
+            cmd = compose(ctrl, n, past, incumbent)
+            assert np.abs(w - w_loop).max() <= 1e-12 * np.abs(w_loop).max()
+            assert np.abs(cmd - cmd_loop).max() <= 1e-12 * np.abs(cmd_loop).max()
+
+
+def _stepwise_rollout(problem, truth, ctrl, noise_scale, seed):
+    """Rollout that draws the noise one step at a time and stacks the past."""
+    rng = np.random.default_rng(seed)
+    std = problem.sigma * noise_scale * problem.dt**1.5
+    past = np.asarray(problem.prefix, dtype=float).copy()
+    path, commands, active = [], [], []
+    incumbent = None
+    for n in range(1, problem.N + 1):
+        w = online_weights(ctrl, n, past)
+        cmd = compose(ctrl, n, past, incumbent)
+        incumbent = (int(np.argmax(w)) if ctrl.mode == BLENDING
+                     else select_skeleton(w, incumbent, ctrl.hysteresis))
+        eta = rng.standard_normal(problem.d) * std
+        eta[~problem.actuated] = 0.0
+        x = _project_equalities(problem, truth, n, past, cmd + eta)
+        path.append(x)
+        commands.append(cmd)
+        active.append(incumbent)
+        past = np.vstack([past[1], x])
+    return np.array(path), np.array(commands), np.array(active)
+
+
+@pytest.mark.parametrize("mode", ["blending", "switching"])
+def test_rollout_matches_a_stepwise_noise_reference(routes, mode):
+    sc, pols, comps = routes
+    ctrl = build_controller(pols, comps, mode=mode)
+    for seed in (0, 7, 31):
+        ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=1.5, seed=seed)
+        path, commands, active = _stepwise_rollout(sc.problem, sc.truth, ctrl,
+                                                   1.5, seed)
+        assert np.abs(ro.path - path).max() <= 1e-12 * np.abs(path).max()
+        assert np.abs(ro.commands - commands).max() <= 1e-12 * np.abs(commands).max()
+        assert np.array_equal(ro.active, active)
 
 
 def test_select_skeleton_tie_break_and_hysteresis():

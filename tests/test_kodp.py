@@ -247,6 +247,39 @@ def test_duplicated_constraint_rows_are_filtered(tworoute):
     assert np.abs(noisy.u_ff - clean.u_ff).max() < 1e-8
 
 
+def test_near_dependent_constraint_column_is_dropped_and_noted():
+    # Two independent rows and a third that is their combination plus a
+    # 1e-9 relative perturbation, far below the shared rank tolerance.
+    exp, _, _ = _expansion(_lq(d=3))
+    d = exp.d
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(2, 3 * d))
+    normal = np.cross(rows[0, 2 * d:], rows[1, 2 * d:])
+    near = 0.7 * rows[0] - 1.3 * rows[1]
+    near[2 * d:] += 1e-9 * np.linalg.norm(near) * normal / np.linalg.norm(normal)
+    step = 3
+
+    def with_rows(con):
+        return dataclasses.replace(exp, steps=tuple(
+            dataclasses.replace(st, con_jac=con) if st.n == step else st
+            for st in exp.steps))
+
+    clean = backward_pass(with_rows(rows))
+    noisy = backward_pass(with_rows(np.vstack([rows, near])))
+    assert clean.notes == ()
+    assert noisy.notes == ((step, "dropped 1 dependent constraint rows"),)
+    assert np.abs(noisy.K - clean.K).max() < 1e-8
+    assert np.abs(noisy.u_ff - clean.u_ff).max() < 1e-8
+
+
+def test_push_single_finger_policy_drops_its_dependent_row(push):
+    problem = push.scenario.problem
+    sk = push.scenario.skeleton("single-finger")
+    policy = backward_pass(quadratize(problem, sk, push.solution("single-finger")))
+    assert policy.notes == ((16, "dropped 1 dependent constraint rows"),)
+    assert np.isfinite(policy.V).all() and np.isfinite(policy.K).all()
+
+
 # --- policy queries --------------------------------------------------------
 
 
