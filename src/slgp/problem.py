@@ -10,7 +10,8 @@ features on windows of at most three consecutive configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -139,6 +140,10 @@ class PathProblem:
     step_costs: tuple
     terminal_costs: tuple = ()
     actuated: Array | None = None
+    # Row layouts by skeleton (see _layout); a replaced, copied or
+    # unpickled problem starts empty.
+    _layouts: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         if self.N < 2:
@@ -159,6 +164,10 @@ class PathProblem:
             raise ValueError(f"actuated must be ({self.d},)")
         actuated.setflags(write=False)
         object.__setattr__(self, "actuated", actuated)
+
+    def __getstate__(self):
+        # The memo's weak references can be neither pickled nor shared.
+        return {**self.__dict__, "_layouts": {}}
 
     @classmethod
     def uniform(cls, N, d, dt, sigma, prefix, per_step, terminal=(), actuated=None):
@@ -205,8 +214,9 @@ class FeatureStack:
     Cost, equality and inequality rows each come in canonical order: step
     by step, and within a step in the order of the step's cost features
     (terminal costs last) or of step_constraints.  Index tuples give
-    (step, label) per row and the *_steps arrays the step alone.  The
-    Jacobian of a row is a dense block over the window (x_{n-2}, x_{n-1},
+    (step, label) per row and the *_steps arrays the step alone; they and
+    effort_mask are shared, read-only, by every stack of one (problem,
+    skeleton).  The Jacobian of a row is a dense block over the window (x_{n-2}, x_{n-1},
     x_n) of its step n, zero-padded on the left for features on one or two
     configurations.  Columns of the prefix configurations keep the
     feature's derivative; they are constants, not decision variables, so
@@ -342,51 +352,93 @@ def _eval_group(feat, label: str, xp: Array, steps: Array):
     return values, jacs
 
 
+def _frozen(values) -> Array:
+    out = np.array(values, dtype=int)
+    out.setflags(write=False)
+    return out
+
+
 class _Rows:
-    """Canonical row layout of one kind of row (cost, eq or ineq): each
-    feature object with its label, the steps where it applies and the
-    first row it fills at each."""
+    """Canonical row layout of one kind of row (cost, eq or ineq), built
+    from its (step, label, feature) items in row order: each feature object
+    with its label, the steps where it applies, the first row it fills at
+    each step and all its rows; every row's (step, label) and step.  Every
+    stack of one (problem, skeleton) shares it, so its arrays are read-only.
+    """
 
-    def __init__(self):
-        self.groups: dict = {}
-        self.index: list[tuple[int, str]] = []
-        self.count = 0
-
-    def add(self, n: int, label: str, feat) -> None:
-        group = self.groups.get((id(feat), label))
-        if group is None:
-            group = self.groups[(id(feat), label)] = (feat, label, [], [])
-        group[2].append(n)
-        group[3].append(self.count)
-        self.index.extend([(n, label)] * feat.size)
-        self.count += feat.size
+    def __init__(self, items):
+        groups: dict = {}
+        index: list[tuple[int, str]] = []
+        for n, label, feat in items:
+            _, _, at, first = groups.setdefault((id(feat), label), (feat, label, [], []))
+            at.append(n)
+            first.append(len(index))
+            index.extend([(n, label)] * feat.size)
+        self.groups = [(feat, label, _frozen(at), _frozen(first),
+                        _frozen((np.array(first)[:, None] + np.arange(feat.size)).ravel()))
+                       for feat, label, at, first in groups.values()]
+        self.index = tuple(index)
+        self.steps = _frozen([n for n, _ in index])
 
     def evaluate(self, xp: Array):
-        """Values, steps and (rows, 3d) Jacobian blocks in row order, the
-        rows of each feature, and the failures as (step, row, error)."""
+        """Values and (rows, 3d) Jacobian blocks in row order, and the
+        failures as (step, row, error)."""
         width = 3 * xp.shape[1]
-        values = np.zeros(self.count)
-        steps = np.zeros(self.count, dtype=int)
-        blocks = np.zeros((self.count, width))
-        rows_of, failures = [], []
-        for feat, label, at, first in self.groups.values():
+        values = np.zeros(len(self.index))
+        blocks = np.zeros((len(self.index), width))
+        failures = []
+        for feat, label, at, first, rows in self.groups:
             try:
-                vals, jacs = _eval_group(feat, label, xp, np.array(at))
+                vals, jacs = _eval_group(feat, label, xp, at)
             except FeatureEvalError as exc:
-                row = first[at.index(exc.step)] if exc.step in at else first[0]
-                failures.append((exc.step, row, exc))
+                hit = np.flatnonzero(at == exc.step)
+                failures.append((exc.step, int(first[hit[0] if hit.size else 0]), exc))
                 continue
-            rows = (np.array(first)[:, None] + np.arange(feat.size)).ravel()
             values[rows] = vals.ravel()
-            steps[rows] = np.repeat(at, feat.size)
             jacs = jacs.reshape(len(rows), -1)
             blocks[rows, width - jacs.shape[1]:] = jacs
-            rows_of.append((feat, rows))
-        return values, steps, blocks, rows_of, failures
+        return values, blocks, failures
 
 
 def _label(feat) -> str:
     return getattr(feat, "name", type(feat).__name__)
+
+
+def _layout(problem: PathProblem, skeleton: Skeleton):
+    """Cost, eq and ineq row layouts and the effort mask of (problem,
+    skeleton), built on first use and kept on the problem.
+
+    They depend on the problem and the skeleton alone, never on the path.
+    The memo is keyed by the id of the skeleton object and holds the
+    skeleton weakly: the entry leaves the memo when the skeleton dies, so
+    skeletons made per call do not pile up, and an entry whose reference
+    is not this skeleton (its id reused) is rebuilt.  An invalid skeleton
+    raises SkeletonError and is not kept.
+    """
+    entry = problem._layouts.get(id(skeleton))
+    if entry is not None and entry[0]() is skeleton:
+        return entry[1]
+    structural = skeleton_structure_violations(skeleton, problem.N)
+    if structural:
+        raise SkeletonError("; ".join(v.message for v in structural))
+    cost, eqs, ineqs = [], [], []
+    for n in range(1, problem.N + 1):
+        feats = problem.step_costs[n - 1]
+        if n == problem.N:
+            feats = tuple(feats) + tuple(problem.terminal_costs)
+        cost.extend((n, _label(feat), feat) for feat in feats)
+        eq_feats, ineq_feats = step_constraints(skeleton, n)
+        for rows, owned in ((eqs, eq_feats), (ineqs, ineq_feats)):
+            rows.extend((n, f"{owner}:{_label(feat)}", feat) for owner, feat in owned)
+    kinds = (_Rows(cost), _Rows(eqs), _Rows(ineqs))
+    effort_mask = np.zeros(len(kinds[0].index), dtype=bool)
+    for feat, _, _, _, rows in kinds[0].groups:
+        effort_mask[rows] = getattr(feat, "group", None) == EFFORT
+    effort_mask.setflags(write=False)
+    memo, key = problem._layouts, id(skeleton)
+    memo[key] = (weakref.ref(skeleton, lambda _: memo.pop(key, None)),
+                 (kinds, effort_mask))
+    return kinds, effort_mask
 
 
 def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack:
@@ -395,45 +447,29 @@ def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack
     Each feature object is evaluated once over all the steps where it
     applies.  A failure raises the FeatureEvalError of the first row in
     canonical step order that fails, as a step-by-step evaluation would.
+    The row layout, index tuples, step arrays and effort mask are built
+    once per (problem, skeleton) and shared, read-only, by its stacks.
     Deterministic: identical inputs produce bit-identical stacks.
     """
-    structural = skeleton_structure_violations(skeleton, problem.N)
-    if structural:
-        raise SkeletonError("; ".join(v.message for v in structural))
+    kinds, effort_mask = _layout(problem, skeleton)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.N, problem.d):
         raise ValueError(f"path must be ({problem.N}, {problem.d}), got {x.shape}")
 
-    kinds = (_Rows(), _Rows(), _Rows())
-    cost, eqs, ineqs = kinds
-    for n in range(1, problem.N + 1):
-        feats = problem.step_costs[n - 1]
-        if n == problem.N:
-            feats = tuple(feats) + tuple(problem.terminal_costs)
-        for feat in feats:
-            cost.add(n, _label(feat), feat)
-        eq_feats, ineq_feats = step_constraints(skeleton, n)
-        for rows, items in ((eqs, eq_feats), (ineqs, ineq_feats)):
-            for owner, feat in items:
-                rows.add(n, f"{owner}:{_label(feat)}", feat)
-
     xp = np.vstack([problem.prefix, x])
-    (residuals, cost_steps, cost_blocks, cost_rows, cost_fail), \
-        (eq, eq_steps, eq_blocks, _, eq_fail), \
-        (ineq, ineq_steps, ineq_blocks, _, ineq_fail) = [rows.evaluate(xp) for rows in kinds]
+    (residuals, cost_blocks, cost_fail), (eq, eq_blocks, eq_fail), \
+        (ineq, ineq_blocks, ineq_fail) = [rows.evaluate(xp) for rows in kinds]
     failures = [(step, kind, row, exc)
                 for kind, fails in enumerate((cost_fail, eq_fail, ineq_fail))
                 for step, row, exc in fails]
     if failures:
         raise min(failures, key=lambda f: f[:3])[3]
-    effort_mask = np.zeros(residuals.size, dtype=bool)
-    for feat, rows in cost_rows:
-        effort_mask[rows] = getattr(feat, "group", None) == EFFORT
+    cost, eqs, ineqs = kinds
     return FeatureStack(N=problem.N, d=problem.d, residuals=residuals,
                         effort_mask=effort_mask, eq=eq, ineq=ineq,
-                        cost_steps=cost_steps, eq_steps=eq_steps,
-                        ineq_steps=ineq_steps, cost_index=tuple(cost.index),
-                        eq_index=tuple(eqs.index), ineq_index=tuple(ineqs.index),
+                        cost_steps=cost.steps, eq_steps=eqs.steps,
+                        ineq_steps=ineqs.steps, cost_index=cost.index,
+                        eq_index=eqs.index, ineq_index=ineqs.index,
                         cost_blocks=cost_blocks, eq_blocks=eq_blocks,
                         ineq_blocks=ineq_blocks)
 

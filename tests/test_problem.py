@@ -1,6 +1,8 @@
 """Path problems, skeleton validation, and feature stacking."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -354,3 +356,103 @@ def test_first_bad_step_wins_across_costs_and_constraints():
     with pytest.raises(FeatureEvalError) as err:
         assemble(problem, sk, x)
     assert (err.value.step, err.value.label) == (3, "cost-sqrt")
+
+
+# --- row layout memo ---------------------------------------------------------
+
+
+def _stacks_equal(a, b):
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and np.array_equal(va, vb), f.name
+        else:
+            assert va == vb, f.name
+
+
+def test_interleaved_skeletons_assemble_as_on_fresh_problems(elbow):
+    problem = dataclasses.replace(elbow.scenario.problem)
+    skeletons = elbow.scenario.skeletons
+    rng = np.random.default_rng(3)
+    first = {}
+    for sk in (*skeletons, *reversed(skeletons), skeletons[0]):
+        x = (np.tile(problem.prefix[1], (problem.N, 1))
+             + rng.normal(scale=0.3, size=(problem.N, problem.d)))
+        stack = assemble(problem, sk, x)
+        _stacks_equal(stack, assemble(dataclasses.replace(problem), sk, x))
+        # Stacks of one skeleton share the layout built on its first use.
+        kept = first.setdefault(sk.id, stack)
+        assert stack.cost_index is kept.cost_index
+        assert stack.ineq_steps is kept.ineq_steps
+
+
+def test_invalid_skeleton_raises_on_every_call_and_is_not_kept():
+    problem = _toy_problem()
+    bad = Skeleton(id="bad", modes=(Mode("a", (1, 3)),))
+    for _ in range(3):
+        with pytest.raises(SkeletonError):
+            assemble(problem, bad, np.zeros((6, 2)))
+    assert id(bad) not in problem._layouts
+
+
+def test_layouts_do_not_outlive_their_skeletons():
+    problem = _toy_problem()
+    kept = free_skeleton(6)
+    assemble(problem, kept, np.zeros((6, 2)))
+    for _ in range(5):
+        assemble(problem, free_skeleton(6), np.zeros((6, 2)))
+    assert list(problem._layouts) == [id(kept)]
+    del kept
+    assert not problem._layouts
+
+
+def test_replaced_problem_gets_no_stale_layout():
+    problem = _toy_problem()
+    sk = free_skeleton(6)
+    assert assemble(problem, sk, np.zeros((6, 2))).residuals.size == 13
+    target = coordinate_target(2, [1], [2.0], 3.0)
+    for terminal, rows in (((), 12), ((target, target), 14)):
+        other = dataclasses.replace(problem, terminal_costs=terminal)
+        stack = assemble(other, sk, np.zeros((6, 2)))
+        assert stack.residuals.size == stack.effort_mask.size == rows
+        assert len(stack.cost_index) == stack.cost_steps.size == rows
+        assert stack.effort_mask.sum() == 12
+    assert assemble(problem, sk, np.zeros((6, 2))).residuals.size == 13
+
+
+def test_shared_layout_arrays_are_read_only(elbow):
+    problem = elbow.scenario.problem
+    sk = elbow.scenario.skeleton("fix-both")
+    x = elbow.solution("fix-both").x_star
+    stack = assemble(problem, sk, x)
+    fresh = assemble(dataclasses.replace(problem), sk, x)
+    assert stack.eq_steps.size and stack.ineq_steps.size
+    for name in ("cost_steps", "eq_steps", "ineq_steps", "effort_mask"):
+        with pytest.raises(ValueError):
+            getattr(stack, name)[0] = 99
+    _stacks_equal(assemble(problem, sk, x), fresh)
+
+
+def test_entry_under_a_reused_id_is_rebuilt():
+    problem = _toy_problem()
+    cap = AffineFeature(np.array([[1.0, 0.0]]), np.array([-0.1]), window=1,
+                        name="cap")
+    capped = Skeleton(id="capped", modes=(Mode("m", (1, 6), ineq=(cap,)),))
+    sk = free_skeleton(6)
+    assemble(problem, capped, np.zeros((6, 2)))
+    # The entry a dead skeleton would leave if its id came back.
+    problem._layouts[id(sk)] = problem._layouts[id(capped)]
+    stack = assemble(problem, sk, np.zeros((6, 2)))
+    assert stack.ineq_steps.size == 0
+    _stacks_equal(stack, assemble(_toy_problem(), sk, np.zeros((6, 2))))
+
+
+def test_copied_and_unpickled_problems_start_without_layouts():
+    problem = _toy_problem()
+    sk = free_skeleton(6)
+    x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+    stack = assemble(problem, sk, x)
+    for other in (copy.deepcopy(problem), pickle.loads(pickle.dumps(problem))):
+        assert not other._layouts
+        _stacks_equal(assemble(other, sk, x), stack)
+    assert list(problem._layouts) == [id(sk)]
