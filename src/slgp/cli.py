@@ -134,7 +134,8 @@ def _plan_scenario(scenario: Scenario, solver_cfg: SolverConfig,
 
     Returns (solutions, components, drop reasons) in skeleton order; a
     skeleton without a component has None there and the reason: the solver
-    status, or the SingularComponentError with its smallest eigenvalue.
+    status, or the SingularComponentError naming the skeleton, the step
+    and the smallest eigenvalue of the singular pivot.
     """
     for sk in scenario.skeletons:
         bad = validate_skeleton(sk, scenario.successors, scenario.problem.N)
@@ -301,7 +302,10 @@ def cmd_simulate(args) -> int:
     dropped = [(sk.id, reason) for sk, reason in zip(scenario.skeletons, reasons)
                if reason is not None]
     if not kept:
-        print("no skeleton converged; nothing to execute", file=sys.stderr)
+        lost = "kept" if any(s.converged for s in solutions) else "converged"
+        print(f"no skeleton {lost}; nothing to execute", file=sys.stderr)
+        for sid, reason in dropped:
+            print(f"dropped {sid}: {reason}", file=sys.stderr)
         return 2
     try:
         policies = [backward_pass(quadratize(scenario.problem, sk, sol,
@@ -311,12 +315,8 @@ def cmd_simulate(args) -> int:
     except PolicyError as exc:
         print(f"policy construction failed: {exc}", file=sys.stderr)
         return 2
-    try:
-        controller = build_controller(policies, [c for _, _, c in kept],
-                                      mode=mode, hysteresis=hysteresis)
-    except SingularComponentError as exc:
-        print(f"controller construction failed: {exc}", file=sys.stderr)
-        return 2
+    controller = build_controller(policies, [c for _, _, c in kept],
+                                  mode=mode, hysteresis=hysteresis)
 
     if args.truth:
         try:

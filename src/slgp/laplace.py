@@ -1,15 +1,39 @@
 """Degenerate Gaussian path posteriors and their mixture.
 
 Each converged skeleton solution x* yields a Gaussian supported on the
-nullspace W of the active constraint Jacobian, with covariance
-W (W^T H W)^{-1} W^T for the full cost Hessian H and, analogously, for
-the effort-only Hessian H0 of the uncontrolled path distribution.  The
-mixture weight of a skeleton combines its path cost with the pseudo-
-determinant ratio of the two covariances,
+nullspace of the active constraint Jacobian, with covariance
+W (W^T H W)^{-1} W^T for a nullspace basis W and the full cost Hessian H
+and, analogously, for the effort-only Hessian H0 of the uncontrolled path
+distribution.  The mixture weight of a skeleton combines its path cost
+with the pseudo-determinant ratio of the two covariances,
 
     w_i  propto  exp(-f(x*_i)) * sqrt(|Sigma*_i|+ / |Sigma_i|+),
 
 computed in log space throughout.
+
+Neither H nor W is ever formed.  Both Hessians are sums of per-step Gram
+blocks over the windows (x_{k-2}, x_{k-1}, x_k), and one backward block
+recursion over k = N..1 eliminates x_k from both at once, in O(N d^3):
+
+* the active rows at step k, [L | M] over the past p = (x_{k-2}, x_{k-1})
+  and the current x_k, are split by the singular values of M (relative
+  rank tolerance RANK_TOL).  x_k = T_k p + Z_k y satisfies the independent
+  rows, with Z_k spanning the nullspace of M;
+* combinations of the rows that vanish on x_k but still constrain p join
+  the rows of step k-1, ranked against the scale of the step they came
+  from; on the prefix (k = 1) they are constants and drop out;
+* the pivot Z_k^T E_k Z_k of each Hessian, with the later steps already
+  folded into the current block E_k, must be numerically positive
+  definite.  Its Cholesky factor L_k gives the step's log-determinant;
+  eliminating y leaves the Schur complement on p, which is added to the
+  (x_{k-2}, x_{k-1}) block of step k-1.
+
+The log-determinant ratio does not depend on the basis of the nullspace,
+so the pivot terms for k >= n are exactly those of the future n..N with
+the past held fixed: log_ratio is the sum of all the terms and the future
+log ratios are their suffix sums.  The same factors draw paths by forward
+ancestral substitution (Rue & Held, Gaussian Markov Random Fields, 2005,
+ch. 2).  nullspace_basis remains as the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -17,15 +41,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from .problem import RANK_TOL, PathProblem, Skeleton, assemble
+from .problem import RANK_TOL, PathProblem, Skeleton, assemble, step_gram
 from .solver import NlpSolution
 
 Array = np.ndarray
 
 UNNORMALIZED = "unnormalized"
 UNIFORM_NA = "uniform_na"
+
+# Distributions in the order of the leading axis of the stored pivots.
+DISTRIBUTIONS = ("optimal", "uncontrolled")
+_PIVOTS = ("Hessian pivot", "effort Hessian pivot")
 
 _EIG_FLOOR = 1e-10
 
@@ -55,94 +82,114 @@ def nullspace_basis(J: Array, tol: float = RANK_TOL) -> Array:
     return vt[rank:].T.copy()
 
 
-def _project_spd(H, W: Array, label: str) -> tuple[Array, Array]:
-    """W^T H W with an explicit positive-definiteness check.
-
-    Returns the projected matrix and its lower Cholesky factor.  Raises
-    SingularComponentError instead of silently regularizing.
-    """
-    dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-    A = W.T @ dense @ W
-    A = 0.5 * (A + A.T)
-    r = A.shape[0]
-    if r == 0:
-        return A, np.zeros((0, 0))
-    eigs = np.linalg.eigvalsh(A)
-    floor = _EIG_FLOOR * np.trace(A) / r
-    if eigs[0] <= floor:
-        raise SingularComponentError(label, float(eigs[0]))
-    return A, np.linalg.cholesky(A)
-
-
-def _logdet_from_chol(L: Array) -> float:
-    if L.shape[0] == 0:
-        return 0.0
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
 @dataclass(frozen=True)
 class LaplaceComponent:
-    """One skeleton's Gaussian: mean path, support basis, projected Hessians.
+    """One skeleton's Gaussian: mean path and the per-step block factors.
 
-    proj_hess comes from all cost rows, proj_hess0 from the effort rows
-    alone.  log_ratio = 1/2 (logdet proj_hess0 - logdet proj_hess), the log
-    of the entropy ratio sqrt(|Sigma*|+ / |Sigma|+).  Dense covariances are
-    only materialized on demand via covariance().
+    For step k (entry k-1): Z[k-1] (d, r_k) spans x_k's free directions
+    and T[k-1] (d, 2d) maps the past (x_{k-2}, x_{k-1}) to x_k's
+    constrained part.  chol[k-1] (2, r_k, r_k) holds the lower Cholesky
+    factors L_k of the pivots of the full and of the effort-only Hessian,
+    in DISTRIBUTIONS order, and coupling[k-1] (2, r_k, 2d) the terms
+    L_k^{-1} Z_k^T (C_k^T + E_k T_k) that tie the free part to the past.
+    terms[k-1] = log det L_k(effort) - log det L_k(full) is half the log
+    ratio of the two pivots' determinants, so log_ratio, the sum of the
+    terms, is the log of the entropy ratio sqrt(|Sigma*|+ / |Sigma|+).
+    rank is the support dimension, the sum of the r_k.
     """
 
     skeleton_id: str
     x_star: Array
-    W: Array
-    proj_hess: Array
-    proj_hess0: Array
     rank: int
     f_star: float
     log_ratio: float
-    chol: Array
-    chol0: Array
-    hess: sp.csr_matrix
-    hess0: sp.csr_matrix
-    jac_active: Array
+    terms: Array
+    Z: tuple
+    T: Array
+    chol: tuple
+    coupling: tuple
 
-    def covariance(self, distribution: str = "optimal") -> Array:
-        L = self.chol if distribution == "optimal" else self.chol0
-        if self.rank == 0:
-            n = self.W.shape[0]
-            return np.zeros((n, n))
-        inv = scipy.linalg.cho_solve((L, True), np.eye(self.rank))
-        return self.W @ inv @ self.W.T
+
+def _suffix_sums(terms: Array) -> Array:
+    return np.cumsum(terms[::-1])[::-1]
 
 
 def build_component(problem: PathProblem, skeleton: Skeleton,
                     solution: NlpSolution) -> LaplaceComponent:
-    """Laplace component at a converged solution.
+    """Laplace component at a converged solution, by the block recursion.
 
-    The active constraint Jacobian stacks all equality rows plus the
-    inequality rows flagged in solution.active_set (g >= -1e-6 and
-    lambda > 1e-8).
+    The active rows are all equality rows plus the inequality rows flagged
+    in solution.active_set (g >= -1e-6 and lambda > 1e-8).  A pivot whose
+    smallest eigenvalue is at most _EIG_FLOOR times its mean eigenvalue
+    raises SingularComponentError naming the skeleton and the step.
     """
     if not solution.converged:
         raise ValueError(f"solution for '{skeleton.id}' is not converged "
                          f"(status {solution.status})")
+    N, d = problem.N, problem.d
     stack = assemble(problem, skeleton, solution.x_star)
-    rows = [stack.eq_jac.toarray()] if stack.eq.size else []
-    if stack.ineq.size and solution.active_set.any():
-        rows.append(stack.ineq_jac[solution.active_set].toarray())
-    n = stack.n_vars
-    J = np.vstack(rows) if rows else np.zeros((0, n))
-    W = nullspace_basis(J)
+    grams = np.stack([step_gram(stack.cost_steps, stack.cost_blocks, weights, N)
+                      for weights in (np.ones(stack.effort_mask.size),
+                                      stack.effort_mask.astype(float))], axis=1)
+    active = solution.active_set
+    steps = np.concatenate([stack.eq_steps, stack.ineq_steps[active]])
+    order = np.argsort(steps, kind="stable")
+    rows = np.vstack([stack.eq_blocks, stack.ineq_blocks[active]])[order]
+    bounds = np.searchsorted(steps[order], np.arange(1, N + 2))
+    carried: list[list[Array]] = [[] for _ in range(N + 1)]
+    scale = np.zeros(N + 1)
 
-    hess = (stack.jac.T @ stack.jac).tocsr()
-    jac0 = stack.jac[stack.effort_mask]
-    hess0 = (jac0.T @ jac0).tocsr()
-    proj, chol = _project_spd(hess, W, f"projected Hessian ({skeleton.id})")
-    proj0, chol0 = _project_spd(hess0, W, f"projected effort Hessian ({skeleton.id})")
-    log_ratio = 0.5 * (_logdet_from_chol(chol0) - _logdet_from_chol(chol))
+    terms = np.zeros(N)
+    T = np.zeros((N, d, 2 * d))
+    Zs, chols, couplings = [None] * N, [None] * N, [None] * N
+    V = np.zeros((2, 2 * d, 2 * d))
+    for k in range(N, 0, -1):
+        Z, Tk = np.eye(d), T[k - 1]
+        R = np.vstack([rows[bounds[k - 1]:bounds[k]], *carried[k]])
+        if R.size:
+            past, M = R[:, :2 * d], R[:, 2 * d:]
+            U, s, vt = np.linalg.svd(M)
+            ref = max(s[0], scale[k])
+            rank = int(np.sum(s > RANK_TOL * ref))
+            Z = vt[rank:].T
+            Tk[:] = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ past)
+            for row in U[:, rank:].T @ past:
+                # A combination free of x_k that still constrains the past:
+                # a row of step k-1 over (x_{k-3}, x_{k-2}, x_{k-1}).
+                if k > 1 and np.abs(row).max() > RANK_TOL * ref:
+                    carried[k - 1].append(np.concatenate([np.zeros(d), row]))
+                    scale[k - 1] = max(scale[k - 1], ref)
+        # Both Hessians over the window, the later steps folded in; with
+        # x_k = T_k p + Z_k y, the cost is 1/2 p^T V p + y^T Z^T cross p
+        # + 1/2 y^T pivot y, and eliminating y subtracts coupling^T coupling.
+        G = grams[k - 1]
+        G[:, d:, d:] += V
+        D, C, E = G[:, :2 * d, :2 * d], G[:, :2 * d, 2 * d:], G[:, 2 * d:, 2 * d:]
+        cross = E @ Tk + C.transpose(0, 2, 1)
+        V = D + Tk.T @ cross + cross.transpose(0, 2, 1) @ Tk - Tk.T @ E @ Tk
+        pivot = Z.T @ E @ Z
+        pivot = 0.5 * (pivot + pivot.transpose(0, 2, 1))
+        r = Z.shape[1]
+        chol, coupling = np.zeros((2, r, r)), np.zeros((2, r, 2 * d))
+        if r:
+            smallest = np.linalg.eigvalsh(pivot)[:, 0]
+            floor = _EIG_FLOOR * np.trace(pivot, axis1=1, axis2=2) / r
+            for label, low, bound in zip(_PIVOTS, smallest, floor):
+                if low <= bound:
+                    raise SingularComponentError(
+                        f"{label} of skeleton '{skeleton.id}' at step {k}", float(low))
+            chol = np.linalg.cholesky(pivot)
+            coupling = np.linalg.solve(chol, Z.T @ cross)
+            V -= coupling.transpose(0, 2, 1) @ coupling
+            half = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            terms[k - 1] = half[1] - half[0]
+        V = 0.5 * (V + V.transpose(0, 2, 1))
+        Zs[k - 1], chols[k - 1], couplings[k - 1] = Z, chol, coupling
     return LaplaceComponent(skeleton_id=skeleton.id, x_star=solution.x_star.copy(),
-                            W=W, proj_hess=proj, proj_hess0=proj0,
-                            rank=W.shape[1], f_star=solution.f_star,
-                            log_ratio=log_ratio, chol=chol, chol0=chol0,
-                            hess=hess, hess0=hess0, jac_active=J)
+                            rank=sum(Z.shape[1] for Z in Zs), f_star=solution.f_star,
+                            log_ratio=float(_suffix_sums(terms)[0]), terms=terms,
+                            Z=tuple(Zs), T=T, chol=tuple(chols),
+                            coupling=tuple(couplings))
 
 
 def mixture_weights(f_star, log_ratio) -> Array:
@@ -210,60 +257,50 @@ def build_mixture(components, prior_mode: str = UNNORMALIZED) -> PathMixture:
                        cost=multimodal_cost(f, lr, prior_mode))
 
 
+def ancestral_paths(component: LaplaceComponent, z: Array,
+                    distribution: str = "optimal") -> Array:
+    """Paths x* + dx for standard normal coordinates z, shape (count, rank).
+
+    Forward ancestral substitution through the stored factors: with the
+    past deviation p_k = (dx_{k-2}, dx_{k-1}) (zero on the prefix),
+    y_k = L_k^{-T} (z_k - coupling_k p_k) and dx_k = T_k p_k + Z_k y_k,
+    where z_k are the next r_k columns of z.  The map is linear in z, and
+    for z standard normal dx has covariance W (W^T H W)^{-1} W^T of the
+    chosen distribution.  Returns (count, N, d).
+    """
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution '{distribution}'")
+    which = DISTRIBUTIONS.index(distribution)
+    N, d = component.x_star.shape
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[1] != component.rank:
+        raise ValueError(f"z must be (count, {component.rank}), got {z.shape}")
+    dx = np.zeros((z.shape[0], N + 2, d))
+    at = 0
+    for k in range(N):
+        Z = component.Z[k]
+        r = Z.shape[1]
+        p = dx[:, k:k + 2].reshape(-1, 2 * d)
+        dx[:, k + 2] = p @ component.T[k].T
+        if r:
+            rhs = z[:, at:at + r] - p @ component.coupling[k][which].T
+            y = scipy.linalg.solve_triangular(component.chol[k][which], rhs.T,
+                                              lower=True, trans="T")
+            dx[:, k + 2] += (Z @ y).T
+        at += r
+    return component.x_star + dx[:, 2:]
+
+
 def sample_paths(component: LaplaceComponent, count: int, seed: int,
                  distribution: str = "optimal") -> Array:
-    """Draw paths x* + W L^{-T} z, z standard normal in the support.
+    """Draw count paths from the component by ancestral_paths.
 
     distribution "optimal" uses the full-cost covariance, "uncontrolled"
     the effort-only covariance.  Deterministic for a fixed seed; returns
     (count, N, d).
     """
-    if distribution not in ("optimal", "uncontrolled"):
-        raise ValueError(f"unknown distribution '{distribution}'")
-    N, d = component.x_star.shape
-    rng = np.random.default_rng(seed)
-    if component.rank == 0:
-        return np.tile(component.x_star, (count, 1, 1))
-    L = component.chol if distribution == "optimal" else component.chol0
-    z = rng.standard_normal((component.rank, count))
-    y = scipy.linalg.solve_triangular(L.T, z, lower=False)
-    flat = component.x_star.ravel()[:, None] + component.W @ y
-    return np.ascontiguousarray(flat.T.reshape(count, N, d))
-
-
-def _band_columns(H, N: int, d: int) -> Array:
-    """Upper band of a block-pentadiagonal matrix, block column by block column.
-
-    Entry [k + 1] is the (3d, d) stack of blocks (k-2, k), (k-1, k) and
-    (k, k) of H for block k = 1..N.  Entries 0 and 1 stand for the two
-    prefix blocks and stay zero, so folds into them need no bounds checks.
-    Only the nonzeros of the sparse matrix are read.
-    """
-    coo = sp.coo_matrix(H)
-    rb, cb = coo.row // d, coo.col // d
-    upper = rb <= cb
-    rb, cb = rb[upper], cb[upper]
-    if np.any(cb - rb > 2):
-        raise ValueError("Hessian couples blocks more than two steps apart")
-    band = np.zeros((N + 2, 3 * d, d))
-    np.add.at(band, (cb + 2, (2 - cb + rb) * d + coo.row[upper] % d,
-                     coo.col[upper] % d), coo.data[upper])
-    return band
-
-
-def _rows_by_last_block(J: Array, N: int, d: int) -> list[list[Array]]:
-    """Constraint rows over their window of blocks k-2..k, grouped by the
-    last block k they touch.  All-zero rows are left out."""
-    groups: list[list[Array]] = [[] for _ in range(N + 1)]
-    nonzero = J != 0.0
-    padded = np.hstack([np.zeros((J.shape[0], 2 * d)), J])
-    for i in np.flatnonzero(nonzero.any(axis=1)):
-        cols = np.flatnonzero(nonzero[i])
-        first, last = cols[0] // d + 1, cols[-1] // d + 1
-        if last - first > 2:
-            raise ValueError(f"constraint row {i} spans more than three steps")
-        groups[last].append(padded[i, (last - 1) * d:(last + 2) * d])
-    return groups
+    z = np.random.default_rng(seed).standard_normal((count, component.rank))
+    return ancestral_paths(component, z, distribution)
 
 
 def future_log_ratios(component: LaplaceComponent) -> Array:
@@ -272,62 +309,7 @@ def future_log_ratios(component: LaplaceComponent) -> Array:
     Entry n-1 is 1/2 (logdet H0_f - logdet H_f), where H_f and H0_f are
     the trailing blocks over steps n..N of the full and the effort-only
     Hessian, projected onto the nullspace of the active rows' future
-    columns; entry 0 equals the component's full log_ratio.  One backward
-    block recursion over k = N..1 gives all N entries in O(N d^3):
-
-    * the rows whose last nonzero block is k are split by the singular
-      values of their block-k part (rank tolerance as in nullspace_basis);
-      Z_k spans the nullspace and x_k = T_k (x_{k-2}, x_{k-1}) + Z_k y
-      satisfies the independent rows;
-    * the pivot Z_k^T G_k Z_k of each Hessian, with the later blocks
-      already folded into G_k, adds its log-determinant to the running
-      sums; eliminating y folds the Schur complement into blocks k-2 and
-      k-1;
-    * row combinations that vanish on block k but still touch block k-2
-      or k-1 join the rows ending at block k-1, where they are ranked
-      against the scale of the block they came from.
-
-    The pivots for k >= n are exactly those of the elimination of the
-    future from n with the past held fixed, and the log-determinant ratio
-    does not depend on the basis of the nullspace, so entry n-1 is the
-    suffix sum of the pivot terms from k = n.
+    columns: the suffix sum of the pivot terms from step n.  Entry 0
+    equals the component's log_ratio.
     """
-    N, d = component.x_star.shape
-    sid = component.skeleton_id
-    bands = (_band_columns(component.hess, N, d),
-             _band_columns(component.hess0, N, d))
-    groups = _rows_by_last_block(component.jac_active, N, d)
-    scale = np.zeros(N + 1)
-    terms = np.zeros(N)
-    for k in range(N, 0, -1):
-        Z, T = np.eye(d), np.zeros((d, 2 * d))
-        if groups[k]:
-            R = np.array(groups[k])
-            L, M = R[:, :2 * d], R[:, 2 * d:]
-            U, s, vt = np.linalg.svd(M)
-            ref = max(s[0], scale[k])
-            rank = int(np.sum(s > RANK_TOL * ref))
-            Z = vt[rank:].T
-            T = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ L)
-            for row in U[:, rank:].T @ L:
-                # A combination free of block k that still constrains the
-                # earlier blocks: treat it as a row ending at block k-1.
-                if k > 1 and np.abs(row).max() > RANK_TOL * ref:
-                    groups[k - 1].append(np.concatenate([np.zeros(d), row]))
-                    scale[k - 1] = max(scale[k - 1], ref)
-        logdets = []
-        for band, label in zip(bands, ("future block", "future effort block")):
-            C, E = band[k + 1, :2 * d].T, band[k + 1, 2 * d:]
-            ETC = E @ T + C
-            S = T.T @ ETC + ETC.T @ T - T.T @ E @ T
-            _, chol = _project_spd(E, Z, f"{label} of '{sid}' at step {k}")
-            if chol.size:
-                B = scipy.linalg.solve_triangular(chol, Z.T @ ETC, lower=True)
-                S -= B.T @ B
-            S = 0.5 * (S + S.T)
-            band[k, 2 * d:] += S[d:, d:]
-            band[k, d:2 * d] += S[:d, d:]
-            band[k - 1, 2 * d:] += S[:d, :d]
-            logdets.append(_logdet_from_chol(chol))
-        terms[k - 1] = 0.5 * (logdets[1] - logdets[0])
-    return np.cumsum(terms[::-1])[::-1]
+    return _suffix_sums(component.terms)

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .features import EFFORT, Array
 
 # Relative rank tolerance for active constraint rows: a direction whose
 # singular value or pivoted-QR diagonal falls below RANK_TOL times the
-# largest counts as dependent.  Shared by the Laplace nullspaces and
-# future-ratio recursion and by the policy builder's row filter, so both
-# drop the same rows.
+# largest counts as dependent.  Shared by the Laplace block recursion
+# (singular values of each step's rows) and by the policy builder's row
+# filter (pivoted QR), so both drop the same rows.
 RANK_TOL = 1e-8
 
 
@@ -220,8 +218,8 @@ class FeatureStack:
     x_n) of its step n, zero-padded on the left for features on one or two
     configurations.  Columns of the prefix configurations keep the
     feature's derivative; they are constants, not decision variables, so
-    `transpose_dot` and the CSR views `jac`, `eq_jac` and `ineq_jac` (over
-    the N*d path columns, built on first use) drop them.
+    `transpose_dot` drops them and the step-by-step eliminations discard
+    what lands on them.
     """
 
     N: int
@@ -244,37 +242,16 @@ class FeatureStack:
     def n_vars(self) -> int:
         return self.N * self.d
 
-    @cached_property
-    def jac(self) -> sp.csr_matrix:
-        return self._csr(self.cost_blocks, self.cost_steps)
-
-    @cached_property
-    def eq_jac(self) -> sp.csr_matrix:
-        return self._csr(self.eq_blocks, self.eq_steps)
-
-    @cached_property
-    def ineq_jac(self) -> sp.csr_matrix:
-        return self._csr(self.ineq_blocks, self.ineq_steps)
-
-    def _columns(self, steps: Array) -> Array:
-        """Column of every block entry in the path with the prefix in front:
-        configuration m starts at column (m + 1) d."""
-        return ((steps - 1) * self.d)[:, None] + np.arange(3 * self.d)
-
-    def _csr(self, blocks: Array, steps: Array) -> sp.csr_matrix:
-        cols = self._columns(steps) - 2 * self.d
-        rows = np.broadcast_to(np.arange(len(steps))[:, None], cols.shape)
-        keep = (cols >= 0) & (blocks != 0.0)
-        return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
-                             shape=(len(steps), self.n_vars))
-
     def transpose_dot(self, cost: Array, eq: Array, ineq: Array) -> Array:
         """J^T cost + J_h^T eq + J_g^T ineq over the N*d path variables."""
         out = np.zeros((self.N + 2) * self.d)
         for blocks, steps, coeff in ((self.cost_blocks, self.cost_steps, cost),
                                      (self.eq_blocks, self.eq_steps, eq),
                                      (self.ineq_blocks, self.ineq_steps, ineq)):
-            out += np.bincount(self._columns(steps).ravel(),
+            # Configuration m starts at column (m + 1) d of the path with
+            # the prefix in front.
+            cols = ((steps - 1) * self.d)[:, None] + np.arange(3 * self.d)
+            out += np.bincount(cols.ravel(),
                                weights=(blocks * coeff[:, None]).ravel(),
                                minlength=out.size)
         return out[2 * self.d:]

@@ -3,8 +3,10 @@
 Each suite returns (ok, detail) and is deterministic.  The heavy
 recursions are cross-checked against separately written references: a
 textbook value recursion for first-order LQ problems, a dense KKT solve
-for constrained quadratic instances, and a dense per-step projection for
-the future log ratios.  run_suites prints one PASS/FAIL line per suite.
+for constrained quadratic instances, and dense nullspace projections for
+the Laplace covariances and the future log ratios.  The dense oracles are
+public so the tests share them.  run_suites prints one PASS/FAIL line per
+suite.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
 from .kodp import (PolicyExpansion, StepQuadratics, backward_pass, cost_to_go,
                    quadratize, step_policy)
-from .laplace import (UNNORMALIZED, _logdet_from_chol, _project_spd,
-                      build_component, build_mixture, future_log_ratios,
-                      mixture_weights, multimodal_cost, nullspace_basis,
-                      sample_paths)
+from .laplace import (UNNORMALIZED, ancestral_paths, build_component,
+                      build_mixture, future_log_ratios, mixture_weights,
+                      multimodal_cost, nullspace_basis, sample_paths)
 from .problem import PathProblem, assemble, free_skeleton
 from .scenarios import ScenarioParams, build_scenario
 from .solver import SolverConfig, solve
@@ -226,6 +227,59 @@ def suite_dense_qp(instances: int = 10, deviations: int = 20) -> tuple[bool, str
                            f"max rel err {worst:.2e} (tol 1e-8), {elapsed:.2f}s")
 
 
+# --- dense Laplace oracles ----------------------------------------------------
+
+def dense_jacobian(stack, kind: str) -> Array:
+    """Dense (rows, N d) Jacobian of a stack's "cost", "eq" or "ineq" rows
+    over the path variables, built from the per-row window blocks; the
+    prefix columns are dropped."""
+    blocks, steps = getattr(stack, f"{kind}_blocks"), getattr(stack, f"{kind}_steps")
+    N, d = stack.N, stack.d
+    J = np.zeros((len(steps), (N + 2) * d))
+    for i, n in enumerate(steps):
+        J[i, (n - 1) * d:(n + 2) * d] = blocks[i]
+    return J[:, 2 * d:]
+
+
+def dense_laplace_terms(problem, skeleton, solution) -> tuple[Array, Array, Array]:
+    """Dense full and effort-only Gauss-Newton Hessians and the active
+    constraint Jacobian of a component, (N d, N d), (N d, N d), (rows, N d)."""
+    stack = assemble(problem, skeleton, solution.x_star)
+    J = dense_jacobian(stack, "cost")
+    J0 = J[stack.effort_mask]
+    active = np.vstack([dense_jacobian(stack, "eq"),
+                        dense_jacobian(stack, "ineq")[solution.active_set]])
+    return J.T @ J, J0.T @ J0, active
+
+
+def projected_logdet(H: Array, W: Array) -> float:
+    """log det W^T H W; raises ValueError unless it is positive definite."""
+    sign, logdet = np.linalg.slogdet(W.T @ H @ W)
+    if sign <= 0:
+        raise ValueError("projected Hessian is not positive definite")
+    return float(logdet)
+
+
+def dense_covariance(problem, skeleton, solution,
+                     distribution: str = "optimal") -> Array:
+    """W (W^T H W)^{-1} W^T over the N d path variables, W an orthonormal
+    nullspace basis of the active rows and H the full ("optimal") or the
+    effort-only ("uncontrolled") Hessian."""
+    H, H0, J = dense_laplace_terms(problem, skeleton, solution)
+    W = nullspace_basis(J)
+    A = W.T @ (H if distribution == "optimal" else H0) @ W
+    return W @ np.linalg.solve(A, W.T)
+
+
+def factor_covariance(component, distribution: str = "optimal") -> Array:
+    """Covariance of the sampler's linear map z -> dx, read off by applying
+    ancestral_paths to the identity: the rows are the images of the unit
+    vectors, so the covariance is their Gram matrix."""
+    A = ancestral_paths(component, np.eye(component.rank), distribution)
+    A = (A - component.x_star).reshape(component.rank, -1)
+    return A.T @ A
+
+
 # --- Gaussian exactness ------------------------------------------------------
 
 def _lq_problem(N: int = 8, d: int = 2):
@@ -239,10 +293,10 @@ def _lq_problem(N: int = 8, d: int = 2):
 
 def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
     """On unconstrained LQ problems the approximation is exact. The mean and
-    covariance match a dense Gaussian-posterior oracle (least squares on the
-    stacked affine residuals), the combined cost equals the slogdet-based
-    closed form, and the sampler's empirical covariance matches the analytic
-    one."""
+    the covariance of the sampler's linear map match a dense Gaussian-
+    posterior oracle (least squares on the stacked affine residuals), the
+    combined cost equals the slogdet-based closed form, and the sampler's
+    empirical covariance matches the dense covariance oracle."""
     start = time.perf_counter()
     mean_err = cov_err = cost_err = 0.0
     tight = SolverConfig(tol_step=1e-12, hessian_reg=1e-12)
@@ -258,16 +312,17 @@ def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
         # exact posterior: mean from least squares, covariance from (A^T A)^-1.
         zeros = np.zeros((N, d))
         stack = assemble(problem, skeleton, zeros)
-        A, b = stack.jac.toarray(), stack.residuals
+        A, b = dense_jacobian(stack, "cost"), stack.residuals
         mean = np.linalg.lstsq(A, -b, rcond=None)[0]
         cov_oracle = np.linalg.inv(A.T @ A)
         mean_err = max(mean_err,
                        float(np.max(np.abs(sol.x_star.ravel() - mean))))
         cov_err = max(cov_err, float(np.max(
-            np.abs(comp.covariance("optimal") - cov_oracle))))
+            np.abs(factor_covariance(comp, "optimal") - cov_oracle))))
 
-        sign, logdet = np.linalg.slogdet(comp.hess.toarray())
-        sign0, logdet0 = np.linalg.slogdet(comp.hess0.toarray())
+        A0 = A[stack.effort_mask]
+        sign, logdet = np.linalg.slogdet(A.T @ A)
+        sign0, logdet0 = np.linalg.slogdet(A0.T @ A0)
         if sign <= 0 or sign0 <= 0:
             return False, f"dense Hessians not positive definite (N={N} d={d})"
         exact = sol.f_star - 0.5 * (logdet0 - logdet)
@@ -281,7 +336,7 @@ def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
     comp = build_component(problem, skeleton, sol)
     draws = sample_paths(comp, samples, seed=13).reshape(samples, -1)
     emp = np.cov(draws, rowvar=False)
-    cov = comp.covariance("optimal")
+    cov = dense_covariance(problem, skeleton, sol, "optimal")
     sample_err = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
     elapsed = time.perf_counter() - start
     ok = (mean_err <= 1e-8 and cov_err <= 1e-8 and cost_err <= 1e-8
@@ -363,7 +418,7 @@ def suite_nullspace() -> tuple[bool, str]:
     return worst <= 1e-8, f"max residual {worst:.2e} (tol 1e-8)"
 
 
-def _dense_future_log_ratios(component) -> Array:
+def _dense_future_log_ratios(problem, skeleton, solution) -> Array:
     """Dense per-step oracle for laplace.future_log_ratios.
 
     For every step n it restricts the active rows to the future columns
@@ -371,10 +426,8 @@ def _dense_future_log_ratios(component) -> Array:
     basis, and projects both trailing principal Hessian blocks onto it:
     O(N^4 d^3), for tests only.
     """
-    N, d = component.x_star.shape
-    H = component.hess.toarray()
-    H0 = component.hess0.toarray()
-    J = component.jac_active
+    N, d = problem.N, problem.d
+    H, H0, J = dense_laplace_terms(problem, skeleton, solution)
     out = np.empty(N)
     for n in range(1, N + 1):
         lo = (n - 1) * d
@@ -382,15 +435,14 @@ def _dense_future_log_ratios(component) -> Array:
         if Jf.shape[0]:
             Jf = Jf[np.abs(Jf).max(axis=1) > 0.0]
         W = nullspace_basis(Jf)
-        _, chol = _project_spd(H[lo:, lo:], W, f"future block at step {n}")
-        _, chol0 = _project_spd(H0[lo:, lo:], W, f"future effort block at step {n}")
-        out[n - 1] = 0.5 * (_logdet_from_chol(chol0) - _logdet_from_chol(chol))
+        out[n - 1] = 0.5 * (projected_logdet(H0[lo:, lo:], W)
+                            - projected_logdet(H[lo:, lo:], W))
     return out
 
 
 def suite_future_ratios() -> tuple[bool, str]:
-    """The backward block recursion for the per-step future log ratios
-    matches the dense per-step projection on both tworoute skeletons."""
+    """The per-step future log ratios of the block recursion match the
+    dense per-step projection on both tworoute skeletons."""
     scenario = build_scenario(ScenarioParams(name="tworoute", N=16, T=2.0))
     start = time.perf_counter()
     worst = 0.0
@@ -400,7 +452,8 @@ def suite_future_ratios() -> tuple[bool, str]:
             return False, f"tworoute solve '{sk.id}' did not converge"
         comp = build_component(scenario.problem, sk, sol)
         got = future_log_ratios(comp)
-        worst = max(worst, float(np.abs(got - _dense_future_log_ratios(comp)).max()),
+        dense = _dense_future_log_ratios(scenario.problem, sk, sol)
+        worst = max(worst, float(np.abs(got - dense).max()),
                     abs(float(got[0]) - comp.log_ratio))
     elapsed = time.perf_counter() - start
     return worst <= 1e-8, (f"{len(scenario.skeletons)} skeletons, max abs err "

@@ -5,12 +5,11 @@ import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from slgp.cli import main
 from slgp.laplace import SingularComponentError, build_component
+from slgp.problem import assemble
 
 PLAN_WEIGHTS_HEADER = ["skeletonId", "status", "fStar", "logRatio",
                        "entropyRatio", "rank", "weight"]
@@ -206,25 +205,75 @@ def test_bad_arguments_exit_with_a_message(tmp_path):
             main(argv)
 
 
-def test_singular_future_block_fails_controller_construction(tmp_path,
-                                                              monkeypatch,
-                                                              capsys):
-    # Strip the effort curvature of the last step from every component after
-    # its full-path checks: the future block at step N becomes singular.
-    def last_step_without_effort(problem, skeleton, solution):
-        comp = build_component(problem, skeleton, solution)
-        keep = np.ones(comp.hess0.shape[0])
-        keep[-problem.d:] = 0.0
-        mask = sp.diags(keep)
-        return dataclasses.replace(comp, hess0=(mask @ comp.hess0 @ mask).tocsr())
+def test_singular_pivot_is_named_at_plan_time(tmp_path, monkeypatch, capsys):
+    # Leave the last step's effort rows out of every component: x_N gets no
+    # effort curvature, so the effort Hessian pivot at step N is singular.
+    def last_step_without_effort(problem, skeleton, x):
+        stack = assemble(problem, skeleton, x)
+        return dataclasses.replace(
+            stack, effort_mask=stack.effort_mask & (stack.cost_steps != problem.N))
 
-    monkeypatch.setattr("slgp.cli.build_component", last_step_without_effort)
+    monkeypatch.setattr("slgp.laplace.assemble", last_step_without_effort)
+    code, out = _plan(tmp_path, "tworoute")
+    assert code == 0
+    report = (out / "report.txt").read_text()
+    for sid in ("via-near", "via-far"):
+        reason = (f"effort Hessian pivot of skeleton '{sid}' at step 40 is "
+                  "numerically singular (smallest eigenvalue 0.000e+00)")
+        sol = json.loads((out / f"solution-{sid}.json").read_text())
+        assert sol["status"] == "converged" and sol["dropReason"] == reason
+        assert f"dropped: {reason}" in report
+    assert not (out / "mixture.json").exists()
+
+    capsys.readouterr()
+    code = main(["simulate", "--scenario", "tworoute", "--out",
+                 str(tmp_path / "sim"), "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["no skeleton kept; nothing to execute",
+                   "dropped via-near: effort Hessian pivot of skeleton 'via-near' "
+                   "at step 40 is numerically singular (smallest eigenvalue 0.000e+00)",
+                   "dropped via-far: effort Hessian pivot of skeleton 'via-far' "
+                   "at step 40 is numerically singular (smallest eigenvalue 0.000e+00)"]
+
+
+def test_simulate_names_every_drop_when_no_skeleton_is_kept(tmp_path,
+                                                            monkeypatch, capsys):
+    def singular(problem, skeleton, solution):
+        raise SingularComponentError(f"toy pivot of '{skeleton.id}'", -1.0)
+
+    monkeypatch.setattr("slgp.cli.build_component", singular)
     code = main(["simulate", "--scenario", "tworoute", "--out",
                  str(tmp_path / "sim"), "--seeds", "0"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("controller construction failed: ")
-    assert "future effort block of 'via-near' at step 40" in err
+    assert err.startswith("no skeleton kept; nothing to execute\n")
+    for sid in ("via-near", "via-far"):
+        assert (f"dropped {sid}: toy pivot of '{sid}' is numerically singular "
+                "(smallest eigenvalue -1.000e+00)") in err
+    assert "converged" not in err
+
+
+def test_simulate_says_when_no_skeleton_converged(tmp_path, capsys):
+    code = main(["simulate", "--scenario", "tworoute", "--out",
+                 str(tmp_path / "sim"), "--seeds", "0",
+                 "--set", "solver.maxOuter=1", "--set", "solver.maxInner=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no skeleton converged; nothing to execute\n")
+    assert "dropped via-near: solver status " in err
+
+
+def test_long_tworoute_horizon_keeps_both_skeletons(tmp_path):
+    # A single global eigenvalue floor on the whole projected effort
+    # Hessian dropped both routes here; the per-pivot rule keeps them.
+    code, out = _plan(tmp_path, "tworoute", "--set", "scenario.N=640")
+    assert code == 0
+    for sid in ("via-near", "via-far"):
+        sol = json.loads((out / f"solution-{sid}.json").read_text())
+        assert sol["status"] == "converged" and "dropReason" not in sol
+        assert sol["rank"] == 2 * 640 - 2
+    assert len(json.loads((out / "mixture.json").read_text())["components"]) == 2
 
 
 def test_singular_component_is_reported_as_the_drop_reason(tmp_path, monkeypatch):

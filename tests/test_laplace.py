@@ -4,16 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
-from slgp.laplace import (LaplaceComponent, SingularComponentError,
-                          build_component, build_mixture, future_log_ratios,
-                          mixture_weights, multimodal_cost, nullspace_basis,
-                          sample_paths)
-from slgp.laplace import _logdet_from_chol, _project_spd  # noqa: PLC2701
+from slgp.features import (EFFORT, AccelerationPenalty, AffineFeature,
+                           coordinate_target)
+from slgp.laplace import (SingularComponentError, build_component,
+                          build_mixture, future_log_ratios, mixture_weights,
+                          multimodal_cost, nullspace_basis, sample_paths)
 from slgp.problem import Mode, PathProblem, Skeleton, Switch, assemble, free_skeleton
 from slgp.scenarios import ScenarioParams, build_scenario
+from slgp.selftest import (dense_covariance, dense_laplace_terms,
+                           factor_covariance, projected_logdet)
 from slgp.selftest import _dense_future_log_ratios  # noqa: PLC2701
 from slgp.solver import solve
 
@@ -69,24 +69,46 @@ def test_duplicate_rows_do_not_shrink_the_nullspace_twice():
 
 
 def test_unconstrained_covariance_is_the_inverse_hessian():
-    comp, _ = _component(_lq())
-    H = comp.hess.toarray()
-    assert np.array_equal(comp.W, np.eye(H.shape[0]))
-    assert np.abs(comp.covariance() - np.linalg.inv(H)).max() < 1e-10
+    problem = _lq()
+    comp, sol = _component(problem)
+    H, _, J = dense_laplace_terms(problem, free_skeleton(problem.N), sol)
+    assert J.shape[0] == 0 and comp.rank == H.shape[0]
+    assert np.abs(factor_covariance(comp) - np.linalg.inv(H)).max() < 1e-10
 
 
 def test_pinned_coordinate_covariance_collapses_on_axis():
-    # Unit quadratic in the plane with the first coordinate constrained to
-    # zero: the covariance is rank one along the free axis.
-    W = nullspace_basis(np.array([[1.0, 0.0]]))
-    proj, chol = _project_spd(sp.eye(2, format="csr"), W, "toy")
-    comp = LaplaceComponent(
-        skeleton_id="toy", x_star=np.zeros((1, 2)), W=W, proj_hess=proj,
-        proj_hess0=proj, rank=1, f_star=0.0, log_ratio=0.0, chol=chol,
-        chol0=chol, hess=sp.eye(2, format="csr"),
-        hess0=sp.eye(2, format="csr"), jac_active=np.array([[1.0, 0.0]]))
-    assert np.abs(comp.covariance() - np.array([[0.0, 0.0],
-                                                [0.0, 1.0]])).max() < 1e-12
+    # Unit quadratic in the plane at every step with the first coordinate
+    # pinned to zero: the covariance is rank one per step, along the free
+    # axis.
+    unit = AffineFeature(np.eye(2), np.zeros(2), window=1, name="unit",
+                         group=EFFORT)
+    pin = AffineFeature(np.array([[1.0, 0.0]]), np.zeros(1), window=1, name="pin")
+    problem = PathProblem.uniform(N=2, d=2, dt=1.0, sigma=1.0,
+                                  prefix=np.zeros((2, 2)), per_step=(unit,))
+    skeleton = Skeleton(id="toy", modes=(Mode("pinned", (1, 2), eq=(pin,)),))
+    sol = solve(problem, skeleton)
+    assert sol.converged
+    comp = build_component(problem, skeleton, sol)
+    assert comp.rank == 2 and comp.log_ratio == 0.0
+    for distribution in ("optimal", "uncontrolled"):
+        assert np.abs(factor_covariance(comp, distribution)
+                      - np.diag([0.0, 1.0, 0.0, 1.0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("bundle", ["elbow", "push", "tworoute"])
+def test_factor_covariance_matches_the_dense_oracle(bundle, request):
+    # The sampler's linear map through the per-step factors reproduces
+    # W (W^T H W)^-1 W^T for both Hessians on every converged skeleton.
+    bundle = request.getfixturevalue(bundle)
+    problem = bundle.scenario.problem
+    for sid, comp in bundle.components.items():
+        if comp is None:
+            continue
+        sk, sol = bundle.scenario.skeleton(sid), bundle.solution(sid)
+        for distribution in ("optimal", "uncontrolled"):
+            oracle = dense_covariance(problem, sk, sol, distribution)
+            got = factor_covariance(comp, distribution)
+            assert np.abs(got - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
 def test_support_rank_counts_dimensions_minus_active_rows(elbow):
@@ -97,7 +119,7 @@ def test_support_rank_counts_dimensions_minus_active_rows(elbow):
                      sol.x_star)
     n_active = stack.eq.size + int(sol.active_set.sum())
     assert comp.rank == problem.N * problem.d - n_active
-    s = np.linalg.svd(comp.covariance(), compute_uv=False)
+    s = np.linalg.svd(factor_covariance(comp), compute_uv=False)
     assert int((s > 1e-10 * s[0]).sum()) == comp.rank
 
 
@@ -117,7 +139,8 @@ def test_taskless_direction_makes_the_component_singular():
         per_step=(), terminal=(coordinate_target(1, [0], [1.0], 1.0),))
     skeleton = free_skeleton(3)
     sol = solve(problem, skeleton)
-    with pytest.raises(SingularComponentError):
+    with pytest.raises(SingularComponentError,
+                       match="effort Hessian pivot of skeleton 'free' at step 3"):
         build_component(problem, skeleton, sol)
 
 
@@ -164,9 +187,7 @@ def test_projected_logdet_matches_eigenvalue_oracle():
         H0 = B0 @ B0.T + 0.5 * np.eye(3)
         H1 = B1 @ B1.T + 0.5 * np.eye(3)
         W = np.eye(3)
-        _, chol0 = _project_spd(sp.csr_matrix(H0), W, "h0")
-        _, chol1 = _project_spd(sp.csr_matrix(H1), W, "h1")
-        got = 0.5 * (_logdet_from_chol(chol0) - _logdet_from_chol(chol1))
+        got = 0.5 * (projected_logdet(H0, W) - projected_logdet(H1, W))
         oracle = 0.5 * (np.sum(np.log(np.linalg.eigvalsh(H0)))
                         - np.sum(np.log(np.linalg.eigvalsh(H1))))
         assert got == pytest.approx(oracle, rel=1e-10)
@@ -252,19 +273,25 @@ def test_sampling_is_bit_identical_for_a_fixed_seed():
 
 
 def test_sample_mean_concentrates_on_the_solution():
-    comp, sol = _component(_lq())
+    problem = _lq()
+    comp, sol = _component(problem)
     draws = sample_paths(comp, 10_000, seed=3)
     assert draws.shape == (10_000, comp.x_star.shape[0], comp.x_star.shape[1])
     mean = draws.reshape(10_000, -1).mean(axis=0)
-    max_std = float(np.sqrt(np.diag(comp.covariance()).max()))
+    cov = dense_covariance(problem, free_skeleton(problem.N), sol)
+    max_std = float(np.sqrt(np.diag(cov).max()))
     assert np.abs(mean - sol.x_star.ravel()).max() < 4.0 * max_std / 100.0
 
 
 def test_samples_respect_active_constraint_rows(elbow):
     comp = elbow.component("fix-joint-2")
+    _, _, J = dense_laplace_terms(elbow.scenario.problem,
+                                  elbow.scenario.skeleton("fix-joint-2"),
+                                  elbow.solution("fix-joint-2"))
     draws = sample_paths(comp, 50, seed=7)
     flat = draws.reshape(50, -1) - comp.x_star.ravel()
-    assert np.abs(comp.jac_active @ flat.T).max() < 1e-8
+    assert J.shape[0] > 0
+    assert np.abs(J @ flat.T).max() < 1e-8
 
 
 def test_uncontrolled_samples_spread_wider_than_optimal():
@@ -291,10 +318,15 @@ def test_future_ratios_start_at_the_full_ratio_and_stay_nonpositive(elbow):
 
 @pytest.mark.parametrize("bundle", ["elbow", "push", "tworoute"])
 def test_future_ratios_match_the_dense_projection(bundle, request):
-    components = request.getfixturevalue(bundle).components.values()
-    for comp in [c for c in components if c is not None]:
-        ratios = future_log_ratios(comp)
-        assert np.abs(ratios - _dense_future_log_ratios(comp)).max() <= 1e-8
+    bundle = request.getfixturevalue(bundle)
+    for sid, comp in bundle.components.items():
+        if comp is None:
+            continue
+        dense = _dense_future_log_ratios(bundle.scenario.problem,
+                                         bundle.scenario.skeleton(sid),
+                                         bundle.solution(sid))
+        assert np.abs(future_log_ratios(comp) - dense).max() <= 1e-8
+        assert abs(comp.log_ratio - dense[0]) <= 1e-8
 
 
 def test_long_horizon_future_ratios_match_the_dense_projection():
@@ -303,8 +335,9 @@ def test_long_horizon_future_ratios_match_the_dense_projection():
         sol = solve(scenario.problem, sk)
         assert sol.converged
         comp = build_component(scenario.problem, sk, sol)
-        ratios = future_log_ratios(comp)
-        assert np.abs(ratios - _dense_future_log_ratios(comp)).max() <= 1e-8
+        dense = _dense_future_log_ratios(scenario.problem, sk, sol)
+        assert np.abs(future_log_ratios(comp) - dense).max() <= 1e-8
+        assert abs(comp.log_ratio - dense[0]) <= 1e-8
 
 
 def test_future_ratios_carry_dependent_row_combinations_back():
@@ -331,5 +364,5 @@ def test_future_ratios_carry_dependent_row_combinations_back():
     comp = build_component(problem, skeleton, sol)
     assert comp.rank == problem.N * problem.d - 4
     ratios = future_log_ratios(comp)
-    assert np.abs(ratios - _dense_future_log_ratios(comp)).max() <= 1e-8
+    assert np.abs(ratios - _dense_future_log_ratios(problem, skeleton, sol)).max() <= 1e-8
     assert ratios[0] == pytest.approx(comp.log_ratio, abs=1e-9)

@@ -10,6 +10,7 @@ from slgp.laplace import build_component, mixture_weights, sample_paths
 from slgp.problem import assemble, validate_skeleton
 from slgp.scenarios import (ScenarioParams, arm_joint_positions,
                             build_scenario)
+from slgp.selftest import dense_jacobian
 from slgp.solver import solve
 
 
@@ -146,7 +147,7 @@ def test_second_finger_adds_constraint_rank(push):
     for sid in ("single-finger", "two-finger"):
         sol = push.solution(sid)
         stack = assemble(problem, push.scenario.skeleton(sid), sol.x_star)
-        ranks[sid] = np.linalg.matrix_rank(stack.eq_jac.toarray())
+        ranks[sid] = np.linalg.matrix_rank(dense_jacobian(stack, "eq"))
     assert ranks["two-finger"] > ranks["single-finger"]
 
 

@@ -6,6 +6,7 @@ import pytest
 from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
 from slgp.problem import (Mode, PathProblem, Skeleton, assemble,
                           constraint_violation, free_skeleton)
+from slgp.selftest import dense_jacobian
 from slgp.solver import (ALState, SolverConfig, gauss_newton_step,
                          kkt_residuals, solve)
 from slgp.solver import _merit, _merit_grad, _merit_hessian  # noqa: PLC2701
@@ -41,7 +42,7 @@ def test_unconstrained_quadratic_converges_in_one_inner_iteration():
 
     stack = assemble(problem, free_skeleton(problem.N),
                      np.zeros((problem.N, problem.d)))
-    closed_form = np.linalg.lstsq(stack.jac.toarray(), -stack.residuals,
+    closed_form = np.linalg.lstsq(dense_jacobian(stack, "cost"), -stack.residuals,
                                   rcond=None)[0]
     assert np.abs(sol.x_star.ravel() - closed_form).max() < 1e-6
 
@@ -106,7 +107,7 @@ def test_undamped_step_is_the_exact_least_squares_step():
     stack = assemble(problem, skeleton, x0)
     al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
     dx = gauss_newton_step(stack, al, damping=0.0)
-    A = stack.jac.toarray()
+    A = dense_jacobian(stack, "cost")
     exact = np.linalg.lstsq(A, -(stack.residuals + A @ (-x0.ravel())),
                             rcond=None)[0] - 0.0
     # Solve normal equations directly for the reference step.
@@ -188,8 +189,8 @@ def test_banded_merit_hessian_matches_the_dense_oracle(name, sid, request):
     al = ALState(lam=lam, nu=rng.normal(size=stack.eq.size), mu=3.0)
     active = al.active_rows(stack.ineq)
     assert stack.ineq.size == 0 or (lam[active] > 0).any() and not active.all()
-    J, Jh = stack.jac.toarray(), stack.eq_jac.toarray()
-    Jg = stack.ineq_jac.toarray()[active]
+    J, Jh = dense_jacobian(stack, "cost"), dense_jacobian(stack, "eq")
+    Jg = dense_jacobian(stack, "ineq")[active]
     damping = 1e-3
     H = (J.T @ J + 2.0 * al.mu * (Jh.T @ Jh + Jg.T @ Jg)
          + damping * np.eye(stack.n_vars))
@@ -198,7 +199,7 @@ def test_banded_merit_hessian_matches_the_dense_oracle(name, sid, request):
     assert np.abs(_dense_from_band(ab) - H).max() <= 1e-12 * np.abs(H).max()
     coeff = np.where(active, lam + 2.0 * al.mu * stack.ineq, lam)
     grad = (J.T @ stack.residuals + Jh.T @ (al.nu + 2.0 * al.mu * stack.eq)
-            + stack.ineq_jac.toarray().T @ coeff)
+            + dense_jacobian(stack, "ineq").T @ coeff)
     assert np.abs(_merit_grad(stack, al) - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
