@@ -91,6 +91,20 @@ def _scenario_params(args, cfg: dict) -> ScenarioParams:
         raise SystemExit(f"bad scenario parameters: {exc}") from exc
 
 
+_EXECUTION_KEYS = ("controller", "hysteresis", "noiseScale", "priorMode")
+
+
+def _execution_config(cfg: dict) -> dict:
+    section = cfg.get("execution", {})
+    if not isinstance(section, dict):
+        raise SystemExit("config section 'execution' must be an object")
+    for key in section:
+        if key not in _EXECUTION_KEYS:
+            raise SystemExit(f"unknown execution parameter '{key}'; choose from "
+                             f"{', '.join(_EXECUTION_KEYS)}")
+    return section
+
+
 def _solver_config(cfg: dict) -> SolverConfig:
     try:
         return SolverConfig.from_dict(cfg.get("solver", {}))
@@ -187,7 +201,7 @@ def cmd_plan(args) -> int:
     params = _scenario_params(args, cfg)
     scenario = build_scenario(params)
     solver_cfg = _solver_config(cfg)
-    prior_mode = cfg.get("execution", {}).get("priorMode", UNNORMALIZED)
+    prior_mode = _execution_config(cfg).get("priorMode", UNNORMALIZED)
     if prior_mode not in (UNNORMALIZED, UNIFORM_NA):
         raise SystemExit(f"unknown priorMode '{prior_mode}'")
 
@@ -276,7 +290,7 @@ def cmd_simulate(args) -> int:
     params = _scenario_params(args, cfg)
     scenario = build_scenario(params)
     solver_cfg = _solver_config(cfg)
-    exec_cfg = cfg.get("execution", {})
+    exec_cfg = _execution_config(cfg)
     mode = args.controller or exec_cfg.get("controller", SWITCHING)
     if mode not in (BLENDING, SWITCHING):
         raise SystemExit(f"unknown controller mode '{mode}'")
@@ -284,8 +298,6 @@ def cmd_simulate(args) -> int:
                   else float(exec_cfg.get("hysteresis", 0.0)))
     noise = (args.noise if args.noise is not None
              else float(exec_cfg.get("noiseScale", 1.0)))
-    effort_weight = float(exec_cfg.get("effortWeight", 1.0))
-    proximal_rho = float(exec_cfg.get("proximalRho", 0.0))
     seeds = _parse_seeds(args.seeds)
     disturbances = _parse_disturb(args.disturb)
     for step, vec in disturbances:
@@ -308,9 +320,7 @@ def cmd_simulate(args) -> int:
             print(f"dropped {sid}: {reason}", file=sys.stderr)
         return 2
     try:
-        policies = [backward_pass(quadratize(scenario.problem, sk, sol,
-                                             effort_weight=effort_weight,
-                                             proximal_rho=proximal_rho))
+        policies = [backward_pass(quadratize(scenario.problem, sk, sol))
                     for sk, sol, _ in kept]
     except PolicyError as exc:
         print(f"policy construction failed: {exc}", file=sys.stderr)

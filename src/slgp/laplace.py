@@ -11,29 +11,35 @@ with the pseudo-determinant ratio of the two covariances,
 
 computed in log space throughout.
 
-Neither H nor W is ever formed.  Both Hessians are sums of per-step Gram
-blocks over the windows (x_{k-2}, x_{k-1}, x_k), and one backward block
-recursion over k = N..1 eliminates x_k from both at once, in O(N d^3):
+Neither H nor W is ever formed.  quadratize expands each step's cost
+into the Gram matrix of its rows [J | r] over the window
+(x_{k-2}, x_{k-1}, x_k) and one affine column, for the full cost and for
+its effort rows, and one backward block recursion (eliminate) over
+k = N..1 eliminates x_k from both at once, in O(N d^3):
 
-* the active rows at step k, [L | M] over the past p = (x_{k-2}, x_{k-1})
+* the active rows at step k, [L | M] over the past (x_{k-2}, x_{k-1})
   and the current x_k, are split by the singular values of M (relative
   rank tolerance RANK_TOL).  x_k = T_k p + Z_k y satisfies the independent
   rows, with Z_k spanning the nullspace of M;
-* combinations of the rows that vanish on x_k but still constrain p join
-  the rows of step k-1, ranked against the scale of the step they came
-  from; on the prefix (k = 1) they are constants and drop out;
+* combinations of the rows that vanish on x_k but still constrain the
+  past join the rows of step k-1, ranked against the scale of the step
+  they came from; on the prefix (k = 1), or when they vanish entirely,
+  they drop out;
 * the pivot Z_k^T E_k Z_k of each Hessian, with the later steps already
   folded into the current block E_k, must be numerically positive
   definite.  Its Cholesky factor L_k gives the step's log-determinant;
-  eliminating y leaves the Schur complement on p, which is added to the
-  (x_{k-2}, x_{k-1}) block of step k-1.
+  eliminating y leaves the Schur complement on (x_{k-2}, x_{k-1}, 1),
+  which is added to the matching block of step k-1.
 
 The log-determinant ratio does not depend on the basis of the nullspace,
 so the pivot terms for k >= n are exactly those of the future n..N with
 the past held fixed: log_ratio is the sum of all the terms and the future
 log ratios are their suffix sums.  The same factors draw paths by forward
 ancestral substitution (Rue & Held, Gaussian Markov Random Fields, 2005,
-ch. 2).  nullspace_basis remains as the dense reference for tests.
+ch. 2), and the feedback policies of slgp.kodp are read off the same
+recursion run on the full cost, whose affine column carries the gradient
+and the constant.  nullspace_basis remains as the dense reference for
+tests.
 """
 
 from __future__ import annotations
@@ -114,82 +120,176 @@ def _suffix_sums(terms: Array) -> Array:
     return np.cumsum(terms[::-1])[::-1]
 
 
-def build_component(problem: PathProblem, skeleton: Skeleton,
-                    solution: NlpSolution) -> LaplaceComponent:
-    """Laplace component at a converged solution, by the block recursion.
+@dataclass(frozen=True)
+class Expansion:
+    """Second-order expansion of one skeleton's path cost about x*.
+
+    grams[k-1] (2, 3d+1, 3d+1) holds, for the full cost and for its effort
+    rows (DISTRIBUTIONS order), the Gram matrix of step k's rows [J | r]
+    over the window (x_{k-2}, x_{k-1}, x_k) and one affine column: the
+    Gauss-Newton Hessian, the gradient and twice the constant of the
+    step's cost 1/2 |r + J dw|^2.  rows[k-1] (r_k, 3d) are the step's
+    active constraint rows, linearized as rows @ dw = 0.
+    """
+
+    skeleton_id: str
+    x_ref: Array
+    prefix: Array
+    grams: Array
+    rows: tuple
+
+    @property
+    def d(self) -> int:
+        return self.x_ref.shape[1]
+
+
+def quadratize(problem: PathProblem, skeleton: Skeleton,
+               solution: NlpSolution) -> Expansion:
+    """Expansion of every step about the solution, Gauss-Newton throughout.
 
     The active rows are all equality rows plus the inequality rows flagged
-    in solution.active_set (g >= -1e-6 and lambda > 1e-8).  A pivot whose
-    smallest eigenvalue is at most _EIG_FLOOR times its mean eigenvalue
-    raises SingularComponentError naming the skeleton and the step.
+    in solution.active_set (g >= -1e-6 and lambda > 1e-8), the equality
+    rows first within a step.
     """
-    if not solution.converged:
-        raise ValueError(f"solution for '{skeleton.id}' is not converged "
-                         f"(status {solution.status})")
-    N, d = problem.N, problem.d
+    N = problem.N
     stack = assemble(problem, skeleton, solution.x_star)
-    grams = np.stack([step_gram(stack.cost_steps, stack.cost_blocks, weights, N)
+    augmented = np.column_stack([stack.cost_blocks, stack.residuals])
+    grams = np.stack([step_gram(stack.cost_steps, augmented, weights, N)
                       for weights in (np.ones(stack.effort_mask.size),
                                       stack.effort_mask.astype(float))], axis=1)
     active = solution.active_set
     steps = np.concatenate([stack.eq_steps, stack.ineq_steps[active]])
     order = np.argsort(steps, kind="stable")
     rows = np.vstack([stack.eq_blocks, stack.ineq_blocks[active]])[order]
-    bounds = np.searchsorted(steps[order], np.arange(1, N + 2))
+    splits = np.searchsorted(steps[order], np.arange(2, N + 1))
+    return Expansion(skeleton_id=skeleton.id, x_ref=solution.x_star.copy(),
+                     prefix=np.asarray(problem.prefix, float).copy(),
+                     grams=grams, rows=tuple(np.split(rows, splits)))
+
+
+@dataclass(frozen=True)
+class Elimination:
+    """Per-step factors of the block recursion over one expansion.
+
+    For step k (entry k-1), with the past p = (x_{k-2}, x_{k-1}, 1):
+    x_k = T[k-1] p[:2d] + Z[k-1] y satisfies the step's rows.  G_k is the
+    step's Gram block with the later steps folded in, E_k its x_k block
+    and S_k the map from p to the window (x_{k-2}, x_{k-1}, x_k, 1) at
+    y = 0.  For each eliminated distribution (leading axis, DISTRIBUTIONS
+    order), chol[k-1] holds the lower Cholesky factor L_k of the pivot
+    Z_k^T E_k Z_k, coupling[k-1] (r_k, 2d+1) the terms
+    L_k^{-1} Z_k^T (G_k S_k)_x that tie y to p, where (.)_x takes the rows
+    of x_k, and V[k-1] (2d+1, 2d+1) the Schur complement
+    S_k^T G_k S_k - coupling^T coupling: the cost of steps k..N is
+    1/2 p^T V p once y is minimized out.  notes list (step, text) for the
+    rows carried back or dropped.
+    """
+
+    T: Array
+    Z: tuple
+    chol: tuple
+    coupling: tuple
+    V: Array
+    notes: tuple
+
+
+def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Elimination:
+    """Run the block recursion over the first count distributions.
+
+    A pivot whose smallest eigenvalue is at most _EIG_FLOOR times its mean
+    eigenvalue raises SingularComponentError naming the skeleton and the
+    step.
+    """
+    grams = expansion.grams[:, :count]
+    N, d = len(expansion.rows), expansion.d
+    two_d = 2 * d
     carried: list[list[Array]] = [[] for _ in range(N + 1)]
     scale = np.zeros(N + 1)
+    notes: list[tuple[int, str]] = []
 
-    terms = np.zeros(N)
-    T = np.zeros((N, d, 2 * d))
+    T = np.zeros((N, d, two_d))
     Zs, chols, couplings = [None] * N, [None] * N, [None] * N
-    V = np.zeros((2, 2 * d, 2 * d))
+    values = np.zeros((N, count, two_d + 1, two_d + 1))
+    S = np.zeros((3 * d + 1, two_d + 1))
+    S[:two_d, :two_d] = np.eye(two_d)
+    S[-1, -1] = 1.0
+    V = np.zeros((count, two_d + 1, two_d + 1))
     for k in range(N, 0, -1):
         Z, Tk = np.eye(d), T[k - 1]
-        R = np.vstack([rows[bounds[k - 1]:bounds[k]], *carried[k]])
+        R = np.vstack([expansion.rows[k - 1], *carried[k]])
         if R.size:
-            past, M = R[:, :2 * d], R[:, 2 * d:]
+            past, M = R[:, :two_d], R[:, two_d:]
             U, s, vt = np.linalg.svd(M)
             ref = max(s[0], scale[k])
             rank = int(np.sum(s > RANK_TOL * ref))
             Z = vt[rank:].T
             Tk[:] = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ past)
+            dropped = 0
             for row in U[:, rank:].T @ past:
                 # A combination free of x_k that still constrains the past:
                 # a row of step k-1 over (x_{k-3}, x_{k-2}, x_{k-1}).
                 if k > 1 and np.abs(row).max() > RANK_TOL * ref:
                     carried[k - 1].append(np.concatenate([np.zeros(d), row]))
                     scale[k - 1] = max(scale[k - 1], ref)
-        # Both Hessians over the window, the later steps folded in; with
-        # x_k = T_k p + Z_k y, the cost is 1/2 p^T V p + y^T Z^T cross p
-        # + 1/2 y^T pivot y, and eliminating y subtracts coupling^T coupling.
-        G = grams[k - 1]
+                else:
+                    dropped += 1
+            if carried[k - 1]:
+                notes.append((k, f"carried {len(carried[k - 1])} constraint rows "
+                                 f"to step {k - 1}"))
+            if dropped:
+                notes.append((k, f"dropped {dropped} dependent constraint rows"))
+        # The window's Gram with the later steps folded into the
+        # (x_{k-1}, x_k, 1) block; with x_k = T_k p + Z_k y the cost is
+        # 1/2 p^T S^T G S p + y^T Z^T (G S)_x p + 1/2 y^T pivot y, and
+        # eliminating y subtracts coupling^T coupling.
+        S[two_d:3 * d, :two_d] = Tk
+        G = grams[k - 1].copy()
         G[:, d:, d:] += V
-        D, C, E = G[:, :2 * d, :2 * d], G[:, :2 * d, 2 * d:], G[:, 2 * d:, 2 * d:]
-        cross = E @ Tk + C.transpose(0, 2, 1)
-        V = D + Tk.T @ cross + cross.transpose(0, 2, 1) @ Tk - Tk.T @ E @ Tk
+        GS = G @ S
+        V = S.T @ GS
+        E = G[:, two_d:3 * d, two_d:3 * d]
         pivot = Z.T @ E @ Z
         pivot = 0.5 * (pivot + pivot.transpose(0, 2, 1))
         r = Z.shape[1]
-        chol, coupling = np.zeros((2, r, r)), np.zeros((2, r, 2 * d))
+        chol, coupling = np.zeros((count, r, r)), np.zeros((count, r, two_d + 1))
         if r:
             smallest = np.linalg.eigvalsh(pivot)[:, 0]
             floor = _EIG_FLOOR * np.trace(pivot, axis1=1, axis2=2) / r
             for label, low, bound in zip(_PIVOTS, smallest, floor):
                 if low <= bound:
                     raise SingularComponentError(
-                        f"{label} of skeleton '{skeleton.id}' at step {k}", float(low))
+                        f"{label} of skeleton '{expansion.skeleton_id}' at step {k}",
+                        float(low))
             chol = np.linalg.cholesky(pivot)
-            coupling = np.linalg.solve(chol, Z.T @ cross)
+            coupling = np.linalg.solve(chol, Z.T @ GS[:, two_d:3 * d])
             V -= coupling.transpose(0, 2, 1) @ coupling
-            half = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-            terms[k - 1] = half[1] - half[0]
         V = 0.5 * (V + V.transpose(0, 2, 1))
+        values[k - 1] = V
         Zs[k - 1], chols[k - 1], couplings[k - 1] = Z, chol, coupling
+    return Elimination(T=T, Z=tuple(Zs), chol=tuple(chols),
+                       coupling=tuple(couplings), V=values, notes=tuple(notes))
+
+
+def build_component(problem: PathProblem, skeleton: Skeleton,
+                    solution: NlpSolution) -> LaplaceComponent:
+    """Laplace component at a converged solution, by eliminate.
+
+    A singular pivot of either Hessian raises SingularComponentError
+    naming the skeleton and the step.
+    """
+    if not solution.converged:
+        raise ValueError(f"solution for '{skeleton.id}' is not converged "
+                         f"(status {solution.status})")
+    elim = eliminate(quadratize(problem, skeleton, solution))
+    half = np.array([np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+                     for L in elim.chol])
+    terms = half[:, 1] - half[:, 0]
     return LaplaceComponent(skeleton_id=skeleton.id, x_star=solution.x_star.copy(),
-                            rank=sum(Z.shape[1] for Z in Zs), f_star=solution.f_star,
+                            rank=sum(Z.shape[1] for Z in elim.Z), f_star=solution.f_star,
                             log_ratio=float(_suffix_sums(terms)[0]), terms=terms,
-                            Z=tuple(Zs), T=T, chol=tuple(chols),
-                            coupling=tuple(couplings))
+                            Z=elim.Z, T=elim.T, chol=elim.chol,
+                            coupling=tuple(c[:, :, :2 * problem.d]
+                                           for c in elim.coupling))
 
 
 def mixture_weights(f_star, log_ratio) -> Array:

@@ -18,10 +18,9 @@ import numpy as np
 from .features import EFFORT, Array
 
 # Relative rank tolerance for active constraint rows: a direction whose
-# singular value or pivoted-QR diagonal falls below RANK_TOL times the
-# largest counts as dependent.  Shared by the Laplace block recursion
-# (singular values of each step's rows) and by the policy builder's row
-# filter (pivoted QR), so both drop the same rows.
+# singular value falls below RANK_TOL times the largest counts as
+# dependent.  Used by the block recursion (laplace.eliminate) that serves
+# both the Laplace weights and the feedback policies.
 RANK_TOL = 1e-8
 
 

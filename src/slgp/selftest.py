@@ -19,9 +19,8 @@ import numpy as np
 
 from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
-from .kodp import (PolicyExpansion, StepQuadratics, backward_pass, cost_to_go,
-                   quadratize, step_policy)
-from .laplace import (UNNORMALIZED, ancestral_paths, build_component,
+from .kodp import backward_pass, cost_to_go, quadratize, step_policy
+from .laplace import (UNNORMALIZED, Expansion, ancestral_paths, build_component,
                       build_mixture, future_log_ratios, mixture_weights,
                       multimodal_cost, nullspace_basis, sample_paths)
 from .problem import PathProblem, assemble, free_skeleton
@@ -46,6 +45,22 @@ def suite_table_arithmetic() -> tuple[bool, str]:
     c_err = abs(cost - _REF_COST)
     ok = w_err <= 1e-3 and c_err <= 2e-3
     return ok, f"max weight err {w_err:.2e} (tol 1e-3); cost err {c_err:.2e} (tol 2e-3)"
+
+
+# --- per-step quadratics -----------------------------------------------------
+
+def _quadratic_expansion(hess, grad, const, rows, skeleton_id: str) -> Expansion:
+    """Expansion of the per-step quadratics 1/2 w^T hess w + grad^T w + const
+    over the windows w, with the active rows.  Only the full-cost Gram is
+    filled: the effort slot stays zero, which backward_pass never reads."""
+    N, width = len(hess), np.shape(hess)[1]
+    grams = np.zeros((N, 2, width + 1, width + 1))
+    grams[:, 0, :width, :width] = hess
+    grams[:, 0, :width, width] = grams[:, 0, width, :width] = grad
+    grams[:, 0, width, width] = 2.0 * np.asarray(const)
+    d = width // 3
+    return Expansion(skeleton_id=skeleton_id, x_ref=np.zeros((N, d)),
+                     prefix=np.zeros((2, d)), grams=grams, rows=tuple(rows))
 
 
 # --- first-order LQ oracle --------------------------------------------------
@@ -99,21 +114,16 @@ def suite_riccati_equivalence(instances: int = 10) -> tuple[bool, str]:
         g = [rng.standard_normal(d) for _ in range(N)]
         consts = rng.standard_normal(N)
 
-        steps = []
-        for n in range(1, N + 1):
-            H = np.zeros((3 * d, 3 * d))
-            H[d:2 * d, d:2 * d] = A[n - 1].T @ R[n - 1] @ A[n - 1]
-            H[d:2 * d, 2 * d:] = -A[n - 1].T @ R[n - 1]
-            H[2 * d:, d:2 * d] = -R[n - 1] @ A[n - 1]
-            H[2 * d:, 2 * d:] = R[n - 1] + Q[n - 1]
-            grad = np.zeros(3 * d)
-            grad[2 * d:] = g[n - 1]
-            steps.append(StepQuadratics(n=n, hess=H, grad=grad,
-                                        const=float(consts[n - 1]),
-                                        con_jac=np.zeros((0, 3 * d))))
-        policy = backward_pass(PolicyExpansion(
-            steps=tuple(steps), skeleton_id="lq", d=d,
-            x_ref=np.zeros((N, d)), prefix=np.zeros((2, d))))
+        hess = np.zeros((N, 3 * d, 3 * d))
+        for n in range(N):
+            hess[n, d:2 * d, d:2 * d] = A[n].T @ R[n] @ A[n]
+            hess[n, d:2 * d, 2 * d:] = -A[n].T @ R[n]
+            hess[n, 2 * d:, d:2 * d] = -R[n] @ A[n]
+            hess[n, 2 * d:, 2 * d:] = R[n] + Q[n]
+        grad = np.zeros((N, 3 * d))
+        grad[:, 2 * d:] = g
+        policy = backward_pass(_quadratic_expansion(
+            hess, grad, consts, [np.zeros((0, 3 * d))] * N, "lq"))
 
         oracle = _lq_oracle(A, R, Q, g, consts)
         for n in range(N):
@@ -135,31 +145,33 @@ def suite_riccati_equivalence(instances: int = 10) -> tuple[bool, str]:
 
 # --- dense equality-QP oracle ----------------------------------------------
 
-def _dense_qp_oracle(steps, d: int, delta_prefix: Array):
+def _dense_qp_oracle(expansion: Expansion, delta_prefix: Array):
     """Assemble the full quadratic over x_{1:N} with the prefix deviation
-    substituted and solve the dense KKT system."""
-    N = len(steps)
+    substituted and solve the dense KKT system.  Returns the path
+    deviation (N, d) and the optimal cost."""
+    d = expansion.d
+    N = len(expansion.rows)
     nz = N * d
     H = np.zeros((nz, nz))
     g = np.zeros(nz)
     c = 0.0
-    a_rows, b_rows, row_counts = [], [], []
-    for st in steps:
+    a_rows, b_rows = [], []
+    for n, (G, rows) in enumerate(zip(expansion.grams[:, 0], expansion.rows), start=1):
+        hess, grad, const = G[:-1, :-1], G[:-1, -1], 0.5 * G[-1, -1]
         S = np.zeros((3 * d, nz))
         t = np.zeros(3 * d)
-        for k, m in enumerate((st.n - 2, st.n - 1, st.n)):
+        for k, m in enumerate((n - 2, n - 1, n)):
             sl = slice(k * d, (k + 1) * d)
             if m >= 1:
                 S[sl, (m - 1) * d:m * d] = np.eye(d)
             else:
                 t[sl] = delta_prefix[(m + 1) * d:(m + 2) * d]
-        H += S.T @ st.hess @ S
-        g += S.T @ (st.hess @ t + st.grad)
-        c += 0.5 * t @ st.hess @ t + st.grad @ t + st.const
-        row_counts.append(st.con_jac.shape[0])
-        if st.con_jac.shape[0]:
-            a_rows.append(st.con_jac @ S)
-            b_rows.append(-st.con_jac @ t)
+        H += S.T @ hess @ S
+        g += S.T @ (hess @ t + grad)
+        c += 0.5 * t @ hess @ t + grad @ t + const
+        if rows.shape[0]:
+            a_rows.append(rows @ S)
+            b_rows.append(-rows @ t)
     A = np.vstack(a_rows) if a_rows else np.zeros((0, nz))
     b = np.concatenate(b_rows) if b_rows else np.zeros(0)
     na = A.shape[0]
@@ -167,61 +179,49 @@ def _dense_qp_oracle(steps, d: int, delta_prefix: Array):
     kkt[:nz, :nz] = H
     kkt[:nz, nz:] = A.T
     kkt[nz:, :nz] = A
-    sol = np.linalg.solve(kkt, np.concatenate([-g, b]))
-    z, lam = sol[:nz], sol[nz:]
+    z = np.linalg.solve(kkt, np.concatenate([-g, b]))[:nz]
     cost = 0.5 * z @ H @ z + g @ z + c
-    lams, at = [], 0
-    for cnt in row_counts:
-        lams.append(lam[at:at + cnt])
-        at += cnt
-    return z.reshape(N, d), lams, float(cost)
+    return z.reshape(N, d), float(cost)
 
 
-def _roll_policy(policy, delta_prefix: Array):
+def _roll_policy(policy, delta_prefix: Array) -> Array:
     d = policy.d
     dp = np.asarray(delta_prefix, dtype=float).copy()
-    xs, lams = [], []
+    xs = []
     for n in range(1, policy.N + 1):
-        dx, dlam = step_policy(policy, n, dp)
+        dx = step_policy(policy, n, dp)
         xs.append(dx)
-        lams.append(dlam)
         dp = np.concatenate([dp[d:], dx])
-    return np.array(xs), lams
+    return np.array(xs)
 
 
 def suite_dense_qp(instances: int = 10, deviations: int = 20) -> tuple[bool, str]:
     """Constrained quadratic instances: the staged policy reproduces the
-    dense KKT trajectory, multipliers, and optimal cost for random past
-    deviations."""
+    dense KKT trajectory and optimal cost for random past deviations."""
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     worst = 0.0
     N, d = 5, 2
     for _ in range(instances):
-        steps = []
+        hess, grad, const, rows = [], [], [], []
         for n in range(1, N + 1):
             B = rng.standard_normal((3 * d + 2, 3 * d))
             H = B.T @ B / (3 * d)
             H[2 * d:, 2 * d:] += (0.5 + rng.random()) * np.eye(d)
-            con = rng.standard_normal((int(rng.integers(0, d + 1)), 3 * d))
-            steps.append(StepQuadratics(n=n, hess=H,
-                                        grad=rng.standard_normal(3 * d),
-                                        const=float(rng.standard_normal()),
-                                        con_jac=con))
-        policy = backward_pass(PolicyExpansion(
-            steps=tuple(steps), skeleton_id="qp", d=d,
-            x_ref=np.zeros((N, d)), prefix=np.zeros((2, d))))
+            rows.append(rng.standard_normal((int(rng.integers(0, d + 1)), 3 * d)))
+            hess.append(H)
+            grad.append(rng.standard_normal(3 * d))
+            const.append(float(rng.standard_normal()))
+        expansion = _quadratic_expansion(hess, grad, const, rows, "qp")
+        policy = backward_pass(expansion)
         for _ in range(deviations):
             dp = 0.3 * rng.standard_normal(2 * d)
-            z_ref, lam_ref, cost_ref = _dense_qp_oracle(steps, d, dp)
-            z, lams = _roll_policy(policy, dp)
+            z_ref, cost_ref = _dense_qp_oracle(expansion, dp)
+            z = _roll_policy(policy, dp)
             cost = cost_to_go(policy, 1, dp)
             scale = max(1.0, np.abs(z_ref).max(), abs(cost_ref))
-            worst = max(worst,
-                        np.abs(z - z_ref).max() / scale,
-                        abs(cost - cost_ref) / scale,
-                        max((np.abs(a - b).max() / scale if a.size else 0.0)
-                            for a, b in zip(lams, lam_ref)))
+            worst = max(worst, np.abs(z - z_ref).max() / scale,
+                        abs(cost - cost_ref) / scale)
     elapsed = time.perf_counter() - start
     return worst <= 1e-8, (f"{instances} instances x {deviations} deviations, "
                            f"max rel err {worst:.2e} (tol 1e-8), {elapsed:.2f}s")

@@ -205,6 +205,16 @@ def test_bad_arguments_exit_with_a_message(tmp_path):
             main(argv)
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("key", ["hysterisis", "effortWeight"])
+def test_unknown_execution_keys_are_rejected(tmp_path, command, key):
+    # A misspelt or retired key must not be silently ignored.
+    with pytest.raises(SystemExit, match=f"unknown execution parameter '{key}'"):
+        main([command, "--scenario", "tworoute", "--out", str(tmp_path / "x"),
+              "--set", f"execution.{key}=0.1"])
+    assert not (tmp_path / "x").exists()
+
+
 def test_singular_pivot_is_named_at_plan_time(tmp_path, monkeypatch, capsys):
     # Leave the last step's effort rows out of every component: x_N gets no
     # effort curvature, so the effort Hessian pivot at step N is singular.

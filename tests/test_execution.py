@@ -107,7 +107,7 @@ def test_dominant_weight_makes_both_modes_emit_its_command(routes):
     past = pols[0].past_reference(3) + rng.normal(scale=1e-3, size=(2, 2))
     from slgp.kodp import step_policy
     dp = (past - pols[0].past_reference(3)).ravel()
-    direct = pols[0].reference(3) + step_policy(pols[0], 3, dp)[0]
+    direct = pols[0].reference(3) + step_policy(pols[0], 3, dp)
     for mode in ("blending", "switching"):
         ctrl = build_controller([pols[0], worse], [comps[0], comps[1]],
                                 mode=mode)
@@ -121,8 +121,7 @@ def test_opposed_feedforwards_blend_to_zero_and_switch_to_the_first():
         return KodpPolicy(
             skeleton_id=sid, d=1, V=np.zeros((1, 2, 2)), v=np.zeros((1, 2)),
             v_bar=np.zeros(1), u_ff=np.array([[sign * 0.6]]),
-            K=np.zeros((1, 1, 2)), lam_ff=(np.zeros(0),),
-            K_lam=(np.zeros((0, 2)),), x_ref=np.zeros((1, 1)),
+            K=np.zeros((1, 1, 2)), x_ref=np.zeros((1, 1)),
             prefix=np.zeros((2, 1)), notes=())
 
     ctrl = CompositeController(policies=(pol("a", 1.0), pol("b", -1.0)),
@@ -166,7 +165,7 @@ def _policy_loop(ctrl, n, past, incumbent):
     for p, ratios in zip(ctrl.policies, ctrl.future_ratios):
         dp = (past - p.past_reference(n)).ravel()
         logits.append(-cost_to_go(p, n, dp) + ratios[n - 1])
-        commands.append(p.reference(n) + step_policy(p, n, dp)[0])
+        commands.append(p.reference(n) + step_policy(p, n, dp))
     logits = np.array(logits)
     w = np.exp(logits - logits.max())
     w /= w.sum()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slgp.features import AccelerationPenalty, coordinate_target
-from slgp.kodp import (StepQuadratics, backward_pass, cost_to_go, quadratize,
+from slgp.kodp import (PolicyError, backward_pass, cost_to_go, quadratize,
                        step_policy)
 from slgp.problem import (PathProblem, assemble, cost_value, free_skeleton,
                           step_constraints)
@@ -39,6 +39,11 @@ def _window_delta(delta, n, d):
     return w
 
 
+def _with_rows(expansion, step, rows):
+    return dataclasses.replace(expansion, rows=tuple(
+        rows if n == step else r for n, r in enumerate(expansion.rows, start=1)))
+
+
 # --- quadratize ----------------------------------------------------------
 
 
@@ -50,9 +55,9 @@ def test_step_models_reproduce_the_true_cost_on_affine_problems():
         delta = rng.normal(scale=0.2, size=sol.x_star.shape)
         stack = assemble(problem, skeleton, sol.x_star + delta)
         model = 0.0
-        for st in exp.steps:
-            w = _window_delta(delta, st.n, problem.d)
-            model += 0.5 * w @ st.hess @ w + st.grad @ w + st.const
+        for n, G in enumerate(exp.grams[:, 0], start=1):
+            w = np.append(_window_delta(delta, n, problem.d), 1.0)
+            model += 0.5 * w @ G @ w
         assert model == pytest.approx(cost_value(stack), rel=1e-10)
 
 
@@ -60,11 +65,9 @@ def test_costless_problems_expand_to_zero_blocks():
     problem = PathProblem.uniform(N=4, d=1, dt=0.5, sigma=1.0,
                                   prefix=np.zeros((2, 1)), per_step=())
     exp, _, _ = _expansion(problem)
-    for st in exp.steps:
-        assert not st.hess.any()
-        assert not st.grad.any()
-        assert st.const == 0.0
-        assert st.con_jac.shape == (0, 3)
+    assert exp.grams.shape == (4, 2, 4, 4)
+    assert not exp.grams.any()
+    assert [rows.shape for rows in exp.rows] == [(0, 3)] * 4
 
 
 def test_constraint_rows_appear_only_inside_the_contact_window(elbow):
@@ -72,59 +75,34 @@ def test_constraint_rows_appear_only_inside_the_contact_window(elbow):
     sol = elbow.solution("fix-joint-2")
     lo, hi = next(m.window for m in sk.modes if m.eq)
     exp = quadratize(elbow.scenario.problem, sk, sol)
+    counts = [rows.shape[0] for rows in exp.rows]
     if not sol.active_set.any():
-        for st in exp.steps:
-            expected = 1 if lo <= st.n <= hi else 0
-            assert st.con_jac.shape[0] == expected
+        for n, count in enumerate(counts, start=1):
+            assert count == (1 if lo <= n <= hi else 0)
     else:
-        assert all(st.con_jac.shape[0] >= 1
-                   for st in exp.steps if lo <= st.n <= hi)
+        assert all(count >= 1 for count in counts[lo - 1:hi])
 
 
-def test_effort_weight_rescales_only_effort_rows():
-    problem = _lq()
-    base, sol, skeleton = _expansion(problem)
-    heavy = quadratize(problem, skeleton, sol, effort_weight=2.0)
-    for st1, st2 in zip(base.steps[:-1], heavy.steps[:-1]):
-        assert np.allclose(st2.hess, 2.0 * st1.hess)
-        assert np.allclose(st2.grad, 2.0 * st1.grad)
-        assert st2.const == pytest.approx(2.0 * st1.const)
-    # The terminal step mixes groups: the task rows must not rescale.
-    last1, last2 = base.steps[-1], heavy.steps[-1]
-    assert not np.allclose(last2.hess, 2.0 * last1.hess)
-
-
-def test_proximal_rho_pads_the_current_block_only():
-    problem = _lq()
-    base, sol, skeleton = _expansion(problem)
-    prox = quadratize(problem, skeleton, sol, proximal_rho=0.5)
-    d = problem.d
-    bump = np.zeros((3 * d, 3 * d))
-    bump[2 * d:, 2 * d:] = np.eye(d)
-    for st1, st2 in zip(base.steps, prox.steps):
-        assert np.allclose(st2.hess - st1.hess, bump)
-        assert np.array_equal(st2.grad, st1.grad)
-
-
-def _per_step_quadratics(problem, skeleton, solution, effort_weight, proximal_rho):
-    """Oracle: every feature at every step on its own, padded into the window."""
+def _per_step_quadratics(problem, skeleton, solution):
+    """Oracle: every feature at every step on its own, padded into the
+    window plus the affine column, summed over all rows and over the
+    effort rows."""
     x, d = solution.x_star, problem.d
     width = 3 * d
     cursor, out = 0, []
     for n in range(1, problem.N + 1):
-        F, phi, const = np.zeros((width, width)), np.zeros(width), 0.0
+        G = np.zeros((2, width + 1, width + 1))
         feats = list(problem.step_costs[n - 1])
         if n == problem.N:
             feats += list(problem.terminal_costs)
         for feat in feats:
             r, jac = feat.eval(problem.window(x, n, feat.window))
-            w = effort_weight if getattr(feat, "group", None) == "effort" else 1.0
-            pad = np.zeros((feat.size, width))
-            pad[:, width - feat.window * d:] = jac
-            F += w * (pad.T @ pad)
-            phi += w * (pad.T @ r)
-            const += 0.5 * w * float(r @ r)
-        F[2 * d:, 2 * d:] += 2.0 * proximal_rho * np.eye(d)
+            pad = np.zeros((feat.size, width + 1))
+            pad[:, width - feat.window * d:width] = jac
+            pad[:, width] = r
+            G[0] += pad.T @ pad
+            if getattr(feat, "group", None) == "effort":
+                G[1] += pad.T @ pad
         eq, ineq = step_constraints(skeleton, n)
         rows = []
         for kind, items in (("eq", eq), ("ineq", ineq)):
@@ -138,7 +116,7 @@ def _per_step_quadratics(problem, skeleton, solution, effort_weight, proximal_rh
                 pad[:, width - feat.window * d:] = jac[keep]
                 rows.append(pad)
         con = np.vstack(rows) if rows else np.zeros((0, width))
-        out.append((F, phi, const, con))
+        out.append((G, con))
     return out
 
 
@@ -148,38 +126,37 @@ def test_quadratize_matches_the_per_step_expansion(name, request):
     problem = bundle.scenario.problem
     for sk in bundle.scenario.skeletons:
         sol = bundle.solution(sk.id)
-        for effort_weight, rho in ((1.0, 0.0), (2.5, 0.3)):
-            exp = quadratize(problem, sk, sol, effort_weight=effort_weight,
-                             proximal_rho=rho)
-            oracle = _per_step_quadratics(problem, sk, sol, effort_weight, rho)
-            for st, (F, phi, const, con) in zip(exp.steps, oracle, strict=True):
-                assert np.abs(st.hess - F).max() <= 1e-12 * max(1.0, np.abs(F).max())
-                assert np.abs(st.grad - phi).max() <= 1e-12 * max(1.0, np.abs(phi).max())
-                assert st.const == pytest.approx(const, rel=1e-12, abs=1e-12)
-                assert st.con_jac.shape == con.shape
-                assert np.abs(st.con_jac - con).max(initial=0.0) <= 1e-12
+        exp = quadratize(problem, sk, sol)
+        oracle = _per_step_quadratics(problem, sk, sol)
+        w = 3 * problem.d
+        for G, rows, (G_ref, con) in zip(exp.grams, exp.rows, oracle, strict=True):
+            for part, ref in ((G[:, :w, :w], G_ref[:, :w, :w]),
+                              (G[:, :w, w], G_ref[:, :w, w])):
+                assert np.abs(part - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert G[:, w, w] == pytest.approx(G_ref[:, w, w], rel=1e-12, abs=2e-12)
+            assert rows.shape == con.shape
+            assert np.abs(rows - con).max(initial=0.0) <= 1e-12
 
 
 # --- backward pass -------------------------------------------------------
 
 
-def test_costless_policy_is_identically_zero():
+def test_costless_policy_raises_naming_the_last_step():
+    # Nothing curves x_N, so the first pivot is zero; no regularization
+    # papers over it.
     problem = PathProblem.uniform(N=4, d=1, dt=0.5, sigma=1.0,
                                   prefix=np.zeros((2, 1)), per_step=())
     exp, _, _ = _expansion(problem)
-    policy = backward_pass(exp)
-    assert not policy.V.any()
-    assert not policy.v.any()
-    assert not policy.v_bar.any()
-    assert not policy.u_ff.any()
-    assert not policy.K.any()
+    with pytest.raises(PolicyError, match="pivot of skeleton 'free' at step 4 "
+                                          "is numerically singular"):
+        backward_pass(exp)
 
 
 def test_feedforward_vanishes_at_the_expansion_point():
     exp, _, _ = _expansion(_lq())
     policy = backward_pass(exp)
     assert np.abs(policy.u_ff).max() < 1e-6
-    xs, _ = _roll_policy(policy, np.zeros(2 * policy.d))
+    xs = _roll_policy(policy, np.zeros(2 * policy.d))
     assert np.abs(xs).max() < 1e-6
 
 
@@ -194,36 +171,40 @@ def test_rolled_policy_matches_the_dense_kkt_oracle(tworoute):
     rng = np.random.default_rng(11)
     for _ in range(5):
         dp = rng.normal(scale=0.05, size=2 * problem.d)
-        z, _, cost = _dense_qp_oracle(exp.steps, problem.d, dp)
-        xs, _ = _roll_policy(policy, dp)
+        z, cost = _dense_qp_oracle(exp, dp)
+        xs = _roll_policy(policy, dp)
         assert np.abs(xs - z).max() < 1e-8
         assert cost_to_go(policy, 1, dp) == pytest.approx(cost, rel=1e-8,
                                                           abs=1e-10)
 
 
-def test_policy_keeps_the_switch_constraint_satisfied(tworoute):
-    problem = tworoute.scenario.problem
-    sk = tworoute.scenario.skeleton("via-near")
-    sol = tworoute.solution("via-near")
-    exp = quadratize(problem, sk, sol)
-    policy = backward_pass(exp)
-    pinned = [st for st in exp.steps if st.con_jac.shape[0]]
-    assert len(pinned) == 1
-    st = pinned[0]
+@pytest.mark.parametrize("name", ["elbow", "tworoute", "push"])
+def test_policy_keeps_the_switch_constraint_satisfied(name, request):
+    # Closed loop from a deviated prefix: at every step with active rows,
+    # the realized window satisfies them.
+    bundle = request.getfixturevalue(name)
+    problem = bundle.scenario.problem
+    d = problem.d
     rng = np.random.default_rng(2)
-    for _ in range(5):
-        dp = rng.normal(scale=0.1, size=2 * problem.d)
-        dx, _ = step_policy(policy, st.n, dp)
-        assert np.abs(st.con_jac @ np.concatenate([dp, dx])).max() < 1e-8
+    checked = 0
+    for sk in bundle.scenario.skeletons:
+        exp = quadratize(problem, sk, bundle.solution(sk.id))
+        policy = backward_pass(exp)
+        for _ in range(3):
+            dp = rng.normal(scale=0.1, size=2 * d)
+            path = np.concatenate([dp, _roll_policy(policy, dp).ravel()])
+            for n, rows in enumerate(exp.rows, start=1):
+                if rows.shape[0]:
+                    window = path[(n - 1) * d:(n + 2) * d]
+                    assert np.abs(rows @ window).max() < 1e-8
+                    checked += 1
+    assert checked
 
 
 def test_gains_are_invariant_under_uniform_cost_scaling():
     exp, _, _ = _expansion(_lq())
     c = 3.7
-    scaled = dataclasses.replace(exp, steps=tuple(
-        StepQuadratics(n=st.n, hess=c * st.hess, grad=c * st.grad,
-                       const=c * st.const, con_jac=st.con_jac)
-        for st in exp.steps))
+    scaled = dataclasses.replace(exp, grams=c * exp.grams)
     p1, p2 = backward_pass(exp), backward_pass(scaled)
     assert np.abs(p2.K - p1.K).max() < 1e-8
     assert np.abs(p2.u_ff - p1.u_ff).max() < 1e-8
@@ -236,10 +217,8 @@ def test_duplicated_constraint_rows_are_filtered(tworoute):
     sk = tworoute.scenario.skeleton("via-near")
     sol = tworoute.solution("via-near")
     exp = quadratize(problem, sk, sol)
-    doubled = dataclasses.replace(exp, steps=tuple(
-        st if not st.con_jac.shape[0] else
-        dataclasses.replace(st, con_jac=np.vstack([st.con_jac, st.con_jac]))
-        for st in exp.steps))
+    doubled = dataclasses.replace(exp, rows=tuple(np.vstack([rows, rows])
+                                                  for rows in exp.rows))
     clean, noisy = backward_pass(exp), backward_pass(doubled)
     assert any("dependent" in note for _, note in noisy.notes)
     assert np.isfinite(noisy.V).all() and np.isfinite(noisy.u_ff).all()
@@ -259,17 +238,30 @@ def test_near_dependent_constraint_column_is_dropped_and_noted():
     near[2 * d:] += 1e-9 * np.linalg.norm(near) * normal / np.linalg.norm(normal)
     step = 3
 
-    def with_rows(con):
-        return dataclasses.replace(exp, steps=tuple(
-            dataclasses.replace(st, con_jac=con) if st.n == step else st
-            for st in exp.steps))
-
-    clean = backward_pass(with_rows(rows))
-    noisy = backward_pass(with_rows(np.vstack([rows, near])))
+    clean = backward_pass(_with_rows(exp, step, rows))
+    noisy = backward_pass(_with_rows(exp, step, np.vstack([rows, near])))
     assert clean.notes == ()
     assert noisy.notes == ((step, "dropped 1 dependent constraint rows"),)
     assert np.abs(noisy.K - clean.K).max() < 1e-8
     assert np.abs(noisy.u_ff - clean.u_ff).max() < 1e-8
+
+
+def test_rows_differing_only_in_the_past_are_carried_back():
+    # Both rows pin the same combination of x_4, so only their difference
+    # over (x_2, x_3) tells them apart: the policy must enforce it at step 3
+    # instead of dropping the second row as dependent.
+    exp, _, _ = _expansion(_lq(N=6, d=2))
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(2, 6))
+    rows[1, 4:] = rows[0, 4:]
+    pinned = _with_rows(exp, 4, rows)
+    policy = backward_pass(pinned)
+    assert policy.notes == ((4, "carried 1 constraint rows to step 3"),)
+    for _ in range(5):
+        dp = rng.normal(scale=0.1, size=4)
+        z, cost = _dense_qp_oracle(pinned, dp)
+        assert np.abs(_roll_policy(policy, dp) - z).max() < 1e-8
+        assert cost_to_go(policy, 1, dp) == pytest.approx(cost, rel=1e-8, abs=1e-10)
 
 
 def test_push_single_finger_policy_drops_its_dependent_row(push):
