@@ -73,8 +73,15 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise SystemExit(f"config section '{name}' must be an object")
+    return section
+
+
 def _scenario_params(args, cfg: dict) -> ScenarioParams:
-    section = dict(cfg.get("scenario", {}))
+    section = dict(_section(cfg, "scenario"))
     if args.scenario:
         section["name"] = args.scenario
     kwargs = {}
@@ -94,21 +101,39 @@ def _scenario_params(args, cfg: dict) -> ScenarioParams:
 _EXECUTION_KEYS = ("controller", "hysteresis", "noiseScale", "priorMode")
 
 
+def _nonnegative(name: str, value) -> float:
+    """value as a finite float >= 0, or SystemExit naming it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not 0.0 <= number < np.inf:
+        raise SystemExit(f"{name} must be a finite number >= 0, got {value!r}")
+    return number
+
+
 def _execution_config(cfg: dict) -> dict:
-    section = cfg.get("execution", {})
-    if not isinstance(section, dict):
-        raise SystemExit("config section 'execution' must be an object")
+    """The execution section with its defaults filled in, checked."""
+    section = _section(cfg, "execution")
     for key in section:
         if key not in _EXECUTION_KEYS:
             raise SystemExit(f"unknown execution parameter '{key}'; choose from "
                              f"{', '.join(_EXECUTION_KEYS)}")
-    return section
+    out = {"controller": section.get("controller", SWITCHING),
+           "priorMode": section.get("priorMode", UNNORMALIZED)}
+    if out["controller"] not in (BLENDING, SWITCHING):
+        raise SystemExit(f"unknown controller mode {out['controller']!r}")
+    if out["priorMode"] not in (UNNORMALIZED, UNIFORM_NA):
+        raise SystemExit(f"unknown priorMode {out['priorMode']!r}")
+    for key, default in (("hysteresis", 0.0), ("noiseScale", 1.0)):
+        out[key] = _nonnegative(f"execution.{key}", section.get(key, default))
+    return out
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     try:
-        return SolverConfig.from_dict(cfg.get("solver", {}))
-    except TypeError as exc:
+        return SolverConfig.from_dict(_section(cfg, "solver"))
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad solver config: {exc}") from exc
 
 
@@ -201,9 +226,7 @@ def cmd_plan(args) -> int:
     params = _scenario_params(args, cfg)
     scenario = build_scenario(params)
     solver_cfg = _solver_config(cfg)
-    prior_mode = _execution_config(cfg).get("priorMode", UNNORMALIZED)
-    if prior_mode not in (UNNORMALIZED, UNIFORM_NA):
-        raise SystemExit(f"unknown priorMode '{prior_mode}'")
+    prior_mode = _execution_config(cfg)["priorMode"]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -282,6 +305,8 @@ def _parse_disturb(exprs) -> list[tuple[int, np.ndarray]]:
             colon = ""
         if not colon:
             raise SystemExit(f"--disturb expects step:v1,v2,..., got '{expr}'")
+        if not np.isfinite(vec).all():
+            raise SystemExit(f"--disturb entries must be finite, got '{expr}'")
     return out
 
 
@@ -291,13 +316,11 @@ def cmd_simulate(args) -> int:
     scenario = build_scenario(params)
     solver_cfg = _solver_config(cfg)
     exec_cfg = _execution_config(cfg)
-    mode = args.controller or exec_cfg.get("controller", SWITCHING)
-    if mode not in (BLENDING, SWITCHING):
-        raise SystemExit(f"unknown controller mode '{mode}'")
-    hysteresis = (args.hysteresis if args.hysteresis is not None
-                  else float(exec_cfg.get("hysteresis", 0.0)))
-    noise = (args.noise if args.noise is not None
-             else float(exec_cfg.get("noiseScale", 1.0)))
+    mode = args.controller or exec_cfg["controller"]
+    hysteresis = (exec_cfg["hysteresis"] if args.hysteresis is None
+                  else _nonnegative("--hysteresis", args.hysteresis))
+    noise = (exec_cfg["noiseScale"] if args.noise is None
+             else _nonnegative("--noise", args.noise))
     seeds = _parse_seeds(args.seeds)
     disturbances = _parse_disturb(args.disturb)
     for step, vec in disturbances:

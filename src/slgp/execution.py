@@ -21,7 +21,8 @@ import numpy as np
 
 from .kodp import KodpPolicy
 from .laplace import LaplaceComponent, future_log_ratios
-from .problem import PathProblem, Skeleton, assemble, cost_value, step_constraints
+from .problem import (FeatureEvalError, PathProblem, Skeleton, assemble,
+                      cost_value, step_constraints, step_equalities)
 
 Array = np.ndarray
 
@@ -101,8 +102,8 @@ def build_controller(policies, components, mode: str = SWITCHING,
     components = tuple(components)
     if mode not in (BLENDING, SWITCHING):
         raise ValueError(f"unknown mode '{mode}'")
-    if hysteresis < 0.0:
-        raise ValueError("hysteresis must be nonnegative")
+    if not hysteresis >= 0.0:
+        raise ValueError(f"hysteresis must be nonnegative, got {hysteresis!r}")
     if len(policies) != len(components) or not policies:
         raise ValueError("need one component per policy")
     for p, c in zip(policies, components):
@@ -184,27 +185,18 @@ class Rollout:
 
 
 def _project_equalities(problem: PathProblem, skeleton: Skeleton, n: int,
-                        past: Array, x_guess: Array) -> Array:
-    """Newton projection of x_n onto the step's active equality manifold."""
-    eq_feats, _ = step_constraints(skeleton, n)
-    if not eq_feats:
-        return x_guess
-    d = problem.d
-    x = x_guess.copy()
+                        padded: Array) -> None:
+    """Newton projection of x_n, row n+1 of the prefix-padded path, onto
+    the step's active equality manifold, in place."""
+    eq, _ = step_constraints(skeleton, n)
+    if not eq:
+        return
     for _ in range(_PROJECT_MAX_ITER):
-        vals = []
-        jacs = []
-        for _, feat in eq_feats:
-            window = np.vstack([past, x[None, :]])[-feat.window:]
-            value, jac = feat.eval(window)
-            vals.append(np.atleast_1d(np.asarray(value, dtype=float)))
-            jacs.append(np.asarray(jac, dtype=float)[:, -d:])
-        h = np.concatenate(vals)
+        h, J = step_equalities(eq, n, padded)
         if np.abs(h).max() <= _PROJECT_TOL:
-            return x
-        J = np.vstack(jacs)
+            return
         dx, *_ = np.linalg.lstsq(J, -h, rcond=None)
-        x = x + dx
+        padded[n + 1] += dx
     raise RolloutError(n, f"equality projection stalled, residual {np.abs(h).max():.3e}, "
                           f"last step norm {np.abs(dx).max():.3e}")
 
@@ -220,6 +212,8 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     (step, vector) impulses.  After each realized step the configuration
     is projected onto the executing skeleton's active equality rows.
     target, when given, is (coords, values) for the final-error metric.
+    A stalled projection, or a feature that fails to evaluate in the
+    projection or on the realized path, raises RolloutError naming the step.
     """
     N, d = problem.N, problem.d
     K = len(controller.policies)
@@ -242,17 +236,19 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
         noise[:, ~problem.actuated] = 0.0
     incumbent: int | None = None
 
-    for n in range(1, N + 1):
-        past = padded[n - 1:n + 1]
-        weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
-        active[n - 1] = incumbent
-        commands[n - 1] = cmd
-        x = cmd + noise[n - 1]
-        if n in bumps:
-            x = x + bumps[n]
-        path[n - 1] = _project_equalities(problem, truth_skeleton, n, past, x)
-
-    stack = assemble(problem, truth_skeleton, path)
+    try:
+        for n in range(1, N + 1):
+            past = padded[n - 1:n + 1]
+            weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
+            active[n - 1] = incumbent
+            commands[n - 1] = cmd
+            path[n - 1] = cmd + noise[n - 1]
+            if n in bumps:
+                path[n - 1] += bumps[n]
+            _project_equalities(problem, truth_skeleton, n, padded)
+        stack = assemble(problem, truth_skeleton, path)
+    except FeatureEvalError as exc:
+        raise RolloutError(exc.step, str(exc)) from exc
     trace = np.zeros(N)
     np.maximum.at(trace, stack.eq_steps - 1, np.abs(stack.eq))
     np.maximum.at(trace, stack.ineq_steps - 1, np.clip(stack.ineq, 0.0, None))

@@ -12,13 +12,12 @@ negative log density of the uncontrolled (passive) path distribution;
 ``"task"`` rows are state costs.  The split matters downstream where the
 two Hessians are compared against each other.
 
-A feature may also define ``eval_batch(xs)``: xs stacks M windows as an
-(M, window, d) array, and the result is the values (M, size) and the
-Jacobians (M, size, window * d), row m equal to ``eval(xs[m])``.
-``problem.assemble`` evaluates each feature once over all the steps where
-it applies, through ``eval_batch`` when present and by stacking ``eval``
-otherwise.  The bundled features index windows from their last two axes,
-so one method serves both: ``eval_batch = eval``.
+A feature has one method, ``eval(xs)``: xs stacks windows on leading
+axes as an (..., window, d) array, and the result is the values
+(..., size) and the Jacobians (..., size, window * d), each window
+evaluated on its own.  ``problem.assemble`` calls it once per feature
+over an (M, window, d) stack of all the steps where the feature applies,
+and checks the shapes and finiteness of what it returns.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ class AccelerationPenalty:
         r = self.scale * (xs[..., 2, :] - 2.0 * xs[..., 1, :] + xs[..., 0, :])
         return r[..., self.coords], _constant(self._jac, xs)
 
-    eval_batch = eval
-
 
 class DriftPenalty:
     """Effort rows penalizing the first difference of selected coordinates.
@@ -101,8 +98,6 @@ class DriftPenalty:
         r = self.scale * (xs[..., 1, :] - xs[..., 0, :])
         return r[..., self.coords], _constant(self._jac, xs)
 
-    eval_batch = eval
-
 
 class AffineFeature:
     """r = A @ vec(window) + b with constant Jacobian A."""
@@ -123,8 +118,6 @@ class AffineFeature:
     def eval(self, xs: Array) -> tuple[Array, Array]:
         flat = xs.reshape(xs.shape[:-2] + (-1,))
         return flat @ self.A.T + self.b, _constant(self.A, xs)
-
-    eval_batch = eval
 
 
 def coordinate_target(dim: int, coords, values, weight: float = 1.0,

@@ -173,16 +173,6 @@ class PathProblem:
                    step_costs=tuple(tuple(per_step) for _ in range(N)),
                    terminal_costs=tuple(terminal), actuated=actuated)
 
-    def config(self, x: Array, m: int) -> Array:
-        """Configuration at index m, substituting the prefix for m <= 0."""
-        if m >= 1:
-            return x[m - 1]
-        return self.prefix[m + 1]
-
-    def window(self, x: Array, n: int, width: int) -> Array:
-        """Stack configurations n-width+1 .. n, oldest first."""
-        return np.stack([self.config(x, m) for m in range(n - width + 1, n + 1)])
-
 
 def step_constraints(skeleton: Skeleton, n: int):
     """Equality and inequality features active at step n, in canonical order.
@@ -272,55 +262,33 @@ def step_gram(steps: Array, rows: Array, weights: Array, N: int) -> Array:
     return slabs[0].transpose(0, 2, 1) @ slabs[1]
 
 
-def _eval_feature(feat, xs: Array, n: int, label: str):
-    """Value and Jacobian of one feature on the window xs of step n, checked."""
-    try:
-        value, jac = feat.eval(xs)
-    except FeatureEvalError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - reported with step/feature index
-        raise FeatureEvalError(n, label, repr(exc)) from exc
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    jac = np.asarray(jac, dtype=float)
-    if value.shape != (feat.size,) or jac.shape != (feat.size, feat.window * xs.shape[1]):
-        raise FeatureEvalError(n, label, f"bad shapes {value.shape}, {jac.shape}")
-    if not np.all(np.isfinite(value)) or not np.all(np.isfinite(jac)):
-        raise FeatureEvalError(n, label, "nonfinite value or Jacobian")
-    return value, jac
-
-
 def _eval_group(feat, label: str, xp: Array, steps: Array):
     """Values (M, size) and Jacobians (M, size, window*d) of one feature at
     each of its M steps; xp is the path with the two prefix rows in front.
 
-    A FeatureEvalError names the first step that fails: when eval_batch
-    raises, the steps are evaluated one by one to find it.
+    One eval call covers all the steps.  A FeatureEvalError names the
+    first step that fails: when eval raises, the one-step slices are
+    evaluated in turn to find it.
     """
-    w, d = feat.window, xp.shape[1]
+    w, d, m = feat.window, xp.shape[1], len(steps)
     first = int(steps[0])
     if w not in (1, 2, 3):
         raise FeatureEvalError(first, label, f"window {w} is not 1, 2 or 3")
-    xs = xp[steps[:, None] + np.arange(2 - w, 2)]
-
-    def per_step():
-        evals = [_eval_feature(feat, xs[m], int(n), label) for m, n in enumerate(steps)]
-        return np.stack([v for v, _ in evals]), np.stack([j for _, j in evals])
-
-    batch = getattr(feat, "eval_batch", None)
-    if batch is None:
-        return per_step()
     try:
-        values, jacs = batch(xs)
+        values, jacs = feat.eval(xp[steps[:, None] + np.arange(2 - w, 2)])
     except FeatureEvalError:
         raise
     except Exception as exc:  # noqa: BLE001 - reported with step/feature index
-        per_step()
-        raise FeatureEvalError(first, label, f"batch over steps {first}..{int(steps[-1])}: "
+        if m == 1:
+            raise FeatureEvalError(first, label, repr(exc)) from exc
+        for i in range(m):
+            _eval_group(feat, label, xp, steps[i:i + 1])
+        raise FeatureEvalError(first, label, f"eval over steps {first}..{int(steps[-1])}: "
                                              f"{exc!r}") from exc
     values = np.asarray(values, dtype=float)
     jacs = np.asarray(jacs, dtype=float)
-    if values.shape != (len(steps), feat.size) or jacs.shape != (len(steps), feat.size, w * d):
-        raise FeatureEvalError(first, label, f"bad batch shapes {values.shape}, {jacs.shape}")
+    if values.shape != (m, feat.size) or jacs.shape != (m, feat.size, w * d):
+        raise FeatureEvalError(first, label, f"bad shapes {values.shape}, {jacs.shape}")
     finite = np.isfinite(values).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
     if not finite.all():
         raise FeatureEvalError(int(steps[np.argmin(finite)]), label,
@@ -415,6 +383,23 @@ def _layout(problem: PathProblem, skeleton: Skeleton):
     memo[key] = (weakref.ref(skeleton, lambda _: memo.pop(key, None)),
                  (kinds, effort_mask))
     return kinds, effort_mask
+
+
+def step_equalities(eq, n: int, xp: Array) -> tuple[Array, Array]:
+    """Values and Jacobians with respect to x_n of step n's equality rows.
+
+    eq is the nonempty list of (owner, feature) pairs that step_constraints
+    gives for step n, and the rows come in its canonical order; xp is the
+    path with the two prefix rows in front, read up to x_n.  Checked and
+    labelled as in assemble.
+    """
+    steps, d = np.array([n]), xp.shape[1]
+    values, jacs = zip(*(_eval_group(feat, f"{owner}:{_label(feat)}", xp, steps)
+                         for owner, feat in eq))
+    # Features of different windows may share a step: keep the x_n columns
+    # of each group before joining them.
+    return (np.concatenate(values, axis=1)[0],
+            np.concatenate([jac[0, :, -d:] for jac in jacs]))
 
 
 def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack:

@@ -147,8 +147,6 @@ class ArmPointTarget:
         jac = arm_joint_jacobians(theta, self.lengths)
         return self.w * (pts[..., -1, :] - self.target), self.w * jac[..., -1, :, :]
 
-    eval_batch = eval
-
 
 class ArmJointHeight:
     """Equality row: the y coordinate of one link tip (zero on the table)."""
@@ -168,8 +166,6 @@ class ArmJointHeight:
         k = self.joint - 1
         return pts[..., k, 1:2], jac[..., k, 1:2, :]
 
-    eval_batch = eval
-
 
 class ArmTableClearance:
     """Inequality rows -y_joint <= 0 keeping link tips above the table."""
@@ -188,8 +184,6 @@ class ArmTableClearance:
         jac = arm_joint_jacobians(theta, self.lengths)
         idx = [j - 1 for j in self.joints]
         return -pts[..., idx, 1], -jac[..., idx, 1, :]
-
-    eval_batch = eval
 
 
 def build_elbow(params: ScenarioParams) -> Scenario:
@@ -249,15 +243,12 @@ def build_elbow(params: ScenarioParams) -> Scenario:
 
 # --- quasi-static push ----------------------------------------------------
 
-def _rot(theta: Array) -> Array:
-    """Rotation matrices (..., 2, 2) for angles of any shape."""
+def _rot(theta: Array) -> tuple[Array, Array]:
+    """Rotation matrices R (..., 2, 2) for angles of any shape, and their
+    derivatives dR/dtheta: row i of dR is row 1-i of R, signed."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-
-
-def _drot(theta: Array) -> Array:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([-s, -c], -1), np.stack([c, -s], -1)], -2)
+    R = np.stack([c, -s, s, c], -1).reshape(np.shape(theta) + (2, 2))
+    return R, R[..., ::-1, :] * np.array([[-1.0], [1.0]])
 
 
 class BoxAtRest:
@@ -279,8 +270,6 @@ class BoxAtRest:
     def eval(self, xs: Array):
         b = slice(self.box0, self.box0 + 3)
         return xs[..., 1, b] - xs[..., 0, b], _constant(self._jac, xs)
-
-    eval_batch = eval
 
 
 class ContactFacePlane:
@@ -304,7 +293,7 @@ class ContactFacePlane:
         pf = x[..., self.finger0:self.finger0 + 2]
         b = x[..., self.box0:self.box0 + 2]
         th = x[..., self.box0 + 2]
-        R, dR = _rot(th), _drot(th)
+        R, dR = _rot(th)
         n = R @ self.normal
         rel = pf - b - R @ self.contact
         jac = np.zeros(x.shape[:-1] + (1, self.dim))
@@ -313,8 +302,6 @@ class ContactFacePlane:
         jac[..., 0, self.box0 + 2] = (np.sum((dR @ self.normal) * rel, axis=-1)
                                       - np.sum(n * (dR @ self.contact), axis=-1))
         return np.sum(n * rel, axis=-1)[..., None], jac
-
-    eval_batch = eval
 
 
 class ContactPointTouch:
@@ -336,14 +323,12 @@ class ContactPointTouch:
         pf = x[..., self.finger0:self.finger0 + 2]
         b = x[..., self.box0:self.box0 + 2]
         th = x[..., self.box0 + 2]
-        R, dR = _rot(th), _drot(th)
+        R, dR = _rot(th)
         jac = np.zeros(x.shape[:-1] + (2, self.dim))
         jac[..., :, self.finger0:self.finger0 + 2] = np.eye(2)
         jac[..., :, self.box0:self.box0 + 2] = -np.eye(2)
         jac[..., :, self.box0 + 2] = -(dR @ self.contact)
         return pf - b - R @ self.contact, jac
-
-    eval_batch = eval
 
 
 def build_push(params: ScenarioParams) -> Scenario:

@@ -15,7 +15,8 @@ convergence is gated directly on the KKT residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 import numpy as np
 
 from .banded import FactorizationError, band_from_step_blocks, banded_cholesky_solve
@@ -52,6 +53,20 @@ class SolverConfig:
     armijo_c: float = 1e-4
     armijo_shrink: float = 0.5
     hessian_reg: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if isinstance(f.default, int):
+                if not (isinstance(value, numbers.Integral) and value >= 1):
+                    raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+            elif not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+                raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
+        if not self.armijo_shrink < 1.0:
+            # A backtracking factor of 1 or more never shortens the step.
+            raise ValueError(f"armijo_shrink must be below 1, got {self.armijo_shrink!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SolverConfig":

@@ -5,6 +5,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slgp.cli import main
@@ -165,6 +166,23 @@ def test_explicit_truth_skeleton_is_honored(tmp_path):
     assert "truth skeleton: via-far" in (out / "report.txt").read_text()
 
 
+def test_overflowing_disturbance_aborts_the_seed_with_step_and_feature(tmp_path, capsys):
+    out = tmp_path / "blown"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", "--scenario", "tworoute", "--out", str(out),
+                     "--seeds", "0", "--disturb", "20:1e307,0"])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    header, rows = _read_csv(out / "summary.csv")
+    assert header == SUMMARY_HEADER and rows == [["0", "1", "", "", "", ""]]
+    record, = [json.loads(line)
+               for line in (out / "rollouts.jsonl").read_text().splitlines()]
+    assert record["aborted"] is True
+    assert record["reason"].startswith("rollout aborted at step 20: feature 'accel' "
+                                       "at step 20: nonfinite")
+    assert "aborted: 1" in (out / "report.txt").read_text()
+
+
 # --- validation and exit codes ----------------------------------------------
 
 
@@ -212,6 +230,53 @@ def test_unknown_execution_keys_are_rejected(tmp_path, command, key):
     with pytest.raises(SystemExit, match=f"unknown execution parameter '{key}'"):
         main([command, "--scenario", "tworoute", "--out", str(tmp_path / "x"),
               "--set", f"execution.{key}=0.1"])
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scenario, extra, message", [
+    ("push", ["--disturb", "20:nan,0,0,0,0,0,0"],
+     "--disturb entries must be finite, got '20:nan,0,0,0,0,0,0'"),
+    ("tworoute", ["--noise", "-1"], "--noise must be a finite number >= 0, got -1.0"),
+    ("tworoute", ["--noise", "nan"], "--noise must be a finite number >= 0, got nan"),
+    ("tworoute", ["--hysteresis", "-1"],
+     "--hysteresis must be a finite number >= 0, got -1.0"),
+    ("tworoute", ["--hysteresis", "nan"],
+     "--hysteresis must be a finite number >= 0, got nan"),
+    ("tworoute", ["--set", "execution.noiseScale=abc"],
+     "execution.noiseScale must be a finite number >= 0, got 'abc'"),
+    ("tworoute", ["--set", "execution.priorMode=bogus"], "unknown priorMode 'bogus'"),
+], ids=["disturb-nan", "noise-negative", "noise-nan", "hysteresis-negative",
+        "hysteresis-nan", "noise-scale-text", "prior-mode-unknown"])
+def test_bad_execution_inputs_are_named(tmp_path, scenario, extra, message):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "x"),
+              "--seeds", "0", *extra])
+    assert str(info.value.code) == message
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("setting, message", [
+    ("scenario=3", "config section 'scenario' must be an object"),
+    ("solver=3", "config section 'solver' must be an object"),
+    ("execution=3", "config section 'execution' must be an object"),
+    ("solver.maxOuter=abc", "bad solver config: max_outer must be an integer >= 1, got 'abc'"),
+    ("solver.maxOuter=2.5", "bad solver config: max_outer must be an integer >= 1, got 2.5"),
+    ("solver.maxOuter=true", "bad solver config: max_outer must be a number, got True"),
+    ("solver.maxInner=0", "bad solver config: max_inner must be an integer >= 1, got 0"),
+    ("solver.tolStep=0", "bad solver config: tol_step must be a finite number > 0, got 0"),
+    ("solver.muGrowth=Infinity",
+     "bad solver config: mu_growth must be a finite number > 0, got inf"),
+    ("solver.armijoShrink=1", "bad solver config: armijo_shrink must be below 1, got 1"),
+], ids=["scenario-int", "solver-int", "execution-int", "max-outer-text",
+        "max-outer-fraction", "max-outer-bool", "max-inner-zero",
+        "tol-step-zero", "mu-growth-inf", "armijo-shrink-one"])
+def test_bad_config_sections_and_solver_settings_are_named(tmp_path, command, setting,
+                                                           message):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--scenario", "tworoute", "--out", str(tmp_path / "x"),
+              "--set", setting])
+    assert str(info.value.code) == message
     assert not (tmp_path / "x").exists()
 
 

@@ -13,8 +13,10 @@ from slgp.features import AffineFeature
 from slgp.kodp import (KodpPolicy, backward_pass, cost_to_go, quadratize,
                        step_policy)
 from slgp.laplace import build_component, mixture_weights
-from slgp.problem import Mode, Skeleton
-from slgp.scenarios import ScenarioParams, build_scenario
+from slgp.problem import (Mode, Skeleton, Switch, step_constraints,
+                          step_equalities)
+from slgp.scenarios import (BoxAtRest, ContactPointTouch, ScenarioParams,
+                            build_scenario)
 from slgp.solver import SolverConfig, solve
 
 
@@ -217,7 +219,9 @@ def _stepwise_rollout(problem, truth, ctrl, noise_scale, seed):
                      else select_skeleton(w, incumbent, ctrl.hysteresis))
         eta = rng.standard_normal(problem.d) * std
         eta[~problem.actuated] = 0.0
-        x = _project_equalities(problem, truth, n, past, cmd + eta)
+        padded = np.vstack([problem.prefix, *path, cmd + eta])
+        _project_equalities(problem, truth, n, padded)
+        x = padded[n + 1]
         path.append(x)
         commands.append(cmd)
         active.append(incumbent)
@@ -257,8 +261,9 @@ def test_controller_pairing_is_validated(routes):
         build_controller(pols, comps[:1])
     with pytest.raises(ValueError):
         build_controller(pols, comps, mode="voting")
-    with pytest.raises(ValueError):
-        build_controller(pols, comps, hysteresis=-0.1)
+    for hysteresis in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            build_controller(pols, comps, hysteresis=hysteresis)
 
 
 # --- closed loop ------------------------------------------------------------
@@ -338,6 +343,65 @@ def test_projection_failure_aborts_with_the_step(routes):
         rollout(sc.problem, truth, ctrl, noise_scale=0.0, seed=0)
     assert info.value.step == 1
     assert "projection" in str(info.value)
+
+
+class _NanBeyond:
+    """A feature whose values turn NaN where coordinate coord of its last
+    configuration exceeds limit."""
+
+    def __init__(self, inner, coord, limit):
+        self.inner, self.coord, self.limit = inner, coord, limit
+        self.window, self.size, self.name = inner.window, inner.size, inner.name
+
+    def eval(self, xs):
+        values, jacs = self.inner.eval(xs)
+        return np.where(xs[..., -1, self.coord, None] > self.limit, np.nan, values), jacs
+
+
+def test_nonfinite_contact_feature_aborts_the_rollout_with_step_and_label(push):
+    ctrl = _bundle_controller(push)
+    problem = push.scenario.problem
+    truth = push.scenario.skeleton("two-finger")
+    approach, contact = truth.modes
+    assert contact.symbol == "push-12"
+    # Poison face-1 once the box passes halfway from its position at step
+    # k - 1 of the clean rollout to that at step k; before step k the clean
+    # box never gets that far.
+    k = contact.window[0] + 15
+    box_x = rollout(problem, truth, ctrl, noise_scale=0.0).path[:, 4]
+    assert box_x[k - 2] < box_x[k - 1] and box_x[:k - 1].max() == box_x[k - 2]
+    face = _NanBeyond(contact.eq[0], 4, 0.5 * (box_x[k - 2] + box_x[k - 1]))
+    assert face.name == "face-1"
+    poisoned = dataclasses.replace(truth, modes=(
+        approach, dataclasses.replace(contact, eq=(face, *contact.eq[1:]))))
+    with pytest.raises(RolloutError) as info:
+        rollout(problem, poisoned, ctrl, noise_scale=0.0)
+    assert info.value.step == k
+    assert (f"rollout aborted at step {k}: feature 'push-12:face-1' at step {k}: "
+            "nonfinite value or Jacobian") == str(info.value)
+
+
+def test_projection_mixes_feature_windows_at_one_step(push):
+    problem = push.scenario.problem
+    N, d = problem.N, problem.d
+    rest = BoxAtRest(d, 4)
+    touch = ContactPointTouch(0, 4, np.array([-0.1, 0.0]), d)
+    assert (rest.window, touch.window) == (2, 1)
+    s = 5
+    sk = Skeleton(id="rest-touch",
+                  modes=(Mode("approach", (1, s - 1), eq=(rest,)),
+                         Mode("hold", (s, N), eq=(rest,))),
+                  switches=(Switch("touch", s, eq=(touch,)),))
+    eq, _ = step_constraints(sk, s)
+    padded = np.tile(problem.prefix[0], (N + 2, 1))
+    padded[s + 1] += np.random.default_rng(3).normal(scale=0.05, size=d)
+    h, J = step_equalities(eq, s, padded)
+    windows = [padded[s + 2 - f.window:s + 2] for _, f in eq]
+    assert np.array_equal(h, np.concatenate([f.eval(xs)[0] for (_, f), xs in zip(eq, windows)]))
+    assert np.array_equal(J, np.vstack([f.eval(xs)[1][:, -d:] for (_, f), xs in zip(eq, windows)]))
+    _project_equalities(problem, sk, s, padded)
+    for (_, f), xs in zip(eq, [padded[s + 2 - f.window:s + 2] for _, f in eq]):
+        assert np.abs(f.eval(xs)[0]).max() <= 1e-9
 
 
 def test_rms_final_error_on_raw_paths_and_rollouts(routes):

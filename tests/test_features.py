@@ -100,7 +100,7 @@ def test_batched_evaluation_matches_each_window():
              AffineFeature(rng.normal(size=(2, 6)), rng.normal(size=2), window=2))
     for feat in feats:
         xs = rng.normal(size=(5, feat.window, 3))
-        values, jacs = feat.eval_batch(xs)
+        values, jacs = feat.eval(xs)
         assert values.shape == (5, feat.size)
         assert jacs.shape == (5, feat.size, feat.window * 3)
         for m in range(5):

@@ -13,6 +13,8 @@ from slgp.problem import (PathProblem, assemble, cost_value, free_skeleton,
 from slgp.selftest import _dense_qp_oracle, _roll_policy  # noqa: PLC2701
 from slgp.solver import SolverConfig, solve
 
+from path_windows import window
+
 TIGHT = SolverConfig(tol_step=1e-12, hessian_reg=1e-12)
 
 
@@ -96,7 +98,7 @@ def _per_step_quadratics(problem, skeleton, solution):
         if n == problem.N:
             feats += list(problem.terminal_costs)
         for feat in feats:
-            r, jac = feat.eval(problem.window(x, n, feat.window))
+            r, jac = feat.eval(window(problem, x, n, feat.window))
             pad = np.zeros((feat.size, width + 1))
             pad[:, width - feat.window * d:width] = jac
             pad[:, width] = r
@@ -107,7 +109,7 @@ def _per_step_quadratics(problem, skeleton, solution):
         rows = []
         for kind, items in (("eq", eq), ("ineq", ineq)):
             for _, feat in items:
-                _, jac = feat.eval(problem.window(x, n, feat.window))
+                _, jac = feat.eval(window(problem, x, n, feat.window))
                 keep = np.ones(feat.size, dtype=bool)
                 if kind == "ineq":
                     keep = solution.active_set[cursor:cursor + feat.size]

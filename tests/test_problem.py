@@ -14,6 +14,8 @@ from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                           step_constraints, validate_skeleton)
 from slgp.selftest import dense_jacobian
 
+from path_windows import window
+
 
 def _toy_problem(N=6, d=2):
     return PathProblem.uniform(
@@ -37,18 +39,6 @@ def test_prefix_is_frozen():
     problem = _toy_problem()
     with pytest.raises(ValueError):
         problem.prefix[0, 0] = 1.0
-
-
-def test_config_substitutes_prefix_below_step_one():
-    problem = PathProblem.uniform(N=3, d=1, dt=0.1, sigma=1.0,
-                                  prefix=np.array([[-2.0], [-1.0]]),
-                                  per_step=())
-    x = np.array([[1.0], [2.0], [3.0]])
-    assert problem.config(x, -1) == pytest.approx([-2.0])
-    assert problem.config(x, 0) == pytest.approx([-1.0])
-    assert problem.config(x, 1) == pytest.approx([1.0])
-    window = problem.window(x, 1, 3)
-    assert np.allclose(window, [[-2.0], [-1.0], [1.0]])
 
 
 def test_single_mode_skeleton_validates_clean():
@@ -198,7 +188,7 @@ def _per_step_oracle(problem, skeleton, x):
                             ("ineq", ineq)):
             for owner, feat in items:
                 label = feat.name if owner is None else f"{owner}:{feat.name}"
-                value, jac = feat.eval(problem.window(x, n, feat.window))
+                value, jac = feat.eval(window(problem, x, n, feat.window))
                 block = np.zeros((feat.size, 3 * d))
                 block[:, (3 - feat.window) * d:] = jac
                 for i in range(feat.size):
@@ -245,45 +235,6 @@ def test_batched_stack_matches_the_per_step_oracle(name, request):
                                   [e for *_, e in oracle["cost"]])
 
 
-class _EvalOnly:
-    """A user feature without eval_batch: assemble stacks its eval."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.window, self.size, self.name = inner.window, inner.size, inner.name
-        self.group = getattr(inner, "group", None)
-
-    def eval(self, xs):
-        return self.inner.eval(xs)
-
-
-def test_features_without_eval_batch_assemble_identically(elbow):
-    problem = elbow.scenario.problem
-    skeleton = elbow.scenario.skeleton("fix-both")
-    wrapped = {}
-
-    def wrap(feats):
-        return tuple(wrapped.setdefault(id(f), _EvalOnly(f)) for f in feats)
-
-    plain_problem = dataclasses.replace(
-        problem, step_costs=tuple(wrap(fs) for fs in problem.step_costs),
-        terminal_costs=wrap(problem.terminal_costs))
-    plain_skeleton = dataclasses.replace(
-        skeleton,
-        modes=tuple(dataclasses.replace(m, eq=wrap(m.eq), ineq=wrap(m.ineq))
-                    for m in skeleton.modes),
-        switches=tuple(dataclasses.replace(s, eq=wrap(s.eq), ineq=wrap(s.ineq))
-                       for s in skeleton.switches))
-    x = elbow.solution("fix-both").x_star
-    a = assemble(problem, skeleton, x)
-    b = assemble(plain_problem, plain_skeleton, x)
-    for field in ("cost_index", "eq_index", "ineq_index", "effort_mask",
-                  "cost_steps", "eq_steps", "ineq_steps"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    for field in ("residuals", "eq", "ineq", "cost_blocks", "eq_blocks", "ineq_blocks"):
-        assert np.abs(getattr(a, field) - getattr(b, field)).max() <= 1e-12
-
-
 class _Sqrt:
     """sqrt(x[coord]) on one configuration, nonfinite where x[coord] < 0."""
 
@@ -299,12 +250,6 @@ class _Sqrt:
         with np.errstate(invalid="ignore"):
             return np.sqrt(v), jac
 
-    eval_batch = eval
-
-
-class _SqrtEvalOnly(_Sqrt):
-    eval_batch = None
-
 
 class _SqrtRaising(_Sqrt):
     """Raises on a negative coordinate, in a batch and at a single step."""
@@ -314,13 +259,10 @@ class _SqrtRaising(_Sqrt):
             raise ValueError("negative")
         return super().eval(xs)
 
-    eval_batch = eval
 
-
-@pytest.mark.parametrize("feat", [_Sqrt(), _SqrtEvalOnly()], ids=["batch", "fallback"])
-def test_nonfinite_batch_names_the_first_bad_step_and_label(feat):
+def test_nonfinite_batch_names_the_first_bad_step_and_label():
     problem = _toy_problem()
-    sk = Skeleton(id="rooted", modes=(Mode("m", (1, 6), ineq=(feat,)),))
+    sk = Skeleton(id="rooted", modes=(Mode("m", (1, 6), ineq=(_Sqrt(),)),))
     x = np.ones((6, 2))
     x[3, 0] = x[4, 0] = -1.0
     with pytest.raises(FeatureEvalError) as err:
