@@ -18,7 +18,7 @@ from .laplace import (LaplaceComponent, PathMixture, SingularComponentError,
                       mixture_weights, multimodal_cost, nullspace_basis,
                       sample_paths)
 from .kodp import (KodpPolicy, PolicyError, backward_pass, cost_to_go,
-                   quadratize, step_policy)
+                   quadratize, read_policy, step_policy)
 from .execution import (CompositeController, Rollout, RolloutError,
                         build_controller, compose, online_weights,
                         rms_final_error, rollout, select_skeleton)
@@ -37,7 +37,7 @@ __all__ = [
     "build_component", "build_mixture", "future_log_ratios",
     "mixture_weights", "multimodal_cost", "nullspace_basis", "sample_paths",
     "KodpPolicy", "PolicyError", "backward_pass", "cost_to_go", "quadratize",
-    "step_policy",
+    "read_policy", "step_policy",
     "CompositeController", "Rollout", "RolloutError", "build_controller",
     "compose", "online_weights", "rms_final_error", "rollout",
     "select_skeleton",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .execution import (BLENDING, SWITCHING, RolloutError, build_controller,
                         rollout)
-from .kodp import PolicyError, backward_pass, quadratize
+from .kodp import read_policy
 from .laplace import (UNIFORM_NA, UNNORMALIZED, SingularComponentError,
                       build_component, build_mixture)
 from .problem import validate_skeleton
@@ -332,8 +332,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     solutions, components, reasons = _plan_scenario(scenario, solver_cfg)
-    kept = [(sk, sol, comp) for sk, sol, comp
-            in zip(scenario.skeletons, solutions, components) if comp is not None]
+    kept = [c for c in components if c is not None]
     dropped = [(sk.id, reason) for sk, reason in zip(scenario.skeletons, reasons)
                if reason is not None]
     if not kept:
@@ -342,14 +341,9 @@ def cmd_simulate(args) -> int:
         for sid, reason in dropped:
             print(f"dropped {sid}: {reason}", file=sys.stderr)
         return 2
-    try:
-        policies = [backward_pass(quadratize(scenario.problem, sk, sol))
-                    for sk, sol, _ in kept]
-    except PolicyError as exc:
-        print(f"policy construction failed: {exc}", file=sys.stderr)
-        return 2
-    controller = build_controller(policies, [c for _, _, c in kept],
-                                  mode=mode, hysteresis=hysteresis)
+    policies = [read_policy(c.elimination, c.skeleton_id, c.x_star, c.prefix)
+                for c in kept]
+    controller = build_controller(policies, kept, mode=mode, hysteresis=hysteresis)
 
     if args.truth:
         try:
@@ -361,8 +355,8 @@ def cmd_simulate(args) -> int:
     elif scenario.truth is not None:
         truth = scenario.truth
     else:
-        mixture = build_mixture([c for _, _, c in kept])
-        truth = kept[int(np.argmax(mixture.weights))][0]
+        mixture = build_mixture(kept)
+        truth = scenario.skeleton(kept[int(np.argmax(mixture.weights))].skeleton_id)
 
     target = (None if scenario.target_coords is None
               else (scenario.target_coords, scenario.target_values))
@@ -423,7 +417,7 @@ def cmd_simulate(args) -> int:
     lines = [f"scenario: {scenario.name}  controller: {mode}  "
              f"hysteresis: {hysteresis:g}  noise: {noise:g}",
              f"truth skeleton: {truth.id}",
-             f"skeletons executed: {', '.join(sk.id for sk, _, _ in kept)}"]
+             f"skeletons executed: {', '.join(c.skeleton_id for c in kept)}"]
     lines.extend(f"dropped {sid}: {reason}" for sid, reason in dropped)
     lines.extend(f"policy {p.skeleton_id} step {n}: {note}"
                  for p in policies for n, note in p.notes)

@@ -16,11 +16,12 @@ equality manifold of the executing skeleton.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 import numpy as np
 
 from .kodp import KodpPolicy
-from .laplace import LaplaceComponent, future_log_ratios
+from .laplace import future_log_ratios
 from .problem import (FeatureEvalError, PathProblem, Skeleton, assemble,
                       cost_value, step_constraints, step_equalities)
 
@@ -41,7 +42,7 @@ class RolloutError(RuntimeError):
 
 @dataclass(frozen=True)
 class CompositeController:
-    """Per-skeleton policies, their components and future log ratios.
+    """Per-skeleton policies and their future log ratios.
 
     __post_init__ stacks the policies into per-step tables, so one control
     step is a few batched array operations over all K skeletons.  Row
@@ -55,7 +56,6 @@ class CompositeController:
     """
 
     policies: tuple[KodpPolicy, ...]
-    components: tuple[LaplaceComponent, ...]
     future_ratios: Array
     mode: str
     hysteresis: float = 0.0
@@ -89,10 +89,6 @@ class CompositeController:
         for name, table in tables.items():
             object.__setattr__(self, name, table)
 
-    @property
-    def skeleton_ids(self) -> tuple[str, ...]:
-        return tuple(p.skeleton_id for p in self.policies)
-
 
 def build_controller(policies, components, mode: str = SWITCHING,
                      hysteresis: float = 0.0) -> CompositeController:
@@ -111,8 +107,7 @@ def build_controller(policies, components, mode: str = SWITCHING,
             raise ValueError(f"policy '{p.skeleton_id}' paired with "
                              f"component '{c.skeleton_id}'")
     ratios = np.stack([future_log_ratios(c) for c in components])
-    return CompositeController(policies=policies, components=components,
-                               future_ratios=ratios, mode=mode,
+    return CompositeController(policies=policies, future_ratios=ratios, mode=mode,
                                hysteresis=hysteresis)
 
 
@@ -130,7 +125,9 @@ def _deviations(controller: CompositeController, n: int, past: Array) -> Array:
 
 
 def online_weights(controller: CompositeController, n: int, past: Array) -> Array:
-    """Normalized skeleton weights at step n given the observed past pair."""
+    """Normalized skeleton weights at step n given the observed past pair:
+    all finite, or all NaN when the largest logit is not finite (the
+    cost-to-go overflows), since a NaN then reaches the sum."""
     dp = _deviations(controller, n, past)
     Vdp = np.matmul(controller.V[n - 1], dp[:, :, None])[:, :, 0]
     logits = -np.einsum("ki,ki->k", dp, 0.5 * Vdp + controller.v[n - 1])
@@ -178,10 +175,8 @@ class Rollout:
     commands: Array
     weights: Array
     active: Array
-    seed: int
     final_error: float
     total_cost: float
-    violation_trace: Array
 
 
 def _project_equalities(problem: PathProblem, skeleton: Skeleton, n: int,
@@ -212,9 +207,13 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     (step, vector) impulses.  After each realized step the configuration
     is projected onto the executing skeleton's active equality rows.
     target, when given, is (coords, values) for the final-error metric.
-    A stalled projection, or a feature that fails to evaluate in the
-    projection or on the realized path, raises RolloutError naming the step.
+    A negative or nonfinite noise_scale raises ValueError.  Skeleton
+    weights that are not finite, a stalled projection, or a feature that
+    fails to evaluate in the projection or on the realized path raise
+    RolloutError naming the step.
     """
+    if not 0.0 <= noise_scale < np.inf:
+        raise ValueError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
     N, d = problem.N, problem.d
     K = len(controller.policies)
     rng = np.random.default_rng(seed)
@@ -236,30 +235,32 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
         noise[:, ~problem.actuated] = 0.0
     incumbent: int | None = None
 
+    # No overflow warnings: the weights and feature checks name each by step.
     try:
-        for n in range(1, N + 1):
-            past = padded[n - 1:n + 1]
-            weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
-            active[n - 1] = incumbent
-            commands[n - 1] = cmd
-            path[n - 1] = cmd + noise[n - 1]
-            if n in bumps:
-                path[n - 1] += bumps[n]
-            _project_equalities(problem, truth_skeleton, n, padded)
-        stack = assemble(problem, truth_skeleton, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, N + 1):
+                past = padded[n - 1:n + 1]
+                weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
+                if math.isnan(weights[n - 1, 0]):  # all NaN or none, see online_weights
+                    dev = np.abs(_deviations(controller, n, past)).max()
+                    raise RolloutError(n, f"skeleton weights are not finite; the past "
+                                          f"deviates from a reference by up to {dev:.3e}")
+                active[n - 1] = incumbent
+                commands[n - 1] = cmd
+                path[n - 1] = cmd + noise[n - 1]
+                if n in bumps:
+                    path[n - 1] += bumps[n]
+                _project_equalities(problem, truth_skeleton, n, padded)
+            stack = assemble(problem, truth_skeleton, path)
     except FeatureEvalError as exc:
         raise RolloutError(exc.step, str(exc)) from exc
-    trace = np.zeros(N)
-    np.maximum.at(trace, stack.eq_steps - 1, np.abs(stack.eq))
-    np.maximum.at(trace, stack.ineq_steps - 1, np.clip(stack.ineq, 0.0, None))
     final_error = float("nan")
     if target is not None:
         coords, values = target
         final_error = float(np.linalg.norm(path[-1, np.asarray(coords, int)]
                                            - np.asarray(values, float)))
     return Rollout(path=path, commands=commands, weights=weights, active=active,
-                   seed=seed, final_error=final_error,
-                   total_cost=cost_value(stack), violation_trace=trace)
+                   final_error=final_error, total_cost=cost_value(stack))
 
 
 def rms_final_error(rollouts, coords, values) -> float:

@@ -1,11 +1,13 @@
 """Constrained dynamic programming over k = 2 path windows.
 
-A skeleton's feedback policy is read off the block recursion that weighs
-it (laplace.eliminate), run on the full cost alone: the policy Hessian is
-the Hessian of the "optimal" Laplace distribution.  At step k, with the
-past p = (dx_{k-2}, dx_{k-1}, 1), the step's Gram matrix G_k of [J | r]
-with the later steps' value folded in, and the active rows solved in
-nullspace form, dx_k = T_k p + Z_k y, the cost of steps k..N is
+A skeleton's feedback policy is read off the full-cost slice of the block
+recursion that weighs it (laplace.eliminate): the policy Hessian is the
+Hessian of the "optimal" Laplace distribution.  read_policy reads it off
+the Elimination a LaplaceComponent keeps; backward_pass eliminates the
+full cost alone.  At step k, with the past p = (dx_{k-2}, dx_{k-1}, 1),
+the step's Gram matrix G_k of [J | r] with the later steps' value folded
+in, and the active rows solved in nullspace form, dx_k = T_k p + Z_k y,
+the cost of steps k..N is
 
     1/2 p^T S_k^T G_k S_k p + y^T Z_k^T (G_k S_k)_x p + 1/2 y^T Z_k^T E_k Z_k y,
 
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 # quadratize is the one expansion, shared with the Laplace components.
-from .laplace import Expansion, SingularComponentError, eliminate, quadratize
+from .laplace import Elimination, Expansion, SingularComponentError, eliminate, quadratize
 
 Array = np.ndarray
 
@@ -79,6 +81,24 @@ class KodpPolicy:
         return out
 
 
+def read_policy(elim: Elimination, skeleton_id: str, x_ref: Array,
+                prefix: Array) -> KodpPolicy:
+    """The policy of slice 0, the full cost, of an elimination about x_ref."""
+    d = x_ref.shape[1]
+    two_d = 2 * d
+    law = np.concatenate([elim.T, np.zeros((len(elim.Z), d, 1))], axis=2)
+    for step_law, Z, chol, coupling in zip(law, elim.Z, elim.chol, elim.coupling):
+        if Z.shape[1]:
+            step_law -= Z @ scipy.linalg.solve_triangular(chol[0], coupling[0],
+                                                          lower=True, trans="T")
+    V = elim.V[:, 0]
+    return KodpPolicy(skeleton_id=skeleton_id, d=d,
+                      V=V[:, :two_d, :two_d], v=V[:, :two_d, two_d],
+                      v_bar=0.5 * V[:, two_d, two_d], u_ff=law[:, :, two_d],
+                      K=law[:, :, :two_d], x_ref=x_ref, prefix=prefix,
+                      notes=elim.notes)
+
+
 def backward_pass(expansion: Expansion) -> KodpPolicy:
     """Eliminate x_N..x_1 of the full cost and read off the policy.
 
@@ -88,19 +108,7 @@ def backward_pass(expansion: Expansion) -> KodpPolicy:
         elim = eliminate(expansion, count=1)
     except SingularComponentError as exc:
         raise PolicyError(str(exc)) from exc
-    d = expansion.d
-    two_d = 2 * d
-    law = np.concatenate([elim.T, np.zeros((len(elim.Z), d, 1))], axis=2)
-    for step_law, Z, chol, coupling in zip(law, elim.Z, elim.chol, elim.coupling):
-        if Z.shape[1]:
-            step_law -= Z @ scipy.linalg.solve_triangular(chol[0], coupling[0],
-                                                          lower=True, trans="T")
-    V = elim.V[:, 0]
-    return KodpPolicy(skeleton_id=expansion.skeleton_id, d=d,
-                      V=V[:, :two_d, :two_d], v=V[:, :two_d, two_d],
-                      v_bar=0.5 * V[:, two_d, two_d], u_ff=law[:, :, two_d],
-                      K=law[:, :, :two_d], x_ref=expansion.x_ref,
-                      prefix=expansion.prefix, notes=elim.notes)
+    return read_policy(elim, expansion.skeleton_id, expansion.x_ref, expansion.prefix)
 
 
 def step_policy(policy: KodpPolicy, n: int, delta_past: Array) -> Array:

@@ -34,12 +34,14 @@ k = N..1 eliminates x_k from both at once, in O(N d^3):
 The log-determinant ratio does not depend on the basis of the nullspace,
 so the pivot terms for k >= n are exactly those of the future n..N with
 the past held fixed: log_ratio is the sum of all the terms and the future
-log ratios are their suffix sums.  The same factors draw paths by forward
-ancestral substitution (Rue & Held, Gaussian Markov Random Fields, 2005,
-ch. 2), and the feedback policies of slgp.kodp are read off the same
-recursion run on the full cost, whose affine column carries the gradient
-and the constant.  nullspace_basis remains as the dense reference for
-tests.
+log ratios are their suffix sums.
+
+Each skeleton is eliminated once, and its LaplaceComponent keeps the
+factors for three readers: the weights (the pivot terms), the sampler's
+forward ancestral substitution (Rue & Held, Gaussian Markov Random
+Fields, 2005, ch. 2), and the feedback policy of slgp.kodp, read off the
+full-cost slice, whose affine column carries the gradient and the
+constant.  nullspace_basis remains as the dense reference for tests.
 """
 
 from __future__ import annotations
@@ -90,14 +92,10 @@ def nullspace_basis(J: Array, tol: float = RANK_TOL) -> Array:
 
 @dataclass(frozen=True)
 class LaplaceComponent:
-    """One skeleton's Gaussian: mean path and the per-step block factors.
+    """One skeleton's Gaussian: mean path, prefix and its elimination.
 
-    For step k (entry k-1): Z[k-1] (d, r_k) spans x_k's free directions
-    and T[k-1] (d, 2d) maps the past (x_{k-2}, x_{k-1}) to x_k's
-    constrained part.  chol[k-1] (2, r_k, r_k) holds the lower Cholesky
-    factors L_k of the pivots of the full and of the effort-only Hessian,
-    in DISTRIBUTIONS order, and coupling[k-1] (2, r_k, 2d) the terms
-    L_k^{-1} Z_k^T (C_k^T + E_k T_k) that tie the free part to the past.
+    elimination holds the per-step factors of both distributions, in
+    DISTRIBUTIONS order; the sampler and the feedback policy read them.
     terms[k-1] = log det L_k(effort) - log det L_k(full) is half the log
     ratio of the two pivots' determinants, so log_ratio, the sum of the
     terms, is the log of the entropy ratio sqrt(|Sigma*|+ / |Sigma|+).
@@ -106,14 +104,12 @@ class LaplaceComponent:
 
     skeleton_id: str
     x_star: Array
+    prefix: Array
     rank: int
     f_star: float
     log_ratio: float
     terms: Array
-    Z: tuple
-    T: Array
-    chol: tuple
-    coupling: tuple
+    elimination: Elimination
 
 
 def _suffix_sums(terms: Array) -> Array:
@@ -148,8 +144,8 @@ def quadratize(problem: PathProblem, skeleton: Skeleton,
     """Expansion of every step about the solution, Gauss-Newton throughout.
 
     The active rows are all equality rows plus the inequality rows flagged
-    in solution.active_set (g >= -1e-6 and lambda > 1e-8), the equality
-    rows first within a step.
+    in solution.active_set, those with a positive multiplier, the
+    equality rows first within a step.
     """
     N = problem.N
     stack = assemble(problem, skeleton, solution.x_star)
@@ -280,16 +276,16 @@ def build_component(problem: PathProblem, skeleton: Skeleton,
     if not solution.converged:
         raise ValueError(f"solution for '{skeleton.id}' is not converged "
                          f"(status {solution.status})")
-    elim = eliminate(quadratize(problem, skeleton, solution))
+    expansion = quadratize(problem, skeleton, solution)
+    elim = eliminate(expansion)
     half = np.array([np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
                      for L in elim.chol])
     terms = half[:, 1] - half[:, 0]
-    return LaplaceComponent(skeleton_id=skeleton.id, x_star=solution.x_star.copy(),
+    return LaplaceComponent(skeleton_id=skeleton.id, x_star=expansion.x_ref,
+                            prefix=expansion.prefix,
                             rank=sum(Z.shape[1] for Z in elim.Z), f_star=solution.f_star,
                             log_ratio=float(_suffix_sums(terms)[0]), terms=terms,
-                            Z=elim.Z, T=elim.T, chol=elim.chol,
-                            coupling=tuple(c[:, :, :2 * problem.d]
-                                           for c in elim.coupling))
+                            elimination=elim)
 
 
 def mixture_weights(f_star, log_ratio) -> Array:
@@ -361,10 +357,11 @@ def ancestral_paths(component: LaplaceComponent, z: Array,
                     distribution: str = "optimal") -> Array:
     """Paths x* + dx for standard normal coordinates z, shape (count, rank).
 
-    Forward ancestral substitution through the stored factors: with the
-    past deviation p_k = (dx_{k-2}, dx_{k-1}) (zero on the prefix),
-    y_k = L_k^{-T} (z_k - coupling_k p_k) and dx_k = T_k p_k + Z_k y_k,
-    where z_k are the next r_k columns of z.  The map is linear in z, and
+    Forward ancestral substitution through the component's elimination:
+    with the past deviation p_k = (dx_{k-2}, dx_{k-1}) (zero on the
+    prefix), y_k = L_k^{-T} (z_k - coupling_k p_k) and
+    dx_k = T_k p_k + Z_k y_k, where coupling_k drops the affine column;
+    z_k are the next r_k columns of z.  The map is linear in z, and
     for z standard normal dx has covariance W (W^T H W)^{-1} W^T of the
     chosen distribution.  Returns (count, N, d).
     """
@@ -375,16 +372,17 @@ def ancestral_paths(component: LaplaceComponent, z: Array,
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != component.rank:
         raise ValueError(f"z must be (count, {component.rank}), got {z.shape}")
+    elim = component.elimination
     dx = np.zeros((z.shape[0], N + 2, d))
     at = 0
     for k in range(N):
-        Z = component.Z[k]
+        Z = elim.Z[k]
         r = Z.shape[1]
         p = dx[:, k:k + 2].reshape(-1, 2 * d)
-        dx[:, k + 2] = p @ component.T[k].T
+        dx[:, k + 2] = p @ elim.T[k].T
         if r:
-            rhs = z[:, at:at + r] - p @ component.coupling[k][which].T
-            y = scipy.linalg.solve_triangular(component.chol[k][which], rhs.T,
+            rhs = z[:, at:at + r] - p @ elim.coupling[k][which, :, :2 * d].T
+            y = scipy.linalg.solve_triangular(elim.chol[k][which], rhs.T,
                                               lower=True, trans="T")
             dx[:, k + 2] += (Z @ y).T
         at += r

@@ -19,7 +19,7 @@ import numpy as np
 
 from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
-from .kodp import backward_pass, cost_to_go, quadratize, step_policy
+from .kodp import backward_pass, cost_to_go, read_policy, step_policy
 from .laplace import (UNNORMALIZED, Expansion, ancestral_paths, build_component,
                       build_mixture, future_log_ratios, mixture_weights,
                       multimodal_cost, nullspace_basis, sample_paths)
@@ -472,8 +472,8 @@ def suite_determinism() -> tuple[bool, str]:
         comps = [build_component(scenario.problem, sk, s)
                  for sk, s in zip(scenario.skeletons, sols)]
         blob = json.dumps(build_mixture(comps).to_dict(), sort_keys=True)
-        policies = [backward_pass(quadratize(scenario.problem, sk, s))
-                    for sk, s in zip(scenario.skeletons, sols)]
+        policies = [read_policy(c.elimination, c.skeleton_id, c.x_star, c.prefix)
+                    for c in comps]
         ctrl = build_controller(policies, comps)
         ro = rollout(scenario.problem, scenario.truth, ctrl, noise_scale=1.0,
                      seed=11, target=(scenario.target_coords, scenario.target_values))

@@ -29,10 +29,6 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 LINE_SEARCH_FAILURE = "line-search-failure"
 
-# Active-set thresholds shared with the Laplace stage.
-ACTIVE_G_TOL = 1e-6
-ACTIVE_LAMBDA_MIN = 1e-8
-
 _MIN_STEP = 1e-12
 _DAMPING_MAX = 1e2
 _MU_MAX = 1e12
@@ -102,6 +98,9 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class NlpSolution:
+    """active_set flags the inequality rows with a positive multiplier, the
+    rows the augmented Lagrangian keeps: lam > 0."""
+
     x_star: Array
     lam: Array
     nu: Array
@@ -302,11 +301,8 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
         viol_prev = max(viol, 1e-300)
 
     x_star = x.reshape(shape).copy()
-    active = np.zeros(stack.ineq.size, dtype=bool)
-    if stack.ineq.size:
-        active = (stack.ineq >= -ACTIVE_G_TOL) & (al.lam > ACTIVE_LAMBDA_MIN)
     return NlpSolution(x_star=x_star, lam=al.lam.copy(), nu=al.nu.copy(),
-                       f_star=cost_value(stack), status=status, active_set=active,
+                       f_star=cost_value(stack), status=status, active_set=al.lam > 0,
                        kkt=_kkt(stack, al.lam, al.nu), outer_iterations=outer_done,
                        inner_iterations=total_inner,
                        trace=tuple(trace) if trace is not None else ())

@@ -5,11 +5,10 @@ import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from slgp.cli import main
-from slgp.laplace import SingularComponentError, build_component
+from slgp.laplace import SingularComponentError, build_component, eliminate
 from slgp.problem import assemble
 
 PLAN_WEIGHTS_HEADER = ["skeletonId", "status", "fStar", "logRatio",
@@ -168,9 +167,8 @@ def test_explicit_truth_skeleton_is_honored(tmp_path):
 
 def test_overflowing_disturbance_aborts_the_seed_with_step_and_feature(tmp_path, capsys):
     out = tmp_path / "blown"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["simulate", "--scenario", "tworoute", "--out", str(out),
-                     "--seeds", "0", "--disturb", "20:1e307,0"])
+    code = main(["simulate", "--scenario", "tworoute", "--out", str(out),
+                 "--seeds", "0", "--disturb", "20:1e307,0"])
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
     header, rows = _read_csv(out / "summary.csv")
@@ -178,8 +176,8 @@ def test_overflowing_disturbance_aborts_the_seed_with_step_and_feature(tmp_path,
     record, = [json.loads(line)
                for line in (out / "rollouts.jsonl").read_text().splitlines()]
     assert record["aborted"] is True
-    assert record["reason"].startswith("rollout aborted at step 20: feature 'accel' "
-                                       "at step 20: nonfinite")
+    assert record["reason"].startswith("rollout aborted at step 21: skeleton weights "
+                                       "are not finite")
     assert "aborted: 1" in (out / "report.txt").read_text()
 
 
@@ -196,6 +194,22 @@ def test_simulate_runs_every_bundled_scenario(tmp_path, name):
     if name == "push":
         assert ("policy single-finger step 16: dropped 1 dependent "
                 "constraint rows\n") in report
+
+
+def test_simulate_eliminates_each_kept_skeleton_once(tmp_path, monkeypatch):
+    # The policies are read off the components' eliminations, so no
+    # skeleton is eliminated again for its policy.
+    calls = []
+
+    def counting(expansion, *args, **kwargs):
+        calls.append(expansion.skeleton_id)
+        return eliminate(expansion, *args, **kwargs)
+
+    for module in ("slgp.laplace", "slgp.kodp"):
+        monkeypatch.setattr(f"{module}.eliminate", counting)
+    assert main(["simulate", "--scenario", "tworoute", "--seeds", "0",
+                 "--out", str(tmp_path / "once")]) == 0
+    assert sorted(calls) == ["via-far", "via-near"]
 
 
 def test_bad_arguments_exit_with_a_message(tmp_path):

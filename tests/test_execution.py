@@ -127,8 +127,7 @@ def test_opposed_feedforwards_blend_to_zero_and_switch_to_the_first():
             prefix=np.zeros((2, 1)), notes=())
 
     ctrl = CompositeController(policies=(pol("a", 1.0), pol("b", -1.0)),
-                               components=(), future_ratios=np.zeros((2, 1)),
-                               mode="blending")
+                               future_ratios=np.zeros((2, 1)), mode="blending")
     past = np.zeros((2, 1))
     assert compose(ctrl, 1, past) == pytest.approx([0.0], abs=1e-15)
     switch = dataclasses.replace(ctrl, mode="switching")
@@ -153,12 +152,12 @@ def test_direct_construction_checks_the_table_shapes(routes):
     sc, pols, comps = routes
     ratios = np.zeros((2, sc.problem.N))
     with pytest.raises(ValueError, match="future_ratios"):
-        CompositeController(policies=tuple(pols), components=tuple(comps),
-                            future_ratios=ratios[:, 1:], mode="blending")
+        CompositeController(policies=tuple(pols), future_ratios=ratios[:, 1:],
+                            mode="blending")
     short = dataclasses.replace(pols[1], x_ref=pols[1].x_ref[1:])
     with pytest.raises(ValueError, match="horizon"):
-        CompositeController(policies=(pols[0], short), components=(),
-                            future_ratios=ratios, mode="blending")
+        CompositeController(policies=(pols[0], short), future_ratios=ratios,
+                            mode="blending")
 
 
 def _policy_loop(ctrl, n, past, incumbent):
@@ -327,6 +326,25 @@ def test_disturbances_and_target_metric_are_applied(routes):
     assert np.abs(ro.path[4] - (quiet.commands[4] + bump)).max() < 1e-12
     assert np.isfinite(ro.final_error)
     assert np.isnan(quiet.final_error)
+
+
+@pytest.mark.parametrize("scale", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_negative_or_nonfinite_noise_scale_is_rejected(routes, scale):
+    sc, pols, comps = routes
+    ctrl = build_controller(pols, comps)
+    with pytest.raises(ValueError, match="noise_scale"):
+        rollout(sc.problem, sc.truth, ctrl, noise_scale=scale, seed=0)
+
+
+def test_nonfinite_weights_abort_at_their_step(routes):
+    # The past at step 6 holds the overflowing x_5, so the cost-to-go
+    # overflows there; no numpy warning escapes on the way.
+    sc, pols, comps = routes
+    ctrl = build_controller(pols, comps)
+    with pytest.raises(RolloutError, match=r"step 6: skeleton weights are not "
+                                           r"finite; .* by up to 1\.000e\+307"):
+        rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0,
+                disturbances=((5, np.array([1e307, 0.0])),))
 
 
 def test_projection_failure_aborts_with_the_step(routes):

@@ -7,7 +7,7 @@ import pytest
 
 from slgp.features import AccelerationPenalty, coordinate_target
 from slgp.kodp import (PolicyError, backward_pass, cost_to_go, quadratize,
-                       step_policy)
+                       read_policy, step_policy)
 from slgp.problem import (PathProblem, assemble, cost_value, free_skeleton,
                           step_constraints)
 from slgp.selftest import _dense_qp_oracle, _roll_policy  # noqa: PLC2701
@@ -264,6 +264,21 @@ def test_rows_differing_only_in_the_past_are_carried_back():
         z, cost = _dense_qp_oracle(pinned, dp)
         assert np.abs(_roll_policy(policy, dp) - z).max() < 1e-8
         assert cost_to_go(policy, 1, dp) == pytest.approx(cost, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["elbow", "tworoute", "push"])
+def test_component_policy_equals_the_backward_pass(name, request):
+    bundle = request.getfixturevalue(name)
+    problem = bundle.scenario.problem
+    for sk in bundle.scenario.skeletons:
+        comp = bundle.component(sk.id)
+        policy = read_policy(comp.elimination, comp.skeleton_id, comp.x_star,
+                             comp.prefix)
+        reference = backward_pass(quadratize(problem, sk, bundle.solution(sk.id)))
+        for attr in ("K", "u_ff", "V", "v", "v_bar", "x_ref", "prefix"):
+            assert np.array_equal(getattr(policy, attr), getattr(reference, attr)), \
+                (sk.id, attr)
+        assert policy.notes == reference.notes
 
 
 def test_push_single_finger_policy_drops_its_dependent_row(push):

@@ -166,6 +166,21 @@ def test_elbow_free_skeleton_converges_cleanly(elbow):
     assert constraint_violation(stack) < 1e-7
 
 
+@pytest.mark.parametrize("sid", ["fix-joint-1", "fix-joint-2", "fix-both"])
+def test_active_set_is_the_rows_with_a_positive_multiplier(elbow, sid):
+    sol = elbow.solution(sid)
+    stack = assemble(elbow.scenario.problem, elbow.scenario.skeleton(sid),
+                     sol.x_star)
+    assert np.array_equal(sol.active_set, sol.lam > 0)
+    assert sol.active_set.any()
+    # The kept rows are tight to the tolerance the solver reaches; the
+    # others are strictly slack with a zero multiplier.
+    tol = SolverConfig().tol_constraint
+    assert np.abs(stack.ineq[sol.active_set]).max() <= tol
+    assert stack.ineq[~sol.active_set].max() < -tol
+    assert (sol.lam[~sol.active_set] == 0).all()
+
+
 def _dense_from_band(ab):
     u, n = ab.shape[0] - 1, ab.shape[1]
     H = np.zeros((n, n))
