@@ -111,30 +111,11 @@ def build_controller(policies, components, mode: str = SWITCHING,
                                hysteresis=hysteresis)
 
 
-def _deviations(controller: CompositeController, n: int, past: Array) -> Array:
-    """Deviation of the observed past pair from every skeleton's reference
-    pair at step n, as a (K, 2d) array."""
-    N, _, two_d = controller.past_ref.shape
-    if not 1 <= n <= N:
-        raise ValueError(f"step {n} outside horizon [1, {N}]")
-    past = np.asarray(past, dtype=float)
-    if past.shape != (2, two_d // 2):
-        raise ValueError(f"past at step {n} must have shape (2, {two_d // 2}), "
-                         f"got {past.shape}")
-    return past.reshape(two_d) - controller.past_ref[n - 1]
-
-
 def online_weights(controller: CompositeController, n: int, past: Array) -> Array:
-    """Normalized skeleton weights at step n given the observed past pair:
-    all finite, or all NaN when the largest logit is not finite (the
-    cost-to-go overflows), since a NaN then reaches the sum."""
-    dp = _deviations(controller, n, past)
-    Vdp = np.matmul(controller.V[n - 1], dp[:, :, None])[:, :, 0]
-    logits = -np.einsum("ki,ki->k", dp, 0.5 * Vdp + controller.v[n - 1])
-    logits -= controller.offset[n - 1]
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    """Normalized skeleton weights at step n given the observed past pair;
+    weights that are not finite raise RolloutError naming the step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _control(controller, n, past, None)[0]
 
 
 def select_skeleton(weights: Array, incumbent: int | None, hysteresis: float) -> int:
@@ -151,10 +132,32 @@ def select_skeleton(weights: Array, incumbent: int | None, hysteresis: float) ->
 def _control(controller: CompositeController, n: int, past: Array,
              incumbent: int | None) -> tuple[Array, int, Array]:
     """One controller step: the weights, the chosen skeleton and the
-    command, weighing the skeletons once.  In blending mode the chosen
-    skeleton is the heaviest one and the command blends all of them."""
-    weights = online_weights(controller, n, past)
-    dp = _deviations(controller, n, past)
+    command, from one deviation of the observed past pair from every
+    skeleton's reference pair.  In blending mode the chosen skeleton is
+    the heaviest one and the command blends all of them.
+
+    Weights that are not finite raise RolloutError naming the step; they
+    are all NaN then, since a nonfinite largest logit puts a NaN in the
+    sum.  Callers quiet numpy's overflow warnings, which the error
+    replaces.
+    """
+    N, _, two_d = controller.past_ref.shape
+    if not 1 <= n <= N:
+        raise ValueError(f"step {n} outside horizon [1, {N}]")
+    past = np.asarray(past, dtype=float)
+    if past.shape != (2, two_d // 2):
+        raise ValueError(f"past at step {n} must have shape (2, {two_d // 2}), "
+                         f"got {past.shape}")
+    dp = past.reshape(two_d) - controller.past_ref[n - 1]
+    Vdp = np.matmul(controller.V[n - 1], dp[:, :, None])[:, :, 0]
+    logits = -np.einsum("ki,ki->k", dp, 0.5 * Vdp + controller.v[n - 1])
+    logits -= controller.offset[n - 1]
+    logits -= logits.max()
+    weights = np.exp(logits)
+    weights /= weights.sum()
+    if math.isnan(weights[0]):
+        raise RolloutError(n, f"skeleton weights are not finite; the past deviates "
+                              f"from a reference by up to {np.abs(dp).max():.3e}")
     commands = (controller.command[n - 1]
                 + np.matmul(controller.gain[n - 1], dp[:, :, None])[:, :, 0])
     if controller.mode == BLENDING:
@@ -165,8 +168,10 @@ def _control(controller: CompositeController, n: int, past: Array,
 
 def compose(controller: CompositeController, n: int, past: Array,
             incumbent: int | None = None) -> Array:
-    """Next-configuration command at step n for the observed past pair."""
-    return _control(controller, n, past, incumbent)[2]
+    """Next-configuration command at step n for the observed past pair;
+    weights that are not finite raise RolloutError naming the step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _control(controller, n, past, incumbent)[2]
 
 
 @dataclass(frozen=True)
@@ -239,12 +244,8 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(1, N + 1):
-                past = padded[n - 1:n + 1]
-                weights[n - 1], incumbent, cmd = _control(controller, n, past, incumbent)
-                if math.isnan(weights[n - 1, 0]):  # all NaN or none, see online_weights
-                    dev = np.abs(_deviations(controller, n, past)).max()
-                    raise RolloutError(n, f"skeleton weights are not finite; the past "
-                                          f"deviates from a reference by up to {dev:.3e}")
+                weights[n - 1], incumbent, cmd = _control(controller, n,
+                                                          padded[n - 1:n + 1], incumbent)
                 active[n - 1] = incumbent
                 commands[n - 1] = cmd
                 path[n - 1] = cmd + noise[n - 1]

@@ -12,12 +12,12 @@ the cost of steps k..N is
     1/2 p^T S_k^T G_k S_k p + y^T Z_k^T (G_k S_k)_x p + 1/2 y^T Z_k^T E_k Z_k y,
 
 where S_k maps p to the window at y = 0, (.)_x takes the rows of dx_k
-and E_k is the current block of G_k.  With L_k L_k^T = Z_k^T E_k Z_k and
-coupling_k = L_k^{-1} Z_k^T (G_k S_k)_x, minimizing over y gives the
-feedback law and the value
+and E_k is the current block of G_k.  With Q diag(lam) Q^T = Z_k^T E_k Z_k,
+root_k = Z_k Q diag(lam)^{-1/2} and C_k = root_k^T (G_k S_k)_x, minimizing
+over y gives the feedback law and the value
 
-    dx_k = (T_k - Z_k L_k^{-T} coupling_k) p,
-    V_k  = S_k^T G_k S_k - coupling_k^T coupling_k.
+    dx_k = ([T_k | 0] - root_k C_k) p,
+    V_k  = S_k^T G_k S_k - C_k^T C_k.
 
 The first 2d columns of the law are the gain K, the last one the
 feedforward u_ff; V_k splits into the cost-to-go
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 # quadratize is the one expansion, shared with the Laplace components.
 from .laplace import Elimination, Expansion, SingularComponentError, eliminate, quadratize
@@ -86,11 +85,7 @@ def read_policy(elim: Elimination, skeleton_id: str, x_ref: Array,
     """The policy of slice 0, the full cost, of an elimination about x_ref."""
     d = x_ref.shape[1]
     two_d = 2 * d
-    law = np.concatenate([elim.T, np.zeros((len(elim.Z), d, 1))], axis=2)
-    for step_law, Z, chol, coupling in zip(law, elim.Z, elim.chol, elim.coupling):
-        if Z.shape[1]:
-            step_law -= Z @ scipy.linalg.solve_triangular(chol[0], coupling[0],
-                                                          lower=True, trans="T")
+    law = elim.law[:, 0]
     V = elim.V[:, 0]
     return KodpPolicy(skeleton_id=skeleton_id, d=d,
                       V=V[:, :two_d, :two_d], v=V[:, :two_d, two_d],

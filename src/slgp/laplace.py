@@ -27,9 +27,11 @@ k = N..1 eliminates x_k from both at once, in O(N d^3):
   they drop out;
 * the pivot Z_k^T E_k Z_k of each Hessian, with the later steps already
   folded into the current block E_k, must be numerically positive
-  definite.  Its Cholesky factor L_k gives the step's log-determinant;
-  eliminating y leaves the Schur complement on (x_{k-2}, x_{k-1}, 1),
-  which is added to the matching block of step k-1.
+  definite.  One eigendecomposition Q diag(lam) Q^T of it gives the
+  step's log-determinant and the square root Z_k Q diag(lam)^{-1/2} of
+  the covariance of x_k given the past; eliminating y leaves the Schur
+  complement on (x_{k-2}, x_{k-1}, 1), which is added to the matching
+  block of step k-1.
 
 The log-determinant ratio does not depend on the basis of the nullspace,
 so the pivot terms for k >= n are exactly those of the future n..N with
@@ -37,18 +39,20 @@ the past held fixed: log_ratio is the sum of all the terms and the future
 log ratios are their suffix sums.
 
 Each skeleton is eliminated once, and its LaplaceComponent keeps the
-factors for three readers: the weights (the pivot terms), the sampler's
-forward ancestral substitution (Rue & Held, Gaussian Markov Random
-Fields, 2005, ch. 2), and the feedback policy of slgp.kodp, read off the
-full-cost slice, whose affine column carries the gradient and the
-constant.  nullspace_basis remains as the dense reference for tests.
+per-step products for three readers, which only slice and multiply: the
+weights (the half log-determinants), the sampler's forward ancestral
+substitution through the conditional law and its square root (Rue &
+Held, Gaussian Markov Random Fields, 2005, ch. 2; any square root of the
+conditional covariance samples the same Gaussian), and the feedback
+policy of slgp.kodp, read off the full-cost slice of the law and the
+value, whose affine column carries the gradient and the constant.
+nullspace_basis remains as the dense reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from .problem import RANK_TOL, PathProblem, Skeleton, assemble, step_gram
 from .solver import NlpSolution
@@ -94,12 +98,13 @@ def nullspace_basis(J: Array, tol: float = RANK_TOL) -> Array:
 class LaplaceComponent:
     """One skeleton's Gaussian: mean path, prefix and its elimination.
 
-    elimination holds the per-step factors of both distributions, in
+    elimination holds the per-step products of both distributions, in
     DISTRIBUTIONS order; the sampler and the feedback policy read them.
-    terms[k-1] = log det L_k(effort) - log det L_k(full) is half the log
-    ratio of the two pivots' determinants, so log_ratio, the sum of the
-    terms, is the log of the entropy ratio sqrt(|Sigma*|+ / |Sigma|+).
-    rank is the support dimension, the sum of the r_k.
+    terms[k-1], the effort pivot's half log-determinant minus the full
+    one's, is half the log ratio of the two pivots' determinants, so
+    log_ratio, the sum of the terms, is the log of the entropy ratio
+    sqrt(|Sigma*|+ / |Sigma|+).  rank is the support dimension, the sum
+    of the r_k.
     """
 
     skeleton_id: str
@@ -165,26 +170,31 @@ def quadratize(problem: PathProblem, skeleton: Skeleton,
 
 @dataclass(frozen=True)
 class Elimination:
-    """Per-step factors of the block recursion over one expansion.
+    """Per-step products of the block recursion over one expansion.
 
     For step k (entry k-1), with the past p = (x_{k-2}, x_{k-1}, 1):
-    x_k = T[k-1] p[:2d] + Z[k-1] y satisfies the step's rows.  G_k is the
+    x_k = T_k p[:2d] + Z_k y satisfies the step's rows.  G_k is the
     step's Gram block with the later steps folded in, E_k its x_k block
     and S_k the map from p to the window (x_{k-2}, x_{k-1}, x_k, 1) at
-    y = 0.  For each eliminated distribution (leading axis, DISTRIBUTIONS
-    order), chol[k-1] holds the lower Cholesky factor L_k of the pivot
-    Z_k^T E_k Z_k, coupling[k-1] (r_k, 2d+1) the terms
-    L_k^{-1} Z_k^T (G_k S_k)_x that tie y to p, where (.)_x takes the rows
-    of x_k, and V[k-1] (2d+1, 2d+1) the Schur complement
-    S_k^T G_k S_k - coupling^T coupling: the cost of steps k..N is
-    1/2 p^T V p once y is minimized out.  notes list (step, text) for the
-    rows carried back or dropped.
+    y = 0.  For each eliminated distribution (the axis after the step,
+    DISTRIBUTIONS order), with Q diag(lam) Q^T the pivot Z_k^T E_k Z_k:
+
+      root[k-1]        (count, d, r_k)       Z_k Q diag(lam)^{-1/2}, a
+                       square root of the covariance of x_k given p;
+      half_logdet[k-1] (count,)              1/2 sum log lam;
+      law[k-1]         (count, d, 2d+1)      [T_k | 0] - root C_k with
+                       C_k = root^T (G_k S_k)_x, where (.)_x takes the
+                       rows of x_k: the mean of x_k given p;
+      V[k-1]           (count, 2d+1, 2d+1)   the Schur complement
+                       S_k^T G_k S_k - C_k^T C_k: the cost of steps k..N
+                       is 1/2 p^T V p once x_k..x_N are minimized out.
+
+    notes list (step, text) for the rows carried back or dropped.
     """
 
-    T: Array
-    Z: tuple
-    chol: tuple
-    coupling: tuple
+    law: Array
+    root: tuple
+    half_logdet: Array
     V: Array
     notes: tuple
 
@@ -203,15 +213,16 @@ def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Eliminat
     scale = np.zeros(N + 1)
     notes: list[tuple[int, str]] = []
 
-    T = np.zeros((N, d, two_d))
-    Zs, chols, couplings = [None] * N, [None] * N, [None] * N
+    law = np.zeros((N, count, d, two_d + 1))
+    roots = [None] * N
+    half_logdet = np.zeros((N, count))
     values = np.zeros((N, count, two_d + 1, two_d + 1))
     S = np.zeros((3 * d + 1, two_d + 1))
     S[:two_d, :two_d] = np.eye(two_d)
     S[-1, -1] = 1.0
     V = np.zeros((count, two_d + 1, two_d + 1))
     for k in range(N, 0, -1):
-        Z, Tk = np.eye(d), T[k - 1]
+        Z, Tk = np.eye(d), np.zeros((d, two_d))
         R = np.vstack([expansion.rows[k - 1], *carried[k]])
         if R.size:
             past, M = R[:, :two_d], R[:, two_d:]
@@ -219,7 +230,7 @@ def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Eliminat
             ref = max(s[0], scale[k])
             rank = int(np.sum(s > RANK_TOL * ref))
             Z = vt[rank:].T
-            Tk[:] = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ past)
+            Tk = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ past)
             dropped = 0
             for row in U[:, rank:].T @ past:
                 # A combination free of x_k that still constrains the past:
@@ -237,7 +248,7 @@ def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Eliminat
         # The window's Gram with the later steps folded into the
         # (x_{k-1}, x_k, 1) block; with x_k = T_k p + Z_k y the cost is
         # 1/2 p^T S^T G S p + y^T Z^T (G S)_x p + 1/2 y^T pivot y, and
-        # eliminating y subtracts coupling^T coupling.
+        # eliminating y subtracts C^T C.
         S[two_d:3 * d, :two_d] = Tk
         G = grams[k - 1].copy()
         G[:, d:, d:] += V
@@ -245,25 +256,24 @@ def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Eliminat
         V = S.T @ GS
         E = G[:, two_d:3 * d, two_d:3 * d]
         pivot = Z.T @ E @ Z
-        pivot = 0.5 * (pivot + pivot.transpose(0, 2, 1))
-        r = Z.shape[1]
-        chol, coupling = np.zeros((count, r, r)), np.zeros((count, r, two_d + 1))
-        if r:
-            smallest = np.linalg.eigvalsh(pivot)[:, 0]
-            floor = _EIG_FLOOR * np.trace(pivot, axis1=1, axis2=2) / r
-            for label, low, bound in zip(_PIVOTS, smallest, floor):
+        lam, Q = np.linalg.eigh(0.5 * (pivot + pivot.transpose(0, 2, 1)))
+        if Z.shape[1]:
+            for label, low, bound in zip(_PIVOTS, lam[:, 0],
+                                         _EIG_FLOOR * lam.mean(axis=1)):
                 if low <= bound:
                     raise SingularComponentError(
                         f"{label} of skeleton '{expansion.skeleton_id}' at step {k}",
                         float(low))
-            chol = np.linalg.cholesky(pivot)
-            coupling = np.linalg.solve(chol, Z.T @ GS[:, two_d:3 * d])
-            V -= coupling.transpose(0, 2, 1) @ coupling
+        root = Z @ Q / np.sqrt(lam)[:, None, :]
+        C = root.transpose(0, 2, 1) @ GS[:, two_d:3 * d]
+        law[k - 1, :, :, :two_d] = Tk
+        law[k - 1] -= root @ C
+        V -= C.transpose(0, 2, 1) @ C
         V = 0.5 * (V + V.transpose(0, 2, 1))
-        values[k - 1] = V
-        Zs[k - 1], chols[k - 1], couplings[k - 1] = Z, chol, coupling
-    return Elimination(T=T, Z=tuple(Zs), chol=tuple(chols),
-                       coupling=tuple(couplings), V=values, notes=tuple(notes))
+        values[k - 1], roots[k - 1] = V, root
+        half_logdet[k - 1] = 0.5 * np.log(lam).sum(axis=1)
+    return Elimination(law=law, root=tuple(roots), half_logdet=half_logdet,
+                       V=values, notes=tuple(notes))
 
 
 def build_component(problem: PathProblem, skeleton: Skeleton,
@@ -278,12 +288,11 @@ def build_component(problem: PathProblem, skeleton: Skeleton,
                          f"(status {solution.status})")
     expansion = quadratize(problem, skeleton, solution)
     elim = eliminate(expansion)
-    half = np.array([np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-                     for L in elim.chol])
-    terms = half[:, 1] - half[:, 0]
+    terms = elim.half_logdet[:, 1] - elim.half_logdet[:, 0]
     return LaplaceComponent(skeleton_id=skeleton.id, x_star=expansion.x_ref,
                             prefix=expansion.prefix,
-                            rank=sum(Z.shape[1] for Z in elim.Z), f_star=solution.f_star,
+                            rank=sum(root.shape[2] for root in elim.root),
+                            f_star=solution.f_star,
                             log_ratio=float(_suffix_sums(terms)[0]), terms=terms,
                             elimination=elim)
 
@@ -359,11 +368,10 @@ def ancestral_paths(component: LaplaceComponent, z: Array,
 
     Forward ancestral substitution through the component's elimination:
     with the past deviation p_k = (dx_{k-2}, dx_{k-1}) (zero on the
-    prefix), y_k = L_k^{-T} (z_k - coupling_k p_k) and
-    dx_k = T_k p_k + Z_k y_k, where coupling_k drops the affine column;
-    z_k are the next r_k columns of z.  The map is linear in z, and
-    for z standard normal dx has covariance W (W^T H W)^{-1} W^T of the
-    chosen distribution.  Returns (count, N, d).
+    prefix), dx_k = law_k p_k + root_k z_k, where law_k drops the affine
+    column and z_k are the next r_k columns of z.  The map is linear in
+    z, and for z standard normal dx has covariance W (W^T H W)^{-1} W^T of
+    the chosen distribution.  Returns (count, N, d).
     """
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution '{distribution}'")
@@ -376,15 +384,10 @@ def ancestral_paths(component: LaplaceComponent, z: Array,
     dx = np.zeros((z.shape[0], N + 2, d))
     at = 0
     for k in range(N):
-        Z = elim.Z[k]
-        r = Z.shape[1]
+        root = elim.root[k][which]
+        r = root.shape[1]
         p = dx[:, k:k + 2].reshape(-1, 2 * d)
-        dx[:, k + 2] = p @ elim.T[k].T
-        if r:
-            rhs = z[:, at:at + r] - p @ elim.coupling[k][which, :, :2 * d].T
-            y = scipy.linalg.solve_triangular(elim.chol[k][which], rhs.T,
-                                              lower=True, trans="T")
-            dx[:, k + 2] += (Z @ y).T
+        dx[:, k + 2] = p @ elim.law[k, which, :, :2 * d].T + z[:, at:at + r] @ root.T
         at += r
     return component.x_star + dx[:, 2:]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .banded import FactorizationError, band_from_step_blocks, banded_cholesky_solve
-from .problem import (FeatureStack, PathProblem, Skeleton, assemble,
-                      constraint_violation, cost_value, step_gram)
+from .problem import (FeatureEvalError, FeatureStack, PathProblem, Skeleton,
+                      assemble, constraint_violation, cost_value, step_gram)
 
 Array = np.ndarray
 
@@ -74,6 +74,15 @@ class SolverConfig:
                  "hessianReg": "hessian_reg"}
         kwargs = {alias.get(k, k): v for k, v in raw.items()}
         return cls(**kwargs)
+
+    def accepts(self, kkt: KktResiduals, lam: Array) -> bool:
+        """The convergence gate: stationarity within 10 tol_step, both
+        violations within tol_constraint, and complementarity within
+        tol_constraint times the largest multiplier, or 1."""
+        comp_gate = self.tol_constraint * max(1.0, float(lam.max()) if lam.size else 1.0)
+        return (kkt.stationarity <= 10.0 * self.tol_step
+                and max(kkt.eq_violation, kkt.ineq_violation) <= self.tol_constraint
+                and kkt.complementarity <= comp_gate)
 
 
 @dataclass
@@ -165,16 +174,12 @@ def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float) -> Array
                                   f"at damping {_DAMPING_MAX}")
 
 
-def _lagrangian_stationarity(stack: FeatureStack, lam: Array, nu: Array) -> float:
-    grad = stack.transpose_dot(stack.residuals, nu, lam)
-    return float(np.abs(grad).max()) if grad.size else 0.0
-
-
 def _kkt(stack: FeatureStack, lam: Array, nu: Array) -> KktResiduals:
+    grad = stack.transpose_dot(stack.residuals, nu, lam)
     eq_v = float(np.abs(stack.eq).max()) if stack.eq.size else 0.0
     ineq_v = float(np.clip(stack.ineq, 0.0, None).max()) if stack.ineq.size else 0.0
     comp = float(np.abs(lam * stack.ineq).max()) if stack.ineq.size else 0.0
-    return KktResiduals(stationarity=_lagrangian_stationarity(stack, lam, nu),
+    return KktResiduals(stationarity=float(np.abs(grad).max()) if grad.size else 0.0,
                         eq_violation=eq_v, ineq_violation=ineq_v,
                         complementarity=comp)
 
@@ -209,7 +214,7 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol,
             try:
                 trial_stack = assemble(problem, skeleton, trial.reshape(shape))
                 trial_merit = _merit(trial_stack, al)
-            except Exception:
+            except FeatureEvalError:
                 trial_merit = np.inf  # reject nonfinite trial points
             if trial_merit <= merit + cfg.armijo_c * alpha * slope:
                 accepted = True
@@ -273,11 +278,9 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
         total_inner += used
         lam_new = np.clip(al.lam + 2.0 * al.mu * stack.ineq, 0.0, None)
         nu_new = al.nu + 2.0 * al.mu * stack.eq
-        viol = constraint_violation(stack)
-        stat = _lagrangian_stationarity(stack, lam_new, nu_new)
-        comp = (float(np.abs(lam_new * stack.ineq).max()) if stack.ineq.size else 0.0)
-        comp_gate = cfg.tol_constraint * max(1.0, float(lam_new.max()) if lam_new.size else 1.0)
-        if stat <= grad_gate and viol <= cfg.tol_constraint and comp <= comp_gate:
+        kkt = _kkt(stack, lam_new, nu_new)
+        viol = max(kkt.eq_violation, kkt.ineq_violation)
+        if cfg.accepts(kkt, lam_new):
             al = ALState(lam=lam_new, nu=nu_new, mu=al.mu)
             status = CONVERGED
             break
@@ -289,11 +292,6 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
                 break
         else:
             ls_failures = 0
-        if not constrained and reason in ("gradient", "step", "max-inner"):
-            # Nothing an outer update could change; report honestly.
-            status = MAX_ITERATIONS if stat > grad_gate else CONVERGED
-            if status == CONVERGED:
-                break
         mu = al.mu
         if viol > 0.25 * viol_prev and viol > cfg.tol_constraint:
             mu = min(mu * cfg.mu_growth, _MU_MAX)
@@ -303,6 +301,6 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
     x_star = x.reshape(shape).copy()
     return NlpSolution(x_star=x_star, lam=al.lam.copy(), nu=al.nu.copy(),
                        f_star=cost_value(stack), status=status, active_set=al.lam > 0,
-                       kkt=_kkt(stack, al.lam, al.nu), outer_iterations=outer_done,
+                       kkt=kkt, outer_iterations=outer_done,
                        inner_iterations=total_inner,
                        trace=tuple(trace) if trace is not None else ())

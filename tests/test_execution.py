@@ -1,6 +1,7 @@
 """Composite execution: online weights, composed commands, closed-loop rolls."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,20 @@ def test_nonfinite_weights_abort_at_their_step(routes):
                                            r"finite; .* by up to 1\.000e\+307"):
         rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0,
                 disturbances=((5, np.array([1e307, 0.0])),))
+
+
+def test_online_queries_raise_at_nonfinite_weights_without_warnings(routes):
+    # Called outside rollout, an overflowing past raises the rollout's
+    # error; any numpy warning on the way would escape as an exception.
+    sc, pols, comps = routes
+    ctrl = build_controller(pols, comps)
+    past = np.array([[0.0, 0.0], [1e307, 0.0]])
+    for query in (online_weights, compose):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RolloutError, match=r"step 21: skeleton weights are "
+                                                   r"not finite; .* 1\.000e\+307"):
+                query(ctrl, 21, past)
 
 
 def test_projection_failure_aborts_with_the_step(routes):

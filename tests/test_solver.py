@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
-from slgp.problem import (Mode, PathProblem, Skeleton, assemble,
-                          constraint_violation, free_skeleton)
+from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
+                          assemble, constraint_violation, free_skeleton)
+from slgp.scenarios import ScenarioParams, build_scenario
 from slgp.selftest import dense_jacobian
 from slgp.solver import (ALState, SolverConfig, gauss_newton_step,
                          kkt_residuals, solve)
@@ -235,3 +236,26 @@ def test_solve_never_assembles_one_point_twice_in_a_row(elbow, monkeypatch):
     accepted = sum(1 for *_, step in sol.trace if step > 0.0)
     assert len(points) - 1 >= accepted
     assert np.array_equal(points[-1], sol.x_star)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("a bug in assembly"),
+                                   FeatureEvalError(3, "probe", "nonfinite value")],
+                         ids=["bug", "feature-failure"])
+def test_line_search_rejects_only_feature_failures(error, monkeypatch):
+    # The third assembly is the second line-search trial.  A feature that
+    # fails there rejects the trial; any other error propagates.
+    calls = []
+
+    def failing_assemble(problem, skeleton, x):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error
+        return assemble(problem, skeleton, x)
+
+    monkeypatch.setattr("slgp.solver.assemble", failing_assemble)
+    scenario = build_scenario(ScenarioParams(name="tworoute"))
+    if isinstance(error, FeatureEvalError):
+        assert solve(scenario.problem, scenario.skeletons[0]).converged
+    else:
+        with pytest.raises(RuntimeError, match="a bug in assembly"):
+            solve(scenario.problem, scenario.skeletons[0])
