@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -34,8 +33,22 @@ from .selftest import ALL_SUITES, run_suites
 from .solver import SolverConfig, solve
 
 
-def _snake(name: str) -> str:
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
+
+
+def _fields(section: dict, names, label: str) -> dict:
+    """The section keyed by field name.  A key is a field name or its
+    camelCase form; any other key exits naming it."""
+    field_of = {form: name for name in names for form in (name, _camel(name))}
+    out = {}
+    for key, value in section.items():
+        if key not in field_of:
+            raise SystemExit(f"unknown {label} parameter '{key}'; choose from "
+                             f"{', '.join(_camel(name) for name in names)}")
+        out[field_of[key]] = value
+    return out
 
 
 def _parse_set(expr: str) -> tuple[str, object]:
@@ -81,24 +94,19 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _scenario_params(args, cfg: dict) -> ScenarioParams:
-    section = dict(_section(cfg, "scenario"))
+    kwargs = {name: tuple(value) if isinstance(value, list) else value
+              for name, value in _fields(_section(cfg, "scenario"),
+                                         [f.name for f in fields(ScenarioParams)],
+                                         "scenario").items()}
     if args.scenario:
-        section["name"] = args.scenario
-    kwargs = {}
-    valid = {f.name for f in fields(ScenarioParams)}
-    for key, value in section.items():
-        # Exact field names first: _snake would fold N and T to lowercase.
-        name = key if key in valid else _snake(key)
-        if name not in valid:
-            raise SystemExit(f"unknown scenario parameter '{key}'")
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
+        kwargs["name"] = args.scenario
     try:
         return ScenarioParams(**kwargs)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad scenario parameters: {exc}") from exc
 
 
-_EXECUTION_KEYS = ("controller", "hysteresis", "noiseScale", "priorMode")
+_EXECUTION_KEYS = ("controller", "hysteresis", "noise_scale", "prior_mode")
 
 
 def _nonnegative(name: str, value) -> float:
@@ -114,25 +122,22 @@ def _nonnegative(name: str, value) -> float:
 
 def _execution_config(cfg: dict) -> dict:
     """The execution section with its defaults filled in, checked."""
-    section = _section(cfg, "execution")
-    for key in section:
-        if key not in _EXECUTION_KEYS:
-            raise SystemExit(f"unknown execution parameter '{key}'; choose from "
-                             f"{', '.join(_EXECUTION_KEYS)}")
+    section = _fields(_section(cfg, "execution"), _EXECUTION_KEYS, "execution")
     out = {"controller": section.get("controller", SWITCHING),
-           "priorMode": section.get("priorMode", UNNORMALIZED)}
+           "prior_mode": section.get("prior_mode", UNNORMALIZED)}
     if out["controller"] not in (BLENDING, SWITCHING):
         raise SystemExit(f"unknown controller mode {out['controller']!r}")
-    if out["priorMode"] not in (UNNORMALIZED, UNIFORM_NA):
-        raise SystemExit(f"unknown priorMode {out['priorMode']!r}")
-    for key, default in (("hysteresis", 0.0), ("noiseScale", 1.0)):
-        out[key] = _nonnegative(f"execution.{key}", section.get(key, default))
+    if out["prior_mode"] not in (UNNORMALIZED, UNIFORM_NA):
+        raise SystemExit(f"unknown priorMode {out['prior_mode']!r}")
+    for key, default in (("hysteresis", 0.0), ("noise_scale", 1.0)):
+        out[key] = _nonnegative(f"execution.{_camel(key)}", section.get(key, default))
     return out
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     try:
-        return SolverConfig.from_dict(_section(cfg, "solver"))
+        return SolverConfig(**_fields(_section(cfg, "solver"),
+                                      [f.name for f in fields(SolverConfig)], "solver"))
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad solver config: {exc}") from exc
 
@@ -226,7 +231,7 @@ def cmd_plan(args) -> int:
     params = _scenario_params(args, cfg)
     scenario = build_scenario(params)
     solver_cfg = _solver_config(cfg)
-    prior_mode = _execution_config(cfg)["priorMode"]
+    prior_mode = _execution_config(cfg)["prior_mode"]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,7 +324,7 @@ def cmd_simulate(args) -> int:
     mode = args.controller or exec_cfg["controller"]
     hysteresis = (exec_cfg["hysteresis"] if args.hysteresis is None
                   else _nonnegative("--hysteresis", args.hysteresis))
-    noise = (exec_cfg["noiseScale"] if args.noise is None
+    noise = (exec_cfg["noise_scale"] if args.noise is None
              else _nonnegative("--noise", args.noise))
     seeds = _parse_seeds(args.seeds)
     disturbances = _parse_disturb(args.disturb)

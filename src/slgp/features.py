@@ -12,6 +12,11 @@ negative log density of the uncontrolled (passive) path distribution;
 ``"task"`` rows are state costs.  The split matters downstream where the
 two Hessians are compared against each other.
 
+Each relation is one class.  ``FiniteDifference`` is every constant
+stencil: the effort rows ``AccelerationPenalty`` and ``DriftPenalty``
+build, and the push scenario's rest rows.  ``AffineFeature`` is every
+affine row; the nonlinear rows live in ``slgp.scenarios``.
+
 A feature has one method, ``eval(xs)``: xs stacks windows on leading
 axes as an (..., window, d) array, and the result is the values
 (..., size) and the Jacobians (..., size, window * d), each window
@@ -35,74 +40,64 @@ def _constant(jac: Array, xs: Array) -> Array:
     return np.broadcast_to(jac, xs.shape[:-2] + jac.shape)
 
 
-class AccelerationPenalty:
-    """Effort rows penalizing finite-difference acceleration.
+class FiniteDifference:
+    """Rows scale * sum_k stencil[k] x_{n-w+1+k}[coords] on a window of
+    w = len(stencil) configurations, oldest first; constant Jacobian.  With
+    scale 1 they also serve as equality rows, such as an object at rest;
+    the group tag matters only where the rows are costs."""
 
-    The residual is (x_n - 2 x_{n-1} + x_{n-2}) / (sigma dt^{3/2}) on the
-    selected coordinates; its half squared norm is the step's negative log
-    density under the passive double integrator.
-    """
-
-    window = 3
     group = EFFORT
 
-    def __init__(self, dim: int, dt: float, sigma: float,
-                 coords: Array | None = None, name: str = "accel"):
+    def __init__(self, dim: int, stencil, scale: float,
+                 coords: Array | None = None, name: str = "difference"):
         self.dim = int(dim)
         self.coords = (np.arange(self.dim) if coords is None
                        else np.asarray(coords, dtype=int))
-        if not (dt > 0 and sigma > 0):
-            raise ValueError("dt and sigma must be positive")
-        self.scale = 1.0 / (sigma * dt**1.5)
+        self.stencil = tuple(float(c) for c in stencil)
+        self.scale = float(scale)
+        self.window = len(self.stencil)
         self.size = len(self.coords)
         self.name = name
-        jac = np.zeros((self.size, 3 * self.dim))
+        self._jac = np.zeros((self.size, self.window * self.dim))
         rows = np.arange(self.size)
-        for k, stencil in enumerate((1.0, -2.0, 1.0)):
-            jac[rows, k * self.dim + self.coords] = stencil * self.scale
-        self._jac = jac
+        for k, c in enumerate(self.stencil):
+            self._jac[rows, k * self.dim + self.coords] = c * self.scale
 
     def eval(self, xs: Array) -> tuple[Array, Array]:
-        r = self.scale * (xs[..., 2, :] - 2.0 * xs[..., 1, :] + xs[..., 0, :])
-        return r[..., self.coords], _constant(self._jac, xs)
+        # Newest first, scaled last: (x_n - 2 x_{n-1}) + x_{n-2}.
+        r = self.stencil[-1] * xs[..., self.window - 1, :]
+        for k in range(self.window - 2, -1, -1):
+            r = r + self.stencil[k] * xs[..., k, :]
+        return (self.scale * r)[..., self.coords], _constant(self._jac, xs)
 
 
-class DriftPenalty:
-    """Effort rows penalizing the first difference of selected coordinates.
+def _effort_scale(dt: float, sigma: float, power: float) -> float:
+    if not (dt > 0 and sigma > 0):
+        raise ValueError("dt and sigma must be positive")
+    return 1.0 / (sigma * dt**power)
 
-    Used as the passive density of quasi-static object coordinates: the
-    residual (x_n - x_{n-1}) / (sigma dt^{1/2}) makes "stay where you are"
-    the most likely uncontrolled motion.
-    """
 
-    window = 2
-    group = EFFORT
+def AccelerationPenalty(dim: int, dt: float, sigma: float,
+                        coords: Array | None = None,
+                        name: str = "accel") -> FiniteDifference:
+    """Effort rows (x_n - 2 x_{n-1} + x_{n-2}) / (sigma dt^{3/2}): their half
+    squared norm is the step's negative log density under the passive
+    double integrator."""
+    return FiniteDifference(dim, (1.0, -2.0, 1.0), _effort_scale(dt, sigma, 1.5),
+                            coords, name)
 
-    def __init__(self, dim: int, dt: float, sigma: float,
-                 coords: Array | None = None, name: str = "drift"):
-        self.dim = int(dim)
-        self.coords = (np.arange(self.dim) if coords is None
-                       else np.asarray(coords, dtype=int))
-        if not (dt > 0 and sigma > 0):
-            raise ValueError("dt and sigma must be positive")
-        self.scale = 1.0 / (sigma * dt**0.5)
-        self.size = len(self.coords)
-        self.name = name
-        jac = np.zeros((self.size, 2 * self.dim))
-        rows = np.arange(self.size)
-        jac[rows, self.coords] = -self.scale
-        jac[rows, self.dim + self.coords] = self.scale
-        self._jac = jac
 
-    def eval(self, xs: Array) -> tuple[Array, Array]:
-        r = self.scale * (xs[..., 1, :] - xs[..., 0, :])
-        return r[..., self.coords], _constant(self._jac, xs)
+def DriftPenalty(dim: int, dt: float, sigma: float, coords: Array | None = None,
+                 name: str = "drift") -> FiniteDifference:
+    """Effort rows (x_n - x_{n-1}) / (sigma dt^{1/2}), the passive density of
+    quasi-static object coordinates: "stay where you are" is the most
+    likely uncontrolled motion."""
+    return FiniteDifference(dim, (-1.0, 1.0), _effort_scale(dt, sigma, 0.5),
+                            coords, name)
 
 
 class AffineFeature:
     """r = A @ vec(window) + b with constant Jacobian A."""
-
-    group = TASK
 
     def __init__(self, A: Array, b: Array, window: int, name: str = "affine",
                  group: str = TASK):

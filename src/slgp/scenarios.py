@@ -6,6 +6,11 @@ parameters used.  All three use double-integrator robot coordinates
 (acceleration effort rows); the push scenario adds uncontrolled object
 coordinates whose passive density is a weak drift penalty and whose
 motion is governed by contact equality rows.
+
+Each relation is one feature class.  ``ArmTipHeight`` is the signed y of
+link tips: on the table as equalities, above it as inequalities.
+``ContactFacePlane`` projects the ``ContactPointTouch`` offset onto the
+face normal, and the box's rest rows are a ``FiniteDifference``.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .features import (EFFORT, AccelerationPenalty, AffineFeature, Array,
-                       DriftPenalty, _constant, coordinate_target)
+from .features import (AccelerationPenalty, AffineFeature, Array, DriftPenalty,
+                       FiniteDifference, coordinate_target)
 from .problem import Mode, PathProblem, Skeleton, Switch, free_skeleton
 
 
@@ -113,8 +118,9 @@ def arm_joint_positions(theta: Array, lengths) -> Array:
     return pts
 
 
-def arm_joint_jacobians(theta: Array, lengths) -> Array:
-    """d position_k / d theta_i, shape (..., K, 2, K); zero for i > k.
+def arm_joint_jacobians(theta: Array, lengths) -> tuple[Array, Array]:
+    """The tip positions (..., K, 2) and d position_k / d theta_i, shape
+    (..., K, 2, K); zero for i > k.
 
     Joint i turns every tip k >= i about the tip i - 1 (the root for
     i = 0), so the column is the offset p_k - p_{i-1} turned by 90 degrees.
@@ -125,7 +131,7 @@ def arm_joint_jacobians(theta: Array, lengths) -> Array:
     # offset[..., k, c, i] = coordinate c of p_k - p_{i-1}
     offset = pts[..., :, :, None] - np.swapaxes(pivots, -1, -2)[..., None, :, :]
     K = pts.shape[-2]
-    return offset[..., ::-1, :] * (np.array([[-1.0], [1.0]]) * np.tri(K)[:, None, :])
+    return pts, offset[..., ::-1, :] * (np.array([[-1.0], [1.0]]) * np.tri(K)[:, None, :])
 
 
 class ArmPointTarget:
@@ -142,48 +148,27 @@ class ArmPointTarget:
         self.name = name
 
     def eval(self, xs: Array):
-        theta = xs[..., 0, :]
-        pts = arm_joint_positions(theta, self.lengths)
-        jac = arm_joint_jacobians(theta, self.lengths)
+        pts, jac = arm_joint_jacobians(xs[..., 0, :], self.lengths)
         return self.w * (pts[..., -1, :] - self.target), self.w * jac[..., -1, :, :]
 
 
-class ArmJointHeight:
-    """Equality row: the y coordinate of one link tip (zero on the table)."""
-
-    window = 1
-    size = 1
-
-    def __init__(self, joint: int, lengths, name: str | None = None):
-        self.joint = int(joint)  # 1-based link tip index
-        self.lengths = tuple(lengths)
-        self.name = name or f"joint{joint}-on-table"
-
-    def eval(self, xs: Array):
-        theta = xs[..., 0, :]
-        pts = arm_joint_positions(theta, self.lengths)
-        jac = arm_joint_jacobians(theta, self.lengths)
-        k = self.joint - 1
-        return pts[..., k, 1:2], jac[..., k, 1:2, :]
-
-
-class ArmTableClearance:
-    """Inequality rows -y_joint <= 0 keeping link tips above the table."""
+class ArmTipHeight:
+    """Rows sign * y of the given link tips (1-based): sign +1 as equality
+    rows holds tips on the table at y = 0, sign -1 as inequality rows
+    -y <= 0 keeps them above it."""
 
     window = 1
 
-    def __init__(self, joints, lengths, name: str = "table-clearance"):
-        self.joints = tuple(int(j) for j in joints)
+    def __init__(self, joints, lengths, sign: float, name: str):
+        self.tips = [int(j) - 1 for j in joints]
         self.lengths = tuple(lengths)
-        self.size = len(self.joints)
+        self.sign = float(sign)
+        self.size = len(self.tips)
         self.name = name
 
     def eval(self, xs: Array):
-        theta = xs[..., 0, :]
-        pts = arm_joint_positions(theta, self.lengths)
-        jac = arm_joint_jacobians(theta, self.lengths)
-        idx = [j - 1 for j in self.joints]
-        return -pts[..., idx, 1], -jac[..., idx, 1, :]
+        pts, jac = arm_joint_jacobians(xs[..., 0, :], self.lengths)
+        return self.sign * pts[..., self.tips, 1], self.sign * jac[..., self.tips, 1, :]
 
 
 def build_elbow(params: ScenarioParams) -> Scenario:
@@ -209,10 +194,11 @@ def build_elbow(params: ScenarioParams) -> Scenario:
 
     def clearance(exclude=()):
         joints = tuple(j for j in all_joints if j not in exclude)
-        return (ArmTableClearance(joints, lengths),)
+        return (ArmTipHeight(joints, lengths, -1.0, "table-clearance"),)
 
     def contact_skeleton(fixed: tuple[int, ...], skeleton_id: str) -> Skeleton:
-        eq = tuple(ArmJointHeight(j, lengths) for j in fixed)
+        eq = tuple(ArmTipHeight((j,), lengths, 1.0, f"joint{j}-on-table")
+                   for j in fixed)
         tag = "".join(str(j) for j in fixed)
         return Skeleton(
             id=skeleton_id,
@@ -251,59 +237,6 @@ def _rot(theta: Array) -> tuple[Array, Array]:
     return R, R[..., ::-1, :] * np.array([[-1.0], [1.0]])
 
 
-class BoxAtRest:
-    """Equality rows pinning the object pose to its previous value."""
-
-    window = 2
-    size = 3
-
-    def __init__(self, dim: int, box0: int, name: str = "box-at-rest"):
-        self.dim = dim
-        self.box0 = box0
-        self.name = name
-        jac = np.zeros((3, 2 * dim))
-        rows = np.arange(3)
-        jac[rows, box0 + rows] = -1.0
-        jac[rows, dim + box0 + rows] = 1.0
-        self._jac = jac
-
-    def eval(self, xs: Array):
-        b = slice(self.box0, self.box0 + 3)
-        return xs[..., 1, b] - xs[..., 0, b], _constant(self._jac, xs)
-
-
-class ContactFacePlane:
-    """Single equality row: the box face plane through the contact point
-    stays under the finger (normal direction only; tangential slip free)."""
-
-    window = 1
-    size = 1
-
-    def __init__(self, finger0: int, box0: int, contact: Array, normal: Array,
-                 dim: int, name: str = "face-contact"):
-        self.finger0 = finger0
-        self.box0 = box0
-        self.contact = np.asarray(contact, dtype=float)
-        self.normal = np.asarray(normal, dtype=float)
-        self.dim = dim
-        self.name = name
-
-    def eval(self, xs: Array):
-        x = xs[..., 0, :]
-        pf = x[..., self.finger0:self.finger0 + 2]
-        b = x[..., self.box0:self.box0 + 2]
-        th = x[..., self.box0 + 2]
-        R, dR = _rot(th)
-        n = R @ self.normal
-        rel = pf - b - R @ self.contact
-        jac = np.zeros(x.shape[:-1] + (1, self.dim))
-        jac[..., 0, self.finger0:self.finger0 + 2] = n
-        jac[..., 0, self.box0:self.box0 + 2] = -n
-        jac[..., 0, self.box0 + 2] = (np.sum((dR @ self.normal) * rel, axis=-1)
-                                      - np.sum(n * (dR @ self.contact), axis=-1))
-        return np.sum(n * rel, axis=-1)[..., None], jac
-
-
 class ContactPointTouch:
     """Two equality rows pinning the finger to a box-frame point."""
 
@@ -318,17 +251,43 @@ class ContactPointTouch:
         self.dim = dim
         self.name = name
 
-    def eval(self, xs: Array):
+    def _pin(self, xs: Array):
+        """The offset of the finger from the contact point, its Jacobian, and
+        the box rotation R with dR/dtheta."""
         x = xs[..., 0, :]
-        pf = x[..., self.finger0:self.finger0 + 2]
-        b = x[..., self.box0:self.box0 + 2]
-        th = x[..., self.box0 + 2]
-        R, dR = _rot(th)
+        R, dR = _rot(x[..., self.box0 + 2])
+        rel = (x[..., self.finger0:self.finger0 + 2] - x[..., self.box0:self.box0 + 2]
+               - R @ self.contact)
         jac = np.zeros(x.shape[:-1] + (2, self.dim))
         jac[..., :, self.finger0:self.finger0 + 2] = np.eye(2)
         jac[..., :, self.box0:self.box0 + 2] = -np.eye(2)
         jac[..., :, self.box0 + 2] = -(dR @ self.contact)
-        return pf - b - R @ self.contact, jac
+        return rel, jac, R, dR
+
+    def eval(self, xs: Array):
+        rel, jac, _, _ = self._pin(xs)
+        return rel, jac
+
+
+class ContactFacePlane(ContactPointTouch):
+    """Single equality row: the touch offset projected onto the box face
+    normal, so the face plane through the contact point stays under the
+    finger while it slides tangentially."""
+
+    size = 1
+
+    def __init__(self, finger0: int, box0: int, contact: Array, normal: Array,
+                 dim: int, name: str = "face-contact"):
+        super().__init__(finger0, box0, contact, dim, name)
+        self.normal = np.asarray(normal, dtype=float)
+
+    def eval(self, xs: Array):
+        rel, jac, R, dR = self._pin(xs)
+        n = R @ self.normal
+        face = np.sum(n[..., :, None] * jac, axis=-2, keepdims=True)
+        # The normal turns with the box too.
+        face[..., 0, self.box0 + 2] += np.sum((dR @ self.normal) * rel, axis=-1)
+        return np.sum(n * rel, axis=-1)[..., None], face
 
 
 def build_push(params: ScenarioParams) -> Scenario:
@@ -375,6 +334,7 @@ def build_push(params: ScenarioParams) -> Scenario:
 
     touch_step = max(2, int(round(params.push_fraction * N)))
     normal = np.array([1.0, 0.0])  # inward normal of the left face
+    rest = FiniteDifference(d, (-1.0, 1.0), 1.0, coords=box_coords, name="box-at-rest")
 
     def push_skeleton(fingers: tuple[int, ...], skeleton_id: str) -> Skeleton:
         contacts = {1: np.array([-half, 0.0]) if len(fingers) == 1
@@ -387,7 +347,7 @@ def build_push(params: ScenarioParams) -> Scenario:
         tag = "".join(str(f) for f in fingers)
         return Skeleton(
             id=skeleton_id,
-            modes=(Mode("approach", (1, touch_step - 1), eq=(BoxAtRest(d, box0),)),
+            modes=(Mode("approach", (1, touch_step - 1), eq=(rest,)),
                    Mode(f"push-{tag}", (touch_step, N), eq=eq_push)),
             switches=(Switch(f"touch-{tag}", touch_step, eq=eq_touch),))
 

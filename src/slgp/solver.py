@@ -64,17 +64,6 @@ class SolverConfig:
             # A backtracking factor of 1 or more never shortens the step.
             raise ValueError(f"armijo_shrink must be below 1, got {self.armijo_shrink!r}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SolverConfig":
-        """Accepts camelCase config-file keys as well as field names."""
-        alias = {"maxOuter": "max_outer", "maxInner": "max_inner",
-                 "muInit": "mu_init", "muGrowth": "mu_growth",
-                 "tolStep": "tol_step", "tolConstraint": "tol_constraint",
-                 "armijoC": "armijo_c", "armijoShrink": "armijo_shrink",
-                 "hessianReg": "hessian_reg"}
-        kwargs = {alias.get(k, k): v for k, v in raw.items()}
-        return cls(**kwargs)
-
     def accepts(self, kkt: KktResiduals, lam: Array) -> bool:
         """The convergence gate: stationarity within 10 tol_step, both
         violations within tol_constraint, and complementarity within
@@ -156,13 +145,14 @@ def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> Array:
     return ab
 
 
-def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float) -> Array:
-    """Solve (GN Hessian of the merit + damping I) dx = -grad.
+def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float,
+                      grad: Array) -> Array:
+    """Solve (GN Hessian of the merit + damping I) dx = -grad, with grad the
+    merit gradient at the stack.
 
     On factorization failure the damping is grown tenfold up to 1e+2
     before giving up.
     """
-    grad = _merit_grad(stack, al)
     level = damping
     while True:
         try:
@@ -194,18 +184,19 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol,
     """Minimize the AL merit for fixed multipliers, starting from x_flat
     and its stack.
 
-    The accepted trial point keeps its stack, so no point is assembled
-    twice.  Returns (x, stack at x, reason, iterations) with reason in
+    The accepted trial point keeps its stack and its merit, so each point
+    is assembled once and has its merit and gradient computed once.
+    Returns (x, stack at x, reason, iterations) with reason in
     {"gradient", "step", "line-search", "max-inner"}.
     """
     shape = (problem.N, problem.d)
     small_steps = 0
+    merit = _merit(stack, al)
     for it in range(cfg.max_inner):
-        merit = _merit(stack, al)
         grad = _merit_grad(stack, al)
         if float(np.abs(grad).max()) <= grad_tol:
             return x_flat, stack, "gradient", it
-        dx = gauss_newton_step(stack, al, cfg.hessian_reg)
+        dx = gauss_newton_step(stack, al, cfg.hessian_reg, grad)
         slope = float(grad @ dx)
         alpha = 1.0
         accepted = False
@@ -225,8 +216,7 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol,
                           alpha * float(np.abs(dx).max()) if accepted else 0.0))
         if not accepted:
             return x_flat, stack, "line-search", it + 1
-        x_flat = trial
-        stack = trial_stack
+        x_flat, stack, merit = trial, trial_stack, trial_merit
         if alpha * float(np.abs(dx).max()) <= cfg.tol_step:
             small_steps += 1
             if small_steps >= 2:

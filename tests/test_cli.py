@@ -258,9 +258,12 @@ def test_unknown_execution_keys_are_rejected(tmp_path, command, key):
      "--hysteresis must be a finite number >= 0, got nan"),
     ("tworoute", ["--set", "execution.noiseScale=abc"],
      "execution.noiseScale must be a finite number >= 0, got 'abc'"),
+    ("tworoute", ["--set", "execution.noise_scale=abc"],
+     "execution.noiseScale must be a finite number >= 0, got 'abc'"),
     ("tworoute", ["--set", "execution.priorMode=bogus"], "unknown priorMode 'bogus'"),
 ], ids=["disturb-nan", "noise-negative", "noise-nan", "hysteresis-negative",
-        "hysteresis-nan", "noise-scale-text", "prior-mode-unknown"])
+        "hysteresis-nan", "noise-scale-text", "noise-scale-snake-text",
+        "prior-mode-unknown"])
 def test_bad_execution_inputs_are_named(tmp_path, scenario, extra, message):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "x"),

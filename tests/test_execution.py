@@ -10,14 +10,13 @@ from slgp.execution import (BLENDING, CompositeController, RolloutError,
                             _project_equalities, build_controller, compose,
                             online_weights, rms_final_error, rollout,
                             select_skeleton)
-from slgp.features import AffineFeature
+from slgp.features import AffineFeature, FiniteDifference
 from slgp.kodp import (KodpPolicy, backward_pass, cost_to_go, quadratize,
                        step_policy)
 from slgp.laplace import build_component, mixture_weights
 from slgp.problem import (Mode, Skeleton, Switch, step_constraints,
                           step_equalities)
-from slgp.scenarios import (BoxAtRest, ContactPointTouch, ScenarioParams,
-                            build_scenario)
+from slgp.scenarios import ContactPointTouch, ScenarioParams, build_scenario
 from slgp.solver import SolverConfig, solve
 
 
@@ -417,7 +416,7 @@ def test_nonfinite_contact_feature_aborts_the_rollout_with_step_and_label(push):
 def test_projection_mixes_feature_windows_at_one_step(push):
     problem = push.scenario.problem
     N, d = problem.N, problem.d
-    rest = BoxAtRest(d, 4)
+    rest = FiniteDifference(d, (-1.0, 1.0), 1.0, coords=[4, 5, 6])
     touch = ContactPointTouch(0, 4, np.array([-0.1, 0.0]), d)
     assert (rest.window, touch.window) == (2, 1)
     s = 5

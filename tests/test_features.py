@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slgp.features import (AccelerationPenalty, AffineFeature, DriftPenalty,
-                           check_jacobian, coordinate_target)
+                           FiniteDifference, check_jacobian, coordinate_target)
+from slgp.scenarios import ContactFacePlane
 
 
 def _accel(window, dt):
@@ -95,14 +96,18 @@ def test_acceleration_penalty_matches_the_scaled_second_difference():
 
 def test_batched_evaluation_matches_each_window():
     rng = np.random.default_rng(37)
-    feats = (AccelerationPenalty(3, dt=0.2, sigma=0.4, coords=[2, 0]),
-             DriftPenalty(3, dt=0.2, sigma=0.5, coords=[1]),
-             AffineFeature(rng.normal(size=(2, 6)), rng.normal(size=2), window=2))
+    d = 7
+    feats = (AccelerationPenalty(d, dt=0.2, sigma=0.4, coords=[2, 0]),
+             DriftPenalty(d, dt=0.2, sigma=0.5, coords=[1]),
+             # The push scenario's rest rows and face row.
+             FiniteDifference(d, (-1.0, 1.0), 1.0, coords=[4, 5, 6]),
+             ContactFacePlane(0, 4, np.array([-0.1, 0.06]), np.array([1.0, 0.0]), d),
+             AffineFeature(rng.normal(size=(2, 2 * d)), rng.normal(size=2), window=2))
     for feat in feats:
-        xs = rng.normal(size=(5, feat.window, 3))
+        xs = rng.normal(size=(5, feat.window, d))
         values, jacs = feat.eval(xs)
         assert values.shape == (5, feat.size)
-        assert jacs.shape == (5, feat.size, feat.window * 3)
+        assert jacs.shape == (5, feat.size, feat.window * d)
         for m in range(5):
             value, jac = feat.eval(xs[m])
             assert np.abs(values[m] - value).max() <= 1e-12

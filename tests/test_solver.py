@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slgp.cli import _solver_config
 from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
 from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                           assemble, constraint_violation, free_skeleton)
@@ -96,7 +97,7 @@ def test_zero_gradient_gives_zero_step():
     sol = solve(problem, free_skeleton(problem.N))
     stack = assemble(problem, free_skeleton(problem.N), sol.x_star)
     al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
-    dx = gauss_newton_step(stack, al, damping=1e-8)
+    dx = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
     assert np.abs(dx).max() < 1e-6
 
 
@@ -107,7 +108,7 @@ def test_undamped_step_is_the_exact_least_squares_step():
     x0 = rng.normal(size=(problem.N, problem.d))
     stack = assemble(problem, skeleton, x0)
     al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
-    dx = gauss_newton_step(stack, al, damping=0.0)
+    dx = gauss_newton_step(stack, al, 0.0, _merit_grad(stack, al))
     A = dense_jacobian(stack, "cost")
     exact = np.linalg.lstsq(A, -(stack.residuals + A @ (-x0.ravel())),
                             rcond=None)[0] - 0.0
@@ -124,7 +125,7 @@ def test_gauss_newton_step_decreases_the_merit():
     for _ in range(10):
         x0 = rng.normal(size=(2, 1))
         stack = assemble(problem, skeleton, x0)
-        dx = gauss_newton_step(stack, al, damping=1e-8)
+        dx = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
         if np.abs(dx).max() < 1e-12:
             continue
         after = assemble(problem, skeleton,
@@ -153,10 +154,10 @@ def test_solver_is_deterministic():
 
 
 def test_config_rejects_camel_case_and_snake_case_mix():
-    cfg = SolverConfig.from_dict({"muInit": 2.0, "tol_step": 1e-9})
+    cfg = _solver_config({"solver": {"muInit": 2.0, "tol_step": 1e-9}})
     assert cfg.mu_init == 2.0 and cfg.tol_step == 1e-9
-    with pytest.raises(TypeError):
-        SolverConfig.from_dict({"unknownKnob": 1})
+    with pytest.raises(SystemExit, match="unknown solver parameter 'unknownKnob'"):
+        _solver_config({"solver": {"unknownKnob": 1}})
 
 
 def test_elbow_free_skeleton_converges_cleanly(elbow):
@@ -236,6 +237,28 @@ def test_solve_never_assembles_one_point_twice_in_a_row(elbow, monkeypatch):
     accepted = sum(1 for *_, step in sol.trace if step > 0.0)
     assert len(points) - 1 >= accepted
     assert np.array_equal(points[-1], sol.x_star)
+
+
+def test_solve_computes_each_merit_quantity_once_per_point(elbow, monkeypatch):
+    counts = {"assemble": 0, "merit": 0, "grad": 0, "step": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    for key, name, fn in (("assemble", "assemble", assemble), ("merit", "_merit", _merit),
+                          ("grad", "_merit_grad", _merit_grad),
+                          ("step", "gauss_newton_step", gauss_newton_step)):
+        monkeypatch.setattr(f"slgp.solver.{name}", counting(key, fn))
+    scenario = elbow.scenario
+    sol = solve(scenario.problem, scenario.skeleton("fix-joint-1"))
+    assert sol.converged and counts["step"] > 0
+    # One merit per inner loop at its start point, one per trial point;
+    # each loop iteration takes one gradient, which its step reuses.
+    assert counts["merit"] == sol.outer_iterations + counts["assemble"] - 1
+    assert counts["step"] <= counts["grad"] <= counts["step"] + sol.outer_iterations
 
 
 @pytest.mark.parametrize("error", [RuntimeError("a bug in assembly"),
