@@ -247,9 +247,10 @@ def cmd_plan(args) -> int:
                     _solution_payload(sk, sol, comp, weight_of.get(sk.id), reason))
         if args.trace and sol.trace:
             _write_csv(out / f"trace-{sk.id}.csv",
-                       ("outer", "inner", "merit", "violation", "stepNorm"),
-                       [(o, i, repr(m), repr(v), repr(s))
-                        for o, i, m, v, s in sol.trace])
+                       ("outer", "inner", "merit", "violation", "stepNorm", "mu",
+                        "backtracks", "damping"),
+                       [(o, i, repr(m), repr(v), repr(s), repr(mu), b, repr(dmp))
+                        for o, i, m, v, s, mu, b, dmp in sol.trace])
     if mixture:
         _write_json(out / "mixture.json", mixture.to_dict())
     _write_csv(out / "weights.csv",

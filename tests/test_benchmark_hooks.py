@@ -10,6 +10,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 import slgp.cli
 import slgp.problem
 
@@ -37,14 +39,17 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     assert slgp.cli._workers(4) == 1
 
 
-def test_traced_simulate_reports_every_layer_metric_as_a_number(tmp_path):
+@pytest.mark.parametrize("scenario", ["tworoute", "elbow"])
+def test_traced_simulate_reports_every_layer_metric_as_a_number(scenario, tmp_path):
     # A traced run can exit 0 while a metric reads null, for instance when
-    # simulate no longer calls execution.rollout.
+    # simulate no longer calls execution.rollout.  Elbow adds inequality
+    # rows, line-search backtracks and inner loops that end on a relative
+    # gradient cut, which solver.trials_per_step must count.
     spans = _spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = slgp.cli.main(["simulate", "--scenario", "tworoute", "--seeds", "0..1",
+        code = slgp.cli.main(["simulate", "--scenario", scenario, "--seeds", "0..1",
                               "--out", str(tmp_path / "sim")])
     finally:
         tracer.uninstall()

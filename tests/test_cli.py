@@ -55,6 +55,28 @@ def test_plan_elbow_writes_the_mixture_and_solutions(tmp_path):
     assert (out / "report.txt").exists()
 
 
+def test_plan_elbow_at_n60_converges_every_skeleton(tmp_path):
+    # With an absolute inner tolerance, fix-joint-2 ended here in
+    # line-search-failure after two stalled inner loops.
+    code, out = _plan(tmp_path, "elbow", "--set", "scenario.N=60")
+    assert code == 0
+    _, rows = _read_csv(out / "weights.csv")
+    assert {row[0]: row[1] for row in rows} == {
+        sid: "converged" for sid in ("free", "fix-joint-1", "fix-joint-2", "fix-both")}
+
+
+def test_plan_trace_has_one_row_per_inner_iteration(tmp_path):
+    code, out = _plan(tmp_path, "tworoute", "--trace")
+    assert code == 0
+    header, rows = _read_csv(out / "trace-via-far.csv")
+    assert header == ["outer", "inner", "merit", "violation", "stepNorm", "mu",
+                      "backtracks", "damping"]
+    sol = json.loads((out / "solution-via-far.json").read_text())
+    assert len(rows) == sol["innerIterations"]
+    for row in rows:
+        assert int(row[6]) >= 0 and float(row[5]) > 0.0 and float(row[7]) > 0.0
+
+
 def test_plan_push_reports_the_two_finger_entropy_advantage(tmp_path):
     code, out = _plan(tmp_path, "push")
     assert code == 0

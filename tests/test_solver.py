@@ -1,8 +1,12 @@
 """Augmented-Lagrangian Gauss-Newton solver behavior."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from slgp.banded import FactorizationError, banded_cholesky_solve
 from slgp.cli import _solver_config
 from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
 from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
@@ -12,6 +16,8 @@ from slgp.selftest import dense_jacobian
 from slgp.solver import (ALState, SolverConfig, gauss_newton_step,
                          kkt_residuals, solve)
 from slgp.solver import _merit, _merit_grad, _merit_hessian  # noqa: PLC2701
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def _lsq_problem(N=5, d=2):
@@ -97,7 +103,7 @@ def test_zero_gradient_gives_zero_step():
     sol = solve(problem, free_skeleton(problem.N))
     stack = assemble(problem, free_skeleton(problem.N), sol.x_star)
     al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
-    dx = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
+    dx, _ = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
     assert np.abs(dx).max() < 1e-6
 
 
@@ -108,7 +114,8 @@ def test_undamped_step_is_the_exact_least_squares_step():
     x0 = rng.normal(size=(problem.N, problem.d))
     stack = assemble(problem, skeleton, x0)
     al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
-    dx = gauss_newton_step(stack, al, 0.0, _merit_grad(stack, al))
+    dx, damping = gauss_newton_step(stack, al, 0.0, _merit_grad(stack, al))
+    assert damping == 0.0
     A = dense_jacobian(stack, "cost")
     exact = np.linalg.lstsq(A, -(stack.residuals + A @ (-x0.ravel())),
                             rcond=None)[0] - 0.0
@@ -118,6 +125,25 @@ def test_undamped_step_is_the_exact_least_squares_step():
     assert np.abs((x0.ravel() + dx) - exact).max() < 1e-8
 
 
+def test_gauss_newton_step_reports_the_damping_it_factored_at(monkeypatch):
+    # Two failed factorizations grow the damping tenfold twice.
+    problem = _lsq_problem()
+    stack = assemble(problem, free_skeleton(problem.N), np.zeros((problem.N, problem.d)))
+    al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
+    calls = []
+
+    def failing_twice(ab, rhs):
+        calls.append(None)
+        if len(calls) <= 2:
+            raise FactorizationError("not positive definite")
+        return banded_cholesky_solve(ab, rhs)
+
+    monkeypatch.setattr("slgp.solver.banded_cholesky_solve", failing_twice)
+    dx, damping = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
+    assert len(calls) == 3 and np.isfinite(dx).all()
+    assert np.isclose(damping, 1e-6, rtol=1e-12, atol=0.0)
+
+
 def test_gauss_newton_step_decreases_the_merit():
     problem, skeleton = _scalar_bound_problem()
     rng = np.random.default_rng(14)
@@ -125,7 +151,7 @@ def test_gauss_newton_step_decreases_the_merit():
     for _ in range(10):
         x0 = rng.normal(size=(2, 1))
         stack = assemble(problem, skeleton, x0)
-        dx = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
+        dx, _ = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
         if np.abs(dx).max() < 1e-12:
             continue
         after = assemble(problem, skeleton,
@@ -138,8 +164,8 @@ def test_trace_merit_is_nonincreasing_within_an_outer_iteration():
     sol = solve(problem, skeleton, collect_trace=True)
     assert sol.converged and len(sol.trace) > 0
     by_outer = {}
-    for outer, inner, merit, viol, stepnorm in sol.trace:
-        by_outer.setdefault(outer, []).append(merit)
+    for row in sol.trace:
+        by_outer.setdefault(row.outer, []).append(row.merit)
     for merits in by_outer.values():
         assert all(b <= a + 1e-12 for a, b in zip(merits, merits[1:]))
 
@@ -234,7 +260,7 @@ def test_solve_never_assembles_one_point_twice_in_a_row(elbow, monkeypatch):
     for prev, cur in zip(points, points[1:]):
         assert not np.array_equal(cur, prev)
     # One assemble at the start, then one per line-search trial.
-    accepted = sum(1 for *_, step in sol.trace if step > 0.0)
+    accepted = sum(1 for row in sol.trace if row.step_norm > 0.0)
     assert len(points) - 1 >= accepted
     assert np.array_equal(points[-1], sol.x_star)
 
@@ -282,3 +308,37 @@ def test_line_search_rejects_only_feature_failures(error, monkeypatch):
     else:
         with pytest.raises(RuntimeError, match="a bug in assembly"):
             solve(scenario.problem, scenario.skeletons[0])
+
+
+@pytest.mark.parametrize("sid", ["fix-joint-1", "fix-joint-2", "fix-both"])
+def test_elbow_constrained_skeletons_take_few_gauss_newton_steps(elbow, sid, monkeypatch):
+    # Far from feasibility an inner loop ends after a tenfold gradient cut,
+    # so each solve takes 28-36 steps; with an absolute inner tolerance it
+    # took 80-115.  The optimum stays the recorded one.
+    steps = []
+
+    def counting_step(*args):
+        steps.append(None)
+        return gauss_newton_step(*args)
+
+    monkeypatch.setattr("slgp.solver.gauss_newton_step", counting_step)
+    scenario = elbow.scenario
+    sol = solve(scenario.problem, scenario.skeleton(sid))
+    assert sol.converged
+    assert len(steps) == sol.inner_iterations <= 50
+    expected = json.loads(EXPECTED.read_text())
+    f_ref = expected["workloads"]["elbow"][sid]["fStar"]
+    assert abs(sol.f_star - f_ref) <= expected["tolerance"]["fStar_rel"] * abs(f_ref)
+
+
+def test_trace_rows_report_the_penalty_backtracks_and_damping(elbow):
+    scenario = elbow.scenario
+    cfg = SolverConfig()
+    sol = solve(scenario.problem, scenario.skeleton("fix-both"), collect_trace=True)
+    assert sol.converged and len(sol.trace) == sol.inner_iterations
+    mus = [row.mu for row in sol.trace]
+    assert mus[0] == cfg.mu_init and mus == sorted(mus) and mus[-1] > mus[0]
+    backtracks = [row.backtracks for row in sol.trace]
+    assert all(isinstance(b, int) and b >= 0 for b in backtracks)
+    assert 0 in backtracks and max(backtracks) > 0
+    assert all(row.damping == cfg.hessian_reg for row in sol.trace)
