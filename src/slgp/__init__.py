@@ -7,7 +7,8 @@ same quantities.
 """
 
 from .features import (EFFORT, TASK, AccelerationPenalty, AffineFeature,
-                       DriftPenalty, check_jacobian, coordinate_target)
+                       DriftPenalty, FiniteDifference, check_jacobian,
+                       coordinate_target)
 from .problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                       SkeletonError, Switch, Violation, assemble,
                       constraint_violation, cost_value, free_skeleton,
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EFFORT", "TASK", "AccelerationPenalty", "AffineFeature", "DriftPenalty",
-    "check_jacobian", "coordinate_target",
+    "FiniteDifference", "check_jacobian", "coordinate_target",
     "FeatureEvalError", "Mode", "PathProblem", "Skeleton", "SkeletonError",
     "Switch", "Violation", "assemble", "constraint_violation", "cost_value",
     "free_skeleton", "validate_skeleton",

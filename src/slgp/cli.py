@@ -25,30 +25,19 @@ import numpy as np
 from .execution import (BLENDING, SWITCHING, RolloutError, build_controller,
                         rollout)
 from .kodp import read_policy
-from .laplace import (UNIFORM_NA, UNNORMALIZED, SingularComponentError,
-                      build_component, build_mixture)
+from .laplace import (UNNORMALIZED, SingularComponentError, build_component,
+                      build_mixture)
 from .problem import validate_skeleton
 from .scenarios import Scenario, ScenarioParams, build_scenario
 from .selftest import ALL_SUITES, run_suites
 from .solver import SolverConfig, solve
 
+_SECTIONS = {"scenario": ScenarioParams, "solver": SolverConfig}
+
 
 def _camel(name: str) -> str:
     head, *rest = name.split("_")
     return head + "".join(part.capitalize() for part in rest)
-
-
-def _fields(section: dict, names, label: str) -> dict:
-    """The section keyed by field name.  A key is a field name or its
-    camelCase form; any other key exits naming it."""
-    field_of = {form: name for name in names for form in (name, _camel(name))}
-    out = {}
-    for key, value in section.items():
-        if key not in field_of:
-            raise SystemExit(f"unknown {label} parameter '{key}'; choose from "
-                             f"{', '.join(_camel(name) for name in names)}")
-        out[field_of[key]] = value
-    return out
 
 
 def _parse_set(expr: str) -> tuple[str, object]:
@@ -83,63 +72,47 @@ def _load_config(args) -> dict:
     for expr in getattr(args, "set", None) or []:
         key, value = _parse_set(expr)
         _assign(cfg, key, value)
+    for name in cfg:
+        if name not in _SECTIONS:
+            raise SystemExit(f"unknown config section '{name}'; choose from "
+                             f"{', '.join(_SECTIONS)}")
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise SystemExit(f"config section '{name}' must be an object")
-    return section
-
-
-def _scenario_params(args, cfg: dict) -> ScenarioParams:
-    kwargs = {name: tuple(value) if isinstance(value, list) else value
-              for name, value in _fields(_section(cfg, "scenario"),
-                                         [f.name for f in fields(ScenarioParams)],
-                                         "scenario").items()}
-    if args.scenario:
-        kwargs["name"] = args.scenario
+def _config(cfg: dict, section: str, **overrides):
+    """The section's dataclass from its keys, then the overrides.  A key is
+    a field name or its camelCase form; any other key, and any value the
+    dataclass rejects, exits naming it."""
+    entries = cfg.get(section, {})
+    if not isinstance(entries, dict):
+        raise SystemExit(f"config section '{section}' must be an object")
+    names = [f.name for f in fields(_SECTIONS[section])]
+    field_of = {form: name for name in names for form in (name, _camel(name))}
+    kwargs = {}
+    for key, value in entries.items():
+        if key not in field_of:
+            raise SystemExit(f"unknown {section} parameter '{key}'; choose from "
+                             f"{', '.join(_camel(name) for name in names)}")
+        kwargs[field_of[key]] = tuple(value) if isinstance(value, list) else value
     try:
-        return ScenarioParams(**kwargs)
+        return _SECTIONS[section](**{**kwargs, **overrides})
     except (TypeError, ValueError) as exc:
-        raise SystemExit(f"bad scenario parameters: {exc}") from exc
+        raise SystemExit(f"bad {section} config: {exc}") from exc
 
 
-_EXECUTION_KEYS = ("controller", "hysteresis", "noise_scale", "prior_mode")
-
-
-def _nonnegative(name: str, value) -> float:
-    """value as a finite float >= 0, or SystemExit naming it."""
+def _scenario(args, cfg: dict) -> Scenario:
+    overrides = {"name": args.scenario} if args.scenario else {}
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
-    if not 0.0 <= number < np.inf:
+        return build_scenario(_config(cfg, "scenario", **overrides))
+    except ValueError as exc:
+        raise SystemExit(f"bad scenario config: {exc}") from exc
+
+
+def _nonnegative(name: str, value: float) -> float:
+    """value if it is finite and >= 0, else SystemExit naming it."""
+    if not 0.0 <= value < np.inf:
         raise SystemExit(f"{name} must be a finite number >= 0, got {value!r}")
-    return number
-
-
-def _execution_config(cfg: dict) -> dict:
-    """The execution section with its defaults filled in, checked."""
-    section = _fields(_section(cfg, "execution"), _EXECUTION_KEYS, "execution")
-    out = {"controller": section.get("controller", SWITCHING),
-           "prior_mode": section.get("prior_mode", UNNORMALIZED)}
-    if out["controller"] not in (BLENDING, SWITCHING):
-        raise SystemExit(f"unknown controller mode {out['controller']!r}")
-    if out["prior_mode"] not in (UNNORMALIZED, UNIFORM_NA):
-        raise SystemExit(f"unknown priorMode {out['prior_mode']!r}")
-    for key, default in (("hysteresis", 0.0), ("noise_scale", 1.0)):
-        out[key] = _nonnegative(f"execution.{_camel(key)}", section.get(key, default))
-    return out
-
-
-def _solver_config(cfg: dict) -> SolverConfig:
-    try:
-        return SolverConfig(**_fields(_section(cfg, "solver"),
-                                      [f.name for f in fields(SolverConfig)], "solver"))
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"bad solver config: {exc}") from exc
+    return value
 
 
 def _workers(count: int) -> int:
@@ -228,17 +201,16 @@ def _solution_payload(sk, sol, comp, weight, reason) -> dict:
 
 def cmd_plan(args) -> int:
     cfg = _load_config(args)
-    params = _scenario_params(args, cfg)
-    scenario = build_scenario(params)
-    solver_cfg = _solver_config(cfg)
-    prior_mode = _execution_config(cfg)["prior_mode"]
+    scenario = _scenario(args, cfg)
+    params = scenario.params
+    solver_cfg = _config(cfg, "solver")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     solutions, components, reasons = _plan_scenario(scenario, solver_cfg,
                                                     collect_trace=args.trace)
     live = [c for c in components if c is not None]
-    mixture = build_mixture(live, prior_mode=prior_mode) if live else None
+    mixture = build_mixture(live) if live else None
     weight_of = ({c.skeleton_id: float(w) for c, w in zip(live, mixture.weights)}
                  if mixture else {})
 
@@ -276,7 +248,7 @@ def cmd_plan(args) -> int:
             part += f" dropped: {reason}"
         lines.append(part)
     if mixture:
-        lines.append(f"multimodal cost ({prior_mode}): {mixture.cost:.6f}")
+        lines.append(f"multimodal cost ({UNNORMALIZED}): {mixture.cost:.6f}")
     _write_text(out / "report.txt", "\n".join(lines) + "\n")
 
     print("\n".join(lines))
@@ -318,15 +290,10 @@ def _parse_disturb(exprs) -> list[tuple[int, np.ndarray]]:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    params = _scenario_params(args, cfg)
-    scenario = build_scenario(params)
-    solver_cfg = _solver_config(cfg)
-    exec_cfg = _execution_config(cfg)
-    mode = args.controller or exec_cfg["controller"]
-    hysteresis = (exec_cfg["hysteresis"] if args.hysteresis is None
-                  else _nonnegative("--hysteresis", args.hysteresis))
-    noise = (exec_cfg["noise_scale"] if args.noise is None
-             else _nonnegative("--noise", args.noise))
+    scenario = _scenario(args, cfg)
+    solver_cfg = _config(cfg, "solver")
+    hysteresis = _nonnegative("--hysteresis", args.hysteresis)
+    noise = _nonnegative("--noise", args.noise)
     seeds = _parse_seeds(args.seeds)
     disturbances = _parse_disturb(args.disturb)
     for step, vec in disturbances:
@@ -349,7 +316,8 @@ def cmd_simulate(args) -> int:
         return 2
     policies = [read_policy(c.elimination, c.skeleton_id, c.x_star, c.prefix)
                 for c in kept]
-    controller = build_controller(policies, kept, mode=mode, hysteresis=hysteresis)
+    controller = build_controller(policies, kept, mode=args.controller,
+                                  hysteresis=hysteresis)
 
     if args.truth:
         try:
@@ -364,13 +332,10 @@ def cmd_simulate(args) -> int:
         mixture = build_mixture(kept)
         truth = scenario.skeleton(kept[int(np.argmax(mixture.weights))].skeleton_id)
 
-    target = (None if scenario.target_coords is None
-              else (scenario.target_coords, scenario.target_values))
-
     def run(seed: int):
         try:
             ro = rollout(scenario.problem, truth, controller, noise_scale=noise,
-                         disturbances=disturbances, seed=seed, target=target)
+                         disturbances=disturbances, seed=seed)
             return seed, ro, None
         except RolloutError as exc:
             return seed, None, str(exc)
@@ -420,7 +385,7 @@ def cmd_simulate(args) -> int:
                ("seed", "step", "active", *(f"w_{sid}" for sid in ids)),
                weight_rows)
 
-    lines = [f"scenario: {scenario.name}  controller: {mode}  "
+    lines = [f"scenario: {scenario.name}  controller: {args.controller}  "
              f"hysteresis: {hysteresis:g}  noise: {noise:g}",
              f"truth skeleton: {truth.id}",
              f"skeletons executed: {', '.join(c.skeleton_id for c in kept)}"]
@@ -458,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario name (overrides config)")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="dot-path config override, e.g. solver.muInit=2")
+                       help="dot-path config override, e.g. solver.maxOuter=50")
         p.add_argument("--out", default="out", help="output directory")
 
     plan = sub.add_parser("plan", help="solve all skeletons and build the mixture")
@@ -469,9 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="roll out the composite controller")
     common(sim)
-    sim.add_argument("--controller", choices=(BLENDING, SWITCHING))
-    sim.add_argument("--noise", type=float, help="noise scale (default 1.0)")
-    sim.add_argument("--hysteresis", type=float)
+    sim.add_argument("--controller", choices=(BLENDING, SWITCHING), default=SWITCHING)
+    sim.add_argument("--noise", type=float, default=1.0, help="noise scale")
+    sim.add_argument("--hysteresis", type=float, default=0.0,
+                     help="switching margin")
     sim.add_argument("--disturb", action="append", metavar="STEP:V1,V2,...",
                      help="impulse added after the step's command")
     sim.add_argument("--seeds", default="0", help="seed or inclusive range a..b")

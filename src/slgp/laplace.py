@@ -330,15 +330,13 @@ def multimodal_cost(f_star, log_ratio, prior_mode: str = UNNORMALIZED) -> float:
 class PathMixture:
     components: tuple[LaplaceComponent, ...]
     weights: Array
-    prior_mode: str
     cost: float
 
     def to_dict(self) -> dict:
         f = np.array([c.f_star for c in self.components])
         lr = np.array([c.log_ratio for c in self.components])
         return {
-            "schema": "slgp.mixture/1",
-            "priorMode": self.prior_mode,
+            "schema": "slgp.mixture/2",
             "components": [
                 {"skeletonId": c.skeleton_id, "fStar": c.f_star,
                  "logRatio": c.log_ratio, "entropyRatio": float(np.exp(c.log_ratio)),
@@ -352,14 +350,13 @@ class PathMixture:
         }
 
 
-def build_mixture(components, prior_mode: str = UNNORMALIZED) -> PathMixture:
+def build_mixture(components) -> PathMixture:
+    """Weights and unnormalized multimodal cost of the components."""
     components = tuple(components)
     f = np.array([c.f_star for c in components])
     lr = np.array([c.log_ratio for c in components])
-    return PathMixture(components=components,
-                       weights=mixture_weights(f, lr),
-                       prior_mode=prior_mode,
-                       cost=multimodal_cost(f, lr, prior_mode))
+    return PathMixture(components=components, weights=mixture_weights(f, lr),
+                       cost=multimodal_cost(f, lr))
 
 
 def ancestral_paths(component: LaplaceComponent, z: Array,

@@ -15,6 +15,7 @@ face normal, and the box's rest rows are a ``FiniteDifference``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -27,8 +28,8 @@ from .problem import Mode, PathProblem, Skeleton, Switch, free_skeleton
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Knobs for all scenarios; geometric quantities must be positive and
-    window fractions must lie in [0, 1]."""
+    """Knobs for all scenarios; N must be an integer of at least 4,
+    positive quantities finite and window fractions in [0, 1]."""
 
     name: str = "elbow"
     N: int = 40
@@ -59,8 +60,8 @@ class ScenarioParams:
     waypoint_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError("N must be at least 4")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 4):
+            raise ValueError(f"N must be an integer of at least 4, got {self.N!r}")
         for label, value in (("T", self.T), ("sigma", self.sigma),
                              ("box_half", self.box_half),
                              ("sigma_object", self.sigma_object),
@@ -69,10 +70,10 @@ class ScenarioParams:
                              ("box_target_weight", self.box_target_weight),
                              ("route_target_weight", self.route_target_weight),
                              ("approach_gap", self.approach_gap)):
-            if not value > 0:
-                raise ValueError(f"{label} must be positive, got {value}")
-        if any(l <= 0 for l in self.link_lengths):
-            raise ValueError("link lengths must be positive")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{label} must be finite and positive, got {value}")
+        if not all(0 < l < np.inf for l in self.link_lengths):
+            raise ValueError("link lengths must be finite and positive")
         for label, frac in (("contact_fraction", self.contact_fraction),
                             ("push_fraction", self.push_fraction),
                             ("waypoint_fraction", self.waypoint_fraction)):
@@ -178,7 +179,7 @@ def build_elbow(params: ScenarioParams) -> Scenario:
     d = len(lengths)
     target = np.asarray(params.arm_target, dtype=float)
     if np.linalg.norm(target) > sum(lengths):
-        raise ValueError(f"target {tuple(target)} outside arm reach {sum(lengths)}")
+        raise ValueError(f"target {params.arm_target} outside arm reach {sum(lengths)}")
     theta0 = np.asarray(params.start_angles, dtype=float)
     if theta0.shape != (d,):
         raise ValueError(f"start_angles must have length {d}")

@@ -7,7 +7,10 @@ would break the traced run without failing any other test.
 """
 
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ import pytest
 import slgp.cli
 import slgp.problem
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -58,3 +62,15 @@ def test_traced_simulate_reports_every_layer_metric_as_a_number(scenario, tmp_pa
     bad = {k: v for k, v in metrics.items()
            if not (isinstance(v, (int, float)) and math.isfinite(v))}
     assert not bad
+
+
+@pytest.mark.parametrize("workload", ["elbow", "tworoute-n160", "push"])
+def test_traced_benchmark_run_ends_on_a_correct_result_line(workload):
+    # The traced run drives the CLI and the frozen API end to end; it can
+    # exit 0 without a valid last line, so both are checked.
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from slgp.cli import main
+from slgp.execution import rollout
 from slgp.laplace import SingularComponentError, build_component, eliminate
 from slgp.problem import assemble
 
@@ -36,7 +37,8 @@ def test_plan_elbow_writes_the_mixture_and_solutions(tmp_path):
     code, out = _plan(tmp_path, "elbow")
     assert code == 0
     payload = json.loads((out / "mixture.json").read_text())
-    assert payload["schema"] == "slgp.mixture/1"
+    assert payload["schema"] == "slgp.mixture/2"
+    assert "priorMode" not in payload
     assert len(payload["components"]) == 4
     total = sum(c["weight"] for c in payload["components"])
     assert abs(total - 1.0) < 1e-12
@@ -262,11 +264,15 @@ def test_bad_arguments_exit_with_a_message(tmp_path):
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 @pytest.mark.parametrize("key", ["hysterisis", "effortWeight"])
 def test_unknown_execution_keys_are_rejected(tmp_path, command, key):
-    # A misspelt or retired key must not be silently ignored.
-    with pytest.raises(SystemExit, match=f"unknown execution parameter '{key}'"):
+    # Execution settings are simulate flags only, so the section is unknown.
+    with pytest.raises(SystemExit, match="unknown config section 'execution'"):
         main([command, "--scenario", "tworoute", "--out", str(tmp_path / "x"),
               "--set", f"execution.{key}=0.1"])
     assert not (tmp_path / "x").exists()
+
+
+UNKNOWN_EXECUTION = "unknown config section 'execution'; choose from scenario, solver"
+SOLVER_KEYS = "choose from maxOuter, tolStep, tolConstraint, hessianReg"
 
 
 @pytest.mark.parametrize("scenario, extra, message", [
@@ -278,11 +284,9 @@ def test_unknown_execution_keys_are_rejected(tmp_path, command, key):
      "--hysteresis must be a finite number >= 0, got -1.0"),
     ("tworoute", ["--hysteresis", "nan"],
      "--hysteresis must be a finite number >= 0, got nan"),
-    ("tworoute", ["--set", "execution.noiseScale=abc"],
-     "execution.noiseScale must be a finite number >= 0, got 'abc'"),
-    ("tworoute", ["--set", "execution.noise_scale=abc"],
-     "execution.noiseScale must be a finite number >= 0, got 'abc'"),
-    ("tworoute", ["--set", "execution.priorMode=bogus"], "unknown priorMode 'bogus'"),
+    ("tworoute", ["--set", "execution.noiseScale=0.5"], UNKNOWN_EXECUTION),
+    ("tworoute", ["--set", "execution.noise_scale=abc"], UNKNOWN_EXECUTION),
+    ("tworoute", ["--set", "execution.priorMode=bogus"], UNKNOWN_EXECUTION),
 ], ids=["disturb-nan", "noise-negative", "noise-nan", "hysteresis-negative",
         "hysteresis-nan", "noise-scale-text", "noise-scale-snake-text",
         "prior-mode-unknown"])
@@ -298,15 +302,14 @@ def test_bad_execution_inputs_are_named(tmp_path, scenario, extra, message):
 @pytest.mark.parametrize("setting, message", [
     ("scenario=3", "config section 'scenario' must be an object"),
     ("solver=3", "config section 'solver' must be an object"),
-    ("execution=3", "config section 'execution' must be an object"),
+    ("execution=3", UNKNOWN_EXECUTION),
     ("solver.maxOuter=abc", "bad solver config: max_outer must be an integer >= 1, got 'abc'"),
     ("solver.maxOuter=2.5", "bad solver config: max_outer must be an integer >= 1, got 2.5"),
     ("solver.maxOuter=true", "bad solver config: max_outer must be a number, got True"),
-    ("solver.maxInner=0", "bad solver config: max_inner must be an integer >= 1, got 0"),
+    ("solver.maxInner=0", f"unknown solver parameter 'maxInner'; {SOLVER_KEYS}"),
     ("solver.tolStep=0", "bad solver config: tol_step must be a finite number > 0, got 0"),
-    ("solver.muGrowth=Infinity",
-     "bad solver config: mu_growth must be a finite number > 0, got inf"),
-    ("solver.armijoShrink=1", "bad solver config: armijo_shrink must be below 1, got 1"),
+    ("solver.muGrowth=Infinity", f"unknown solver parameter 'muGrowth'; {SOLVER_KEYS}"),
+    ("solver.armijoShrink=1", f"unknown solver parameter 'armijoShrink'; {SOLVER_KEYS}"),
 ], ids=["scenario-int", "solver-int", "execution-int", "max-outer-text",
         "max-outer-fraction", "max-outer-bool", "max-inner-zero",
         "tol-step-zero", "mu-growth-inf", "armijo-shrink-one"])
@@ -317,6 +320,52 @@ def test_bad_config_sections_and_solver_settings_are_named(tmp_path, command, se
               "--set", setting])
     assert str(info.value.code) == message
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("setting, message", [
+    ("solvr.maxOuter=1", "unknown config section 'solvr'; choose from scenario, solver"),
+    ("solver.muInit=2", f"unknown solver parameter 'muInit'; {SOLVER_KEYS}"),
+    ("scenario.N=40.5",
+     "bad scenario config: N must be an integer of at least 4, got 40.5"),
+    ("scenario.link_lengths=[0.5]",
+     "bad scenario config: target (1.35, 0.25) outside arm reach 0.5"),
+    ("scenario.sigma=Infinity",
+     "bad scenario config: sigma must be finite and positive, got inf"),
+], ids=["misspelt-section", "retired-solver-key", "fractional-n",
+        "short-link-lengths", "infinite-sigma"])
+def test_bad_sections_and_scenario_values_are_named(tmp_path, command, setting,
+                                                    message):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--scenario", "elbow", "--out", str(tmp_path / "x"),
+              "--set", setting])
+    assert str(info.value.code) == message
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_file_with_a_misspelt_section_is_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"name": "tworoute"},
+                               "solvr": {"maxOuter": 1}}))
+    with pytest.raises(SystemExit) as info:
+        main(["plan", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert str(info.value.code) == ("unknown config section 'solvr'; "
+                                    "choose from scenario, solver")
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_takes_the_final_error_from_the_scenario_alone(tmp_path,
+                                                                monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr("slgp.cli.rollout", recording)
+    assert main(["simulate", "--scenario", "tworoute", "--seeds", "0..1",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 2 and not any("target" in kw for kw in calls)
 
 
 def test_singular_pivot_is_named_at_plan_time(tmp_path, monkeypatch, capsys):
@@ -371,7 +420,7 @@ def test_simulate_names_every_drop_when_no_skeleton_is_kept(tmp_path,
 def test_simulate_says_when_no_skeleton_converged(tmp_path, capsys):
     code = main(["simulate", "--scenario", "tworoute", "--out",
                  str(tmp_path / "sim"), "--seeds", "0",
-                 "--set", "solver.maxOuter=1", "--set", "solver.maxInner=1"])
+                 "--set", "solver.maxOuter=1"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("no skeleton converged; nothing to execute\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import slgp
 from slgp.features import (AccelerationPenalty, AffineFeature, DriftPenalty,
                            FiniteDifference, check_jacobian, coordinate_target)
 from slgp.scenarios import ContactFacePlane
@@ -154,3 +155,8 @@ def test_effort_and_task_groups_are_tagged():
     assert AccelerationPenalty(1, dt=1.0, sigma=1.0).group == "effort"
     assert DriftPenalty(1, dt=1.0, sigma=1.0).group == "effort"
     assert coordinate_target(1, [0], [0.0]).group == "task"
+
+
+def test_finite_difference_is_exported_from_the_package():
+    assert slgp.FiniteDifference is FiniteDifference
+    assert "FiniteDifference" in slgp.__all__

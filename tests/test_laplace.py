@@ -248,7 +248,8 @@ def test_mixture_dict_schema_and_simplex(elbow):
                                               "fix-joint-2", "fix-both")]
     mix = build_mixture(comps)
     payload = mix.to_dict()
-    assert payload["schema"] == "slgp.mixture/1"
+    assert payload["schema"] == "slgp.mixture/2"
+    assert "priorMode" not in payload
     assert len(payload["components"]) == 4
     total = sum(c["weight"] for c in payload["components"])
     assert total == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,6 @@
 """Augmented-Lagrangian Gauss-Newton solver behavior."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from slgp.banded import FactorizationError, banded_cholesky_solve
-from slgp.cli import _solver_config
+from slgp.cli import _config
 from slgp.features import AccelerationPenalty, AffineFeature, coordinate_target
 from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                           assemble, constraint_violation, free_skeleton)
@@ -16,6 +17,8 @@ from slgp.selftest import dense_jacobian
 from slgp.solver import (ALState, SolverConfig, gauss_newton_step,
                          kkt_residuals, solve)
 from slgp.solver import _merit, _merit_grad, _merit_hessian  # noqa: PLC2701
+from slgp.solver import (_ARMIJO_C, _ARMIJO_SHRINK, _MAX_INNER,  # noqa: PLC2701
+                         _MU_GROWTH, _MU_INIT)
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -180,10 +183,17 @@ def test_solver_is_deterministic():
 
 
 def test_config_rejects_camel_case_and_snake_case_mix():
-    cfg = _solver_config({"solver": {"muInit": 2.0, "tol_step": 1e-9}})
-    assert cfg.mu_init == 2.0 and cfg.tol_step == 1e-9
+    cfg = _config({"solver": {"maxOuter": 50, "tol_step": 1e-9}}, "solver")
+    assert cfg.max_outer == 50 and cfg.tol_step == 1e-9
     with pytest.raises(SystemExit, match="unknown solver parameter 'unknownKnob'"):
-        _solver_config({"solver": {"unknownKnob": 1}})
+        _config({"solver": {"unknownKnob": 1}}, "solver")
+
+
+def test_solver_config_holds_only_the_settings_callers_turn():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "max_outer", "tol_step", "tol_constraint", "hessian_reg"]
+    assert (_MAX_INNER, _MU_INIT, _MU_GROWTH, _ARMIJO_C, _ARMIJO_SHRINK) == (
+        100, 1.0, 5.0, 1e-4, 0.5)
 
 
 def test_elbow_free_skeleton_converges_cleanly(elbow):
@@ -337,7 +347,7 @@ def test_trace_rows_report_the_penalty_backtracks_and_damping(elbow):
     sol = solve(scenario.problem, scenario.skeleton("fix-both"), collect_trace=True)
     assert sol.converged and len(sol.trace) == sol.inner_iterations
     mus = [row.mu for row in sol.trace]
-    assert mus[0] == cfg.mu_init and mus == sorted(mus) and mus[-1] > mus[0]
+    assert mus[0] == _MU_INIT and mus == sorted(mus) and mus[-1] > mus[0]
     backtracks = [row.backtracks for row in sol.trace]
     assert all(isinstance(b, int) and b >= 0 for b in backtracks)
     assert 0 in backtracks and max(backtracks) > 0
