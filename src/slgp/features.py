@@ -74,7 +74,13 @@ class FiniteDifference:
 def _effort_scale(dt: float, sigma: float, power: float) -> float:
     if not (dt > 0 and sigma > 0):
         raise ValueError("dt and sigma must be positive")
-    return 1.0 / (sigma * dt**power)
+    try:
+        if (scale := 1.0 / (sigma * dt**power)) < np.inf:
+            return scale
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"effort scale 1/(sigma dt^{power:g}) is not finite "
+                     f"for sigma {sigma!r} and time step dt {dt!r}")
 
 
 def AccelerationPenalty(dim: int, dt: float, sigma: float,

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .problem import RANK_TOL, PathProblem, Skeleton, assemble, step_gram
+from .problem import RANK_TOL, PathProblem, Skeleton, assemble
 from .solver import NlpSolution
 
 Array = np.ndarray
@@ -154,18 +154,18 @@ def quadratize(problem: PathProblem, skeleton: Skeleton,
     """
     N = problem.N
     stack = assemble(problem, skeleton, solution.x_star)
-    augmented = np.column_stack([stack.cost_blocks, stack.residuals])
-    grams = np.stack([step_gram(stack.cost_steps, augmented, weights, N)
-                      for weights in (np.ones(stack.effort_mask.size),
+    cost, eq, ineq = stack.kinds
+    grams = np.stack([stack.gram(cost, weights, values=True)
+                      for weights in (np.ones(stack.steps.size),
                                       stack.effort_mask.astype(float))], axis=1)
-    active = solution.active_set
-    steps = np.concatenate([stack.eq_steps, stack.ineq_steps[active]])
-    order = np.argsort(steps, kind="stable")
-    rows = np.vstack([stack.eq_blocks, stack.ineq_blocks[active]])[order]
-    splits = np.searchsorted(steps[order], np.arange(2, N + 1))
+    active = np.zeros(stack.steps.size, dtype=bool)
+    active[eq] = True
+    active[ineq] = solution.active_set
+    rows = stack.by_step(active)
+    splits = np.searchsorted(stack.steps[rows], np.arange(2, N + 1))
     return Expansion(skeleton_id=skeleton.id, x_ref=solution.x_star.copy(),
                      prefix=np.asarray(problem.prefix, float).copy(),
-                     grams=grams, rows=tuple(np.split(rows, splits)))
+                     grams=grams, rows=tuple(np.split(stack.blocks[rows], splits)))
 
 
 @dataclass(frozen=True)
@@ -312,18 +312,11 @@ def mixture_weights(f_star, log_ratio) -> Array:
     return w / w.sum()
 
 
-def multimodal_cost(f_star, log_ratio, prior_mode: str = UNNORMALIZED) -> float:
-    """-log of the total mixture mass, optionally with the uniform 1/N_a prior."""
-    f_star = np.asarray(f_star, dtype=float)
-    log_ratio = np.asarray(log_ratio, dtype=float)
-    logits = -f_star + log_ratio
+def multimodal_cost(f_star, log_ratio) -> float:
+    """-log of the total mixture mass, without a prior over the components."""
+    logits = -np.asarray(f_star, dtype=float) + np.asarray(log_ratio, dtype=float)
     peak = logits.max()
-    total = -(peak + np.log(np.exp(logits - peak).sum()))
-    if prior_mode == UNIFORM_NA:
-        return float(total + np.log(f_star.size))
-    if prior_mode == UNNORMALIZED:
-        return float(total)
-    raise ValueError(f"unknown prior mode '{prior_mode}'")
+    return float(-(peak + np.log(np.exp(logits - peak).sum())))
 
 
 @dataclass(frozen=True)
@@ -333,8 +326,8 @@ class PathMixture:
     cost: float
 
     def to_dict(self) -> dict:
-        f = np.array([c.f_star for c in self.components])
-        lr = np.array([c.log_ratio for c in self.components])
+        """The uniform 1/K prior over the K components adds log K to the
+        unnormalized cost."""
         return {
             "schema": "slgp.mixture/2",
             "components": [
@@ -344,8 +337,8 @@ class PathMixture:
                 for c, w in zip(self.components, self.weights)
             ],
             "multimodalCost": {
-                UNNORMALIZED: multimodal_cost(f, lr, UNNORMALIZED),
-                UNIFORM_NA: multimodal_cost(f, lr, UNIFORM_NA),
+                UNNORMALIZED: self.cost,
+                UNIFORM_NA: float(self.cost + np.log(len(self.components))),
             },
         }
 

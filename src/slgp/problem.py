@@ -124,9 +124,9 @@ def free_skeleton(n_steps: int, symbol: str = "free", skeleton_id: str = "free")
 class PathProblem:
     """Problem data: horizon, step scale, prefix, and cost features.
 
-    step_costs[n-1] lists the cost features evaluated at step n; terminal
-    costs are additional features evaluated at step N.  `actuated` marks
-    the coordinates that receive control noise during execution.
+    costs lists the cost features evaluated at every step n = 1..N, and
+    terminal_costs the ones added at step N.  `actuated` marks the
+    coordinates that receive control noise during execution.
     """
 
     N: int
@@ -134,10 +134,10 @@ class PathProblem:
     dt: float
     sigma: float
     prefix: Array
-    step_costs: tuple
+    costs: tuple
     terminal_costs: tuple = ()
     actuated: Array | None = None
-    # Row layouts by skeleton (see _layout); a replaced, copied or
+    # Row tables by skeleton (see _layout); a replaced, copied or
     # unpickled problem starts empty.
     _layouts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
@@ -153,8 +153,6 @@ class PathProblem:
         prefix = prefix.copy()
         prefix.setflags(write=False)
         object.__setattr__(self, "prefix", prefix)
-        if len(self.step_costs) != self.N:
-            raise ValueError(f"step_costs must have length N={self.N}")
         actuated = (np.ones(self.d, dtype=bool) if self.actuated is None
                     else np.asarray(self.actuated, dtype=bool).copy())
         if actuated.shape != (self.d,):
@@ -165,13 +163,6 @@ class PathProblem:
     def __getstate__(self):
         # The memo's weak references can be neither pickled nor shared.
         return {**self.__dict__, "_layouts": {}}
-
-    @classmethod
-    def uniform(cls, N, d, dt, sigma, prefix, per_step, terminal=(), actuated=None):
-        """Same cost features at every step plus terminal features at N."""
-        return cls(N=N, d=d, dt=dt, sigma=sigma, prefix=np.asarray(prefix, float),
-                   step_costs=tuple(tuple(per_step) for _ in range(N)),
-                   terminal_costs=tuple(terminal), actuated=actuated)
 
 
 def step_constraints(skeleton: Skeleton, n: int):
@@ -196,70 +187,72 @@ def step_constraints(skeleton: Skeleton, n: int):
 
 @dataclass(frozen=True)
 class FeatureStack:
-    """All residuals, constraint values, and Jacobians at one path.
+    """All cost and constraint rows at one path, in one row table.
 
-    Cost, equality and inequality rows each come in canonical order: step
-    by step, and within a step in the order of the step's cost features
-    (terminal costs last) or of step_constraints.  Index tuples give
-    (step, label) per row and the *_steps arrays the step alone; they and
-    effort_mask are shared, read-only, by every stack of one (problem,
-    skeleton).  The Jacobian of a row is a dense block over the window (x_{n-2}, x_{n-1},
-    x_n) of its step n, zero-padded on the left for features on one or two
-    configurations.  Columns of the prefix configurations keep the
-    feature's derivative; they are constants, not decision variables, so
+    kinds slices the table into the cost, equality and inequality rows,
+    in that order; within a kind the rows come step by step, and within a
+    step in the order of the problem's costs (terminal costs last) or of
+    step_constraints.  values holds each row's value and blocks its
+    Jacobian over the window (x_{n-2}, x_{n-1}, x_n) of its step n,
+    zero-padded on the left for features on one or two configurations.
+    steps, index ((step, label) per row), kinds and effort_mask (the
+    effort cost rows) depend on the (problem, skeleton) alone and are
+    shared, read-only, by its stacks.  Columns of the prefix
+    configurations keep the feature's derivative; they are constants, so
     `transpose_dot` drops them and the step-by-step eliminations discard
     what lands on them.
     """
 
     N: int
     d: int
-    residuals: Array
+    values: Array
+    blocks: Array
+    steps: Array
+    index: tuple
+    kinds: tuple
     effort_mask: Array
-    eq: Array
-    ineq: Array
-    cost_steps: Array
-    eq_steps: Array
-    ineq_steps: Array
-    cost_index: tuple
-    eq_index: tuple
-    ineq_index: tuple
-    cost_blocks: Array
-    eq_blocks: Array
-    ineq_blocks: Array
 
-    @property
-    def n_vars(self) -> int:
-        return self.N * self.d
+    # Each kind's values, as views of the table.
+    residuals = property(lambda self: self.values[self.kinds[0]])
+    eq = property(lambda self: self.values[self.kinds[1]])
+    ineq = property(lambda self: self.values[self.kinds[2]])
 
     def transpose_dot(self, cost: Array, eq: Array, ineq: Array) -> Array:
         """J^T cost + J_h^T eq + J_g^T ineq over the N*d path variables."""
         out = np.zeros((self.N + 2) * self.d)
-        for blocks, steps, coeff in ((self.cost_blocks, self.cost_steps, cost),
-                                     (self.eq_blocks, self.eq_steps, eq),
-                                     (self.ineq_blocks, self.ineq_steps, ineq)):
+        for rows, coeff in zip(self.kinds, (cost, eq, ineq)):
             # Configuration m starts at column (m + 1) d of the path with
             # the prefix in front.
-            cols = ((steps - 1) * self.d)[:, None] + np.arange(3 * self.d)
+            cols = ((self.steps[rows] - 1) * self.d)[:, None] + np.arange(3 * self.d)
             out += np.bincount(cols.ravel(),
-                               weights=(blocks * coeff[:, None]).ravel(),
+                               weights=(self.blocks[rows] * coeff[:, None]).ravel(),
                                minlength=out.size)
         return out[2 * self.d:]
 
+    def by_step(self, select) -> Array:
+        """The table rows that select (a slice or a mask over the table)
+        picks, step by step and in table order within a step."""
+        rows = np.arange(self.steps.size)[select]
+        return rows[np.argsort(self.steps[rows], kind="stable")]
 
-def step_gram(steps: Array, rows: Array, weights: Array, N: int) -> Array:
-    """Per-step weighted Gram matrices, shape (N, width, width).
+    def gram(self, select, weights: Array, values: bool = False) -> Array:
+        """Per-step weighted Gram matrices of the selected rows, (N, w, w).
 
-    Entry n-1 is the sum of weights[i] rows[i] rows[i]^T over the rows i
-    with steps[i] == n.  The rows of each step are stacked into one padded
-    slab, so the sums are one batched matrix product.
-    """
-    order = np.argsort(steps, kind="stable")
-    s = steps[order]
-    slot = np.arange(len(s)) - np.searchsorted(s, s)
-    slabs = np.zeros((2, N, int(slot.max()) + 1 if len(s) else 0, rows.shape[1]))
-    slabs[0, s - 1, slot] = rows[order]
-    slabs[1, s - 1, slot] = rows[order] * weights[order, None]
-    return slabs[0].transpose(0, 2, 1) @ slabs[1]
+        Entry n-1 sums weights[i] b_i b_i^T over the selected rows i of
+        step n, with b_i the row's block followed, when values is set, by
+        its value; weights has one entry per table row.  The rows of each
+        step fill one padded slab in by_step order, so the sums are one
+        batched matrix product.
+        """
+        rows = self.by_step(select)
+        s = self.steps[rows]
+        b = (np.column_stack([self.blocks[rows], self.values[rows]]) if values
+             else self.blocks[rows])
+        slot = np.arange(len(s)) - np.searchsorted(s, s)
+        slabs = np.zeros((2, self.N, int(slot.max()) + 1 if len(s) else 0, b.shape[1]))
+        slabs[0, s - 1, slot] = b
+        slabs[1, s - 1, slot] = b * weights[rows, None]
+        return slabs[0].transpose(0, 2, 1) @ slabs[1]
 
 
 def _eval_group(feat, label: str, xp: Array, steps: Array):
@@ -296,36 +289,46 @@ def _eval_group(feat, label: str, xp: Array, steps: Array):
     return values, jacs
 
 
-def _frozen(values) -> Array:
-    out = np.array(values, dtype=int)
+def _frozen(values, dtype=int) -> Array:
+    out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
 class _Rows:
-    """Canonical row layout of one kind of row (cost, eq or ineq), built
-    from its (step, label, feature) items in row order: each feature object
-    with its label, the steps where it applies, the first row it fills at
-    each step and all its rows; every row's (step, label) and step.  Every
-    stack of one (problem, skeleton) shares it, so its arrays are read-only.
+    """The row layout of one (problem, skeleton) from the (step, label,
+    feature) items of each kind: per feature object and label, the steps
+    where it applies, the first row it fills at each and all its rows;
+    each row's (step, label) and step, the kind slices and the effort mask.
+    Every stack of the pair shares it, so its arrays are read-only.
     """
 
-    def __init__(self, items):
+    def __init__(self, kinds):
         groups: dict = {}
         index: list[tuple[int, str]] = []
-        for n, label, feat in items:
-            _, _, at, first = groups.setdefault((id(feat), label), (feat, label, [], []))
-            at.append(n)
-            first.append(len(index))
-            index.extend([(n, label)] * feat.size)
+        effort: list[bool] = []
+        bounds = []
+        for kind, items in enumerate(kinds):
+            start = len(index)
+            for n, label, feat in items:
+                # Keyed by kind too, so that each group's steps ascend.
+                _, _, at, first = groups.setdefault((kind, id(feat), label),
+                                                    (feat, label, [], []))
+                at.append(n)
+                first.append(len(index))
+                index.extend([(n, label)] * feat.size)
+                effort.extend([kind == 0 and getattr(feat, "group", None) == EFFORT]
+                              * feat.size)
+            bounds.append(slice(start, len(index)))
         self.groups = [(feat, label, _frozen(at), _frozen(first),
                         _frozen((np.array(first)[:, None] + np.arange(feat.size)).ravel()))
                        for feat, label, at, first in groups.values()]
-        self.index = tuple(index)
+        self.index, self.kinds = tuple(index), tuple(bounds)
         self.steps = _frozen([n for n, _ in index])
+        self.effort_mask = _frozen(effort, dtype=bool)
 
     def evaluate(self, xp: Array):
-        """Values and (rows, 3d) Jacobian blocks in row order, and the
+        """Values and (rows, 3d) Jacobian blocks in table order, and the
         failures as (step, row, error)."""
         width = 3 * xp.shape[1]
         values = np.zeros(len(self.index))
@@ -348,11 +351,11 @@ def _label(feat) -> str:
     return getattr(feat, "name", type(feat).__name__)
 
 
-def _layout(problem: PathProblem, skeleton: Skeleton):
-    """Cost, eq and ineq row layouts and the effort mask of (problem,
-    skeleton), built on first use and kept on the problem.
+def _layout(problem: PathProblem, skeleton: Skeleton) -> _Rows:
+    """The row table of (problem, skeleton), built on first use and kept
+    on the problem.
 
-    They depend on the problem and the skeleton alone, never on the path.
+    It depends on the problem and the skeleton alone, never on the path.
     The memo is keyed by the id of the skeleton object and holds the
     skeleton weakly: the entry leaves the memo when the skeleton dies, so
     skeletons made per call do not pile up, and an entry whose reference
@@ -365,24 +368,16 @@ def _layout(problem: PathProblem, skeleton: Skeleton):
     structural = skeleton_structure_violations(skeleton, problem.N)
     if structural:
         raise SkeletonError("; ".join(v.message for v in structural))
-    cost, eqs, ineqs = [], [], []
+    kinds = ([], [], [])
     for n in range(1, problem.N + 1):
-        feats = problem.step_costs[n - 1]
-        if n == problem.N:
-            feats = tuple(feats) + tuple(problem.terminal_costs)
-        cost.extend((n, _label(feat), feat) for feat in feats)
-        eq_feats, ineq_feats = step_constraints(skeleton, n)
-        for rows, owned in ((eqs, eq_feats), (ineqs, ineq_feats)):
+        feats = problem.costs if n < problem.N else (*problem.costs, *problem.terminal_costs)
+        kinds[0].extend((n, _label(feat), feat) for feat in feats)
+        for rows, owned in zip(kinds[1:], step_constraints(skeleton, n)):
             rows.extend((n, f"{owner}:{_label(feat)}", feat) for owner, feat in owned)
-    kinds = (_Rows(cost), _Rows(eqs), _Rows(ineqs))
-    effort_mask = np.zeros(len(kinds[0].index), dtype=bool)
-    for feat, _, _, _, rows in kinds[0].groups:
-        effort_mask[rows] = getattr(feat, "group", None) == EFFORT
-    effort_mask.setflags(write=False)
+    table = _Rows(kinds)
     memo, key = problem._layouts, id(skeleton)
-    memo[key] = (weakref.ref(skeleton, lambda _: memo.pop(key, None)),
-                 (kinds, effort_mask))
-    return kinds, effort_mask
+    memo[key] = (weakref.ref(skeleton, lambda _: memo.pop(key, None)), table)
+    return table
 
 
 def step_equalities(eq, n: int, xp: Array) -> tuple[Array, Array]:
@@ -403,36 +398,26 @@ def step_equalities(eq, n: int, xp: Array) -> tuple[Array, Array]:
 
 
 def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack:
-    """Evaluate and stack all cost and constraint features at a path.
+    """Evaluate all cost and constraint features at a path into one table.
 
     Each feature object is evaluated once over all the steps where it
     applies.  A failure raises the FeatureEvalError of the first row in
     canonical step order that fails, as a step-by-step evaluation would.
-    The row layout, index tuples, step arrays and effort mask are built
-    once per (problem, skeleton) and shared, read-only, by its stacks.
+    The table's layout (steps, index, kinds and effort mask) is built once
+    per (problem, skeleton) and shared, read-only, by its stacks.
     Deterministic: identical inputs produce bit-identical stacks.
     """
-    kinds, effort_mask = _layout(problem, skeleton)
+    table = _layout(problem, skeleton)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.N, problem.d):
         raise ValueError(f"path must be ({problem.N}, {problem.d}), got {x.shape}")
 
-    xp = np.vstack([problem.prefix, x])
-    (residuals, cost_blocks, cost_fail), (eq, eq_blocks, eq_fail), \
-        (ineq, ineq_blocks, ineq_fail) = [rows.evaluate(xp) for rows in kinds]
-    failures = [(step, kind, row, exc)
-                for kind, fails in enumerate((cost_fail, eq_fail, ineq_fail))
-                for step, row, exc in fails]
+    values, blocks, failures = table.evaluate(np.vstack([problem.prefix, x]))
     if failures:
-        raise min(failures, key=lambda f: f[:3])[3]
-    cost, eqs, ineqs = kinds
-    return FeatureStack(N=problem.N, d=problem.d, residuals=residuals,
-                        effort_mask=effort_mask, eq=eq, ineq=ineq,
-                        cost_steps=cost.steps, eq_steps=eqs.steps,
-                        ineq_steps=ineqs.steps, cost_index=cost.index,
-                        eq_index=eqs.index, ineq_index=ineqs.index,
-                        cost_blocks=cost_blocks, eq_blocks=eq_blocks,
-                        ineq_blocks=ineq_blocks)
+        raise min(failures, key=lambda f: f[:2])[2]
+    return FeatureStack(N=problem.N, d=problem.d, values=values, blocks=blocks,
+                        steps=table.steps, index=table.index, kinds=table.kinds,
+                        effort_mask=table.effort_mask)
 
 
 def cost_value(stack: FeatureStack) -> float:

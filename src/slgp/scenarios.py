@@ -16,7 +16,7 @@ face normal, and the box's rest rows are a ``FiniteDifference``.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -26,10 +26,19 @@ from .features import (AccelerationPenalty, AffineFeature, Array, DriftPenalty,
 from .problem import Mode, PathProblem, Skeleton, Switch, free_skeleton
 
 
+def _finite(value) -> bool:
+    """A real number, not a bool, neither infinite nor NaN."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -np.inf < value < np.inf)
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Knobs for all scenarios; N must be an integer of at least 4,
-    positive quantities finite and window fractions in [0, 1]."""
+    """Knobs for all scenarios, each checked by the kind of its default: N
+    is an integer of at least 4; window fractions lie in [0, 1], the
+    contact offset inside the face half-width and other numbers are finite
+    and positive; a tuple holds as many finite numbers as its default (any
+    number of positive link lengths, start angles as many as links)."""
 
     name: str = "elbow"
     N: int = 40
@@ -60,25 +69,33 @@ class ScenarioParams:
     waypoint_fraction: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.N, numbers.Integral) and self.N >= 4):
-            raise ValueError(f"N must be an integer of at least 4, got {self.N!r}")
-        for label, value in (("T", self.T), ("sigma", self.sigma),
-                             ("box_half", self.box_half),
-                             ("sigma_object", self.sigma_object),
-                             ("sigma_object_rot", self.sigma_object_rot),
-                             ("arm_target_weight", self.arm_target_weight),
-                             ("box_target_weight", self.box_target_weight),
-                             ("route_target_weight", self.route_target_weight),
-                             ("approach_gap", self.approach_gap)):
-            if not 0 < value < np.inf:
-                raise ValueError(f"{label} must be finite and positive, got {value}")
-        if not all(0 < l < np.inf for l in self.link_lengths):
-            raise ValueError("link lengths must be finite and positive")
-        for label, frac in (("contact_fraction", self.contact_fraction),
-                            ("push_fraction", self.push_fraction),
-                            ("waypoint_fraction", self.waypoint_fraction)):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1], got {frac}")
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if isinstance(default, str):
+                continue
+            if isinstance(default, tuple):
+                free = f.name in ("link_lengths", "start_angles")
+                positive = f.name == "link_lengths"
+                ok = (isinstance(value, tuple) and len(value) > 0
+                      and (free or len(value) == len(default))
+                      and all(_finite(v) and (v > 0 or not positive) for v in value))
+                rule = (f"hold {'one or more' if free else len(default)} finite "
+                        f"{'positive ' if positive else ''}numbers")
+            elif isinstance(default, int):
+                ok = (isinstance(value, numbers.Integral)
+                      and not isinstance(value, bool) and value >= 4)
+                rule = "be an integer of at least 4"
+            elif f.name.endswith("_fraction"):
+                ok, rule = _finite(value) and 0 <= value <= 1, "lie in [0, 1]"
+            elif f.name == "contact_offset":
+                ok, rule = _finite(value), "be a finite number"
+            else:
+                ok, rule = _finite(value) and value > 0, "be finite and positive"
+            if not ok:
+                raise ValueError(f"{f.name} must {rule}, got {value!r}")
+        if not abs(self.contact_offset) < self.box_half:
+            raise ValueError(f"contact_offset {self.contact_offset!r} must lie inside "
+                             f"the face half-width {self.box_half!r}")
 
     @property
     def dt(self) -> float:
@@ -184,11 +201,11 @@ def build_elbow(params: ScenarioParams) -> Scenario:
     if theta0.shape != (d,):
         raise ValueError(f"start_angles must have length {d}")
     N, dt = params.N, params.dt
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=N, d=d, dt=dt, sigma=params.sigma,
         prefix=np.stack([theta0, theta0]),
-        per_step=(AccelerationPenalty(d, dt, params.sigma),),
-        terminal=(ArmPointTarget(lengths, target, params.arm_target_weight),))
+        costs=(AccelerationPenalty(d, dt, params.sigma),),
+        terminal_costs=(ArmPointTarget(lengths, target, params.arm_target_weight),))
 
     contact_start = max(2, int(round(params.contact_fraction * N)))
     all_joints = tuple(range(1, d + 1))
@@ -302,8 +319,6 @@ def build_push(params: ScenarioParams) -> Scenario:
     box0 = 4
     half = params.box_half
     a = params.contact_offset
-    if not a < half:
-        raise ValueError(f"contact offset {a} must lie inside the face half-width {half}")
     N, dt = params.N, params.dt
     box_start = np.asarray(params.box_start, dtype=float)
     box_target = np.asarray(params.box_target, dtype=float)
@@ -318,19 +333,19 @@ def build_push(params: ScenarioParams) -> Scenario:
     actuated = np.zeros(d, dtype=bool)
     actuated[finger_coords] = True
 
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=N, d=d, dt=dt, sigma=params.sigma,
         prefix=np.stack([x0, x0]),
-        per_step=(AccelerationPenalty(d, dt, params.sigma, coords=finger_coords),
-                  # A pose left alone persists, but rotation is far more
-                  # diffuse than translation: pushing at a point barely
-                  # determines the spin.
-                  DriftPenalty(d, dt, params.sigma_object, coords=box_coords[:2],
-                               name="object-drift"),
-                  DriftPenalty(d, dt, params.sigma_object_rot, coords=box_coords[2:],
-                               name="object-drift-rot")),
-        terminal=(coordinate_target(d, box_coords, box_target,
-                                    params.box_target_weight, name="box-target"),),
+        costs=(AccelerationPenalty(d, dt, params.sigma, coords=finger_coords),
+               # A pose left alone persists, but rotation is far more
+               # diffuse than translation: pushing at a point barely
+               # determines the spin.
+               DriftPenalty(d, dt, params.sigma_object, coords=box_coords[:2],
+                            name="object-drift"),
+               DriftPenalty(d, dt, params.sigma_object_rot, coords=box_coords[2:],
+                            name="object-drift-rot")),
+        terminal_costs=(coordinate_target(d, box_coords, box_target,
+                                          params.box_target_weight, name="box-target"),),
         actuated=actuated)
 
     touch_step = max(2, int(round(params.push_fraction * N)))
@@ -378,12 +393,12 @@ def build_tworoute(params: ScenarioParams) -> Scenario:
     N, dt = params.N, params.dt
     start = np.asarray(params.route_start, dtype=float)
     target = np.asarray(params.route_target, dtype=float)
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=N, d=d, dt=dt, sigma=params.sigma,
         prefix=np.stack([start, start]),
-        per_step=(AccelerationPenalty(d, dt, params.sigma),),
-        terminal=(coordinate_target(d, (0, 1), target,
-                                    params.route_target_weight, name="goal"),))
+        costs=(AccelerationPenalty(d, dt, params.sigma),),
+        terminal_costs=(coordinate_target(d, (0, 1), target,
+                                          params.route_target_weight, name="goal"),))
 
     mid = min(N - 1, max(2, int(round(params.waypoint_fraction * N))))
 

@@ -20,9 +20,9 @@ import numpy as np
 from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
 from .kodp import backward_pass, cost_to_go, read_policy, step_policy
-from .laplace import (UNNORMALIZED, Expansion, ancestral_paths, build_component,
-                      build_mixture, future_log_ratios, mixture_weights,
-                      multimodal_cost, nullspace_basis, sample_paths)
+from .laplace import (Expansion, ancestral_paths, build_component, build_mixture,
+                      future_log_ratios, mixture_weights, multimodal_cost,
+                      nullspace_basis, sample_paths)
 from .problem import PathProblem, assemble, free_skeleton
 from .scenarios import ScenarioParams, build_scenario
 from .solver import SolverConfig, solve
@@ -40,7 +40,7 @@ _REF_COST = 2.918
 def suite_table_arithmetic() -> tuple[bool, str]:
     """Weights and combined cost reproduce the frozen four-skeleton table."""
     w = mixture_weights(_REF_F, np.log(_REF_RATIO))
-    cost = multimodal_cost(_REF_F, np.log(_REF_RATIO), UNNORMALIZED)
+    cost = multimodal_cost(_REF_F, np.log(_REF_RATIO))
     w_err = float(np.abs(w - _REF_WEIGHTS).max())
     c_err = abs(cost - _REF_COST)
     ok = w_err <= 1e-3 and c_err <= 2e-3
@@ -229,11 +229,11 @@ def suite_dense_qp(instances: int = 10, deviations: int = 20) -> tuple[bool, str
 
 # --- dense Laplace oracles ----------------------------------------------------
 
-def dense_jacobian(stack, kind: str) -> Array:
-    """Dense (rows, N d) Jacobian of a stack's "cost", "eq" or "ineq" rows
-    over the path variables, built from the per-row window blocks; the
-    prefix columns are dropped."""
-    blocks, steps = getattr(stack, f"{kind}_blocks"), getattr(stack, f"{kind}_steps")
+def dense_jacobian(stack, select) -> Array:
+    """Dense (rows, N d) Jacobian over the path variables of the table rows
+    that select (a slice or a mask) picks, in table order, built from the
+    per-row window blocks; the prefix columns are dropped."""
+    blocks, steps = stack.blocks[select], stack.steps[select]
     N, d = stack.N, stack.d
     J = np.zeros((len(steps), (N + 2) * d))
     for i, n in enumerate(steps):
@@ -245,11 +245,12 @@ def dense_laplace_terms(problem, skeleton, solution) -> tuple[Array, Array, Arra
     """Dense full and effort-only Gauss-Newton Hessians and the active
     constraint Jacobian of a component, (N d, N d), (N d, N d), (rows, N d)."""
     stack = assemble(problem, skeleton, solution.x_star)
-    J = dense_jacobian(stack, "cost")
-    J0 = J[stack.effort_mask]
-    active = np.vstack([dense_jacobian(stack, "eq"),
-                        dense_jacobian(stack, "ineq")[solution.active_set]])
-    return J.T @ J, J0.T @ J0, active
+    cost, eq, ineq = stack.kinds
+    J, J0 = dense_jacobian(stack, cost), dense_jacobian(stack, stack.effort_mask)
+    active = np.zeros(stack.steps.size, dtype=bool)
+    active[eq] = True
+    active[ineq] = solution.active_set
+    return J.T @ J, J0.T @ J0, dense_jacobian(stack, active)
 
 
 def projected_logdet(H: Array, W: Array) -> float:
@@ -285,10 +286,10 @@ def factor_covariance(component, distribution: str = "optimal") -> Array:
 def _lq_problem(N: int = 8, d: int = 2):
     dt, sigma = 0.2, 0.4
     prefix = np.zeros((2, d))
-    return PathProblem.uniform(
+    return PathProblem(
         N=N, d=d, dt=dt, sigma=sigma, prefix=prefix,
-        per_step=(AccelerationPenalty(d, dt, sigma),),
-        terminal=(coordinate_target(d, np.arange(d), np.full(d, 0.7), 5.0),))
+        costs=(AccelerationPenalty(d, dt, sigma),),
+        terminal_costs=(coordinate_target(d, np.arange(d), np.full(d, 0.7), 5.0),))
 
 
 def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
@@ -312,7 +313,7 @@ def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
         # exact posterior: mean from least squares, covariance from (A^T A)^-1.
         zeros = np.zeros((N, d))
         stack = assemble(problem, skeleton, zeros)
-        A, b = dense_jacobian(stack, "cost"), stack.residuals
+        A, b = dense_jacobian(stack, stack.kinds[0]), stack.residuals
         mean = np.linalg.lstsq(A, -b, rcond=None)[0]
         cov_oracle = np.linalg.inv(A.T @ A)
         mean_err = max(mean_err,
@@ -320,7 +321,7 @@ def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
         cov_err = max(cov_err, float(np.max(
             np.abs(factor_covariance(comp, "optimal") - cov_oracle))))
 
-        A0 = A[stack.effort_mask]
+        A0 = dense_jacobian(stack, stack.effort_mask)
         sign, logdet = np.linalg.slogdet(A.T @ A)
         sign0, logdet0 = np.linalg.slogdet(A0.T @ A0)
         if sign <= 0 or sign0 <= 0:
@@ -349,7 +350,7 @@ def suite_laplace_lq(samples: int = 100_000) -> tuple[bool, str]:
 # --- feature derivative checks ----------------------------------------------
 
 def _scenario_features(scenario):
-    feats = list(scenario.problem.step_costs[0]) + list(scenario.problem.terminal_costs)
+    feats = [*scenario.problem.costs, *scenario.problem.terminal_costs]
     for sk in scenario.skeletons:
         for mode in sk.modes:
             feats.extend(mode.eq)

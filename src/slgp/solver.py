@@ -46,7 +46,7 @@ import numpy as np
 
 from .banded import FactorizationError, band_from_step_blocks, banded_cholesky_solve
 from .problem import (FeatureEvalError, FeatureStack, PathProblem, Skeleton,
-                      assemble, constraint_violation, cost_value, step_gram)
+                      assemble, constraint_violation, cost_value)
 
 Array = np.ndarray
 
@@ -174,12 +174,12 @@ def _merit_grad(stack: FeatureStack, al: ALState) -> Array:
 def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> Array:
     """J^T J + 2 mu (J_h^T J_h + J_{g,I}^T J_{g,I}) + damping I in upper
     banded storage, summed from the per-step blocks of the rows."""
-    active = al.active_rows(stack.ineq)
-    steps = np.concatenate([stack.cost_steps, stack.eq_steps, stack.ineq_steps[active]])
-    rows = np.vstack([stack.cost_blocks, stack.eq_blocks, stack.ineq_blocks[active]])
-    weights = np.concatenate([np.ones(stack.residuals.size),
-                              np.full(steps.size - stack.residuals.size, 2.0 * al.mu)])
-    ab = band_from_step_blocks(step_gram(steps, rows, weights, stack.N))
+    cost, _, ineq = stack.kinds
+    select = np.ones(stack.steps.size, dtype=bool)
+    select[ineq] = al.active_rows(stack.ineq)
+    weights = np.full(stack.steps.size, 2.0 * al.mu)
+    weights[cost] = 1.0
+    ab = band_from_step_blocks(stack.gram(select, weights))
     ab[-1] += damping
     return ab
 

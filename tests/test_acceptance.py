@@ -37,7 +37,7 @@ def test_criterion_1_reference_weight_arithmetic():
     ratios = np.array([0.0041, 0.0099, 0.0584, 0.0646])
     expected = np.array([0.0626, 0.0850, 0.5810, 0.2713])
     w = mixture_weights(f, np.log(ratios))
-    cost = multimodal_cost(f, np.log(ratios), "unnormalized")
+    cost = multimodal_cost(f, np.log(ratios))
     elapsed = time.perf_counter() - t0
     werr = float(np.abs(w - expected).max())
     cerr = abs(cost - 2.918)

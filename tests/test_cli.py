@@ -322,22 +322,58 @@ def test_bad_config_sections_and_solver_settings_are_named(tmp_path, command, se
     assert not (tmp_path / "x").exists()
 
 
+def _tuple_error(field, size):
+    return f"bad scenario config: {field} must hold {size} finite numbers, got "
+
+
 @pytest.mark.parametrize("command", ["plan", "simulate"])
-@pytest.mark.parametrize("setting, message", [
-    ("solvr.maxOuter=1", "unknown config section 'solvr'; choose from scenario, solver"),
-    ("solver.muInit=2", f"unknown solver parameter 'muInit'; {SOLVER_KEYS}"),
-    ("scenario.N=40.5",
+@pytest.mark.parametrize("scenario, setting, message", [
+    ("elbow", "solvr.maxOuter=1",
+     "unknown config section 'solvr'; choose from scenario, solver"),
+    ("elbow", "solver.muInit=2", f"unknown solver parameter 'muInit'; {SOLVER_KEYS}"),
+    ("elbow", "scenario.N=40.5",
      "bad scenario config: N must be an integer of at least 4, got 40.5"),
-    ("scenario.link_lengths=[0.5]",
+    ("elbow", "scenario.link_lengths=[0.5]",
      "bad scenario config: target (1.35, 0.25) outside arm reach 0.5"),
-    ("scenario.sigma=Infinity",
+    ("elbow", "scenario.sigma=Infinity",
      "bad scenario config: sigma must be finite and positive, got inf"),
+    # Nonfinite coordinates once reached the solver as FeatureEvalErrors.
+    ("tworoute", "scenario.waypoint_near=[Infinity,0]",
+     _tuple_error("waypoint_near", 2) + "(inf, 0)"),
+    ("elbow", "scenario.arm_target=[NaN,0]", _tuple_error("arm_target", 2) + "(nan, 0)"),
+    ("elbow", "scenario.start_angles=[1,-0.4,-0.4,NaN]",
+     "bad scenario config: start_angles must hold one or more finite numbers, "
+     "got (1, -0.4, -0.4, nan)"),
+    ("tworoute", "scenario.route_start=[Infinity,0]",
+     _tuple_error("route_start", 2) + "(inf, 0)"),
+    ("push", "scenario.box_start=[0.55,0,NaN]", _tuple_error("box_start", 3) + "(0.55, 0, nan)"),
+    # Wrong lengths once surfaced as internal errors.
+    ("push", "scenario.box_target=[0.85,0]", _tuple_error("box_target", 3) + "(0.85, 0)"),
+    ("tworoute", "scenario.route_target=[1]", _tuple_error("route_target", 2) + "(1,)"),
+    ("push", "scenario.box_start=[0.55,0]", _tuple_error("box_start", 3) + "(0.55, 0)"),
+    ("elbow", "scenario.start_angles=[1,2]",
+     "bad scenario config: start_angles must have length 4"),
+    # Once taken silently.
+    ("elbow", "scenario.arm_target=1.0", _tuple_error("arm_target", 2) + "1.0"),
+    ("elbow", "scenario.sigma=true",
+     "bad scenario config: sigma must be finite and positive, got True"),
+    ("tworoute", "scenario.route_target=[true,0]", _tuple_error("route_target", 2) + "(True, 0)"),
+    ("push", "scenario.contact_offset=-0.2",
+     "bad scenario config: contact_offset -0.2 must lie inside the face half-width 0.1"),
+    # Once an OverflowError traceback from the effort scale.
+    ("elbow", "scenario.T=1e308",
+     "bad scenario config: effort scale 1/(sigma dt^1.5) is not finite for sigma 0.1 "
+     "and time step dt 2.5e+306"),
 ], ids=["misspelt-section", "retired-solver-key", "fractional-n",
-        "short-link-lengths", "infinite-sigma"])
-def test_bad_sections_and_scenario_values_are_named(tmp_path, command, setting,
-                                                    message):
+        "short-link-lengths", "infinite-sigma", "infinite-waypoint",
+        "nan-arm-target", "nan-start-angle", "infinite-route-start",
+        "nan-box-angle", "short-box-target", "short-route-target",
+        "short-box-start", "short-start-angles", "scalar-arm-target",
+        "bool-sigma", "bool-route-target", "offset-off-the-face", "overflowing-t"])
+def test_bad_sections_and_scenario_values_are_named(tmp_path, command, scenario,
+                                                    setting, message):
     with pytest.raises(SystemExit) as info:
-        main([command, "--scenario", "elbow", "--out", str(tmp_path / "x"),
+        main([command, "--scenario", scenario, "--out", str(tmp_path / "x"),
               "--set", setting])
     assert str(info.value.code) == message
     assert not (tmp_path / "x").exists()
@@ -374,7 +410,7 @@ def test_singular_pivot_is_named_at_plan_time(tmp_path, monkeypatch, capsys):
     def last_step_without_effort(problem, skeleton, x):
         stack = assemble(problem, skeleton, x)
         return dataclasses.replace(
-            stack, effort_mask=stack.effort_mask & (stack.cost_steps != problem.N))
+            stack, effort_mask=stack.effort_mask & (stack.steps != problem.N))
 
     monkeypatch.setattr("slgp.laplace.assemble", last_step_without_effort)
     code, out = _plan(tmp_path, "tworoute")

@@ -19,10 +19,10 @@ TIGHT = SolverConfig(tol_step=1e-12, hessian_reg=1e-12)
 
 
 def _lq(N=6, d=2):
-    return PathProblem.uniform(
+    return PathProblem(
         N=N, d=d, dt=0.2, sigma=0.4, prefix=np.zeros((2, d)),
-        per_step=(AccelerationPenalty(d, 0.2, 0.4),),
-        terminal=(coordinate_target(d, np.arange(d), np.full(d, 0.7), 5.0),))
+        costs=(AccelerationPenalty(d, 0.2, 0.4),),
+        terminal_costs=(coordinate_target(d, np.arange(d), np.full(d, 0.7), 5.0),))
 
 
 def _expansion(problem, config=TIGHT):
@@ -64,8 +64,8 @@ def test_step_models_reproduce_the_true_cost_on_affine_problems():
 
 
 def test_costless_problems_expand_to_zero_blocks():
-    problem = PathProblem.uniform(N=4, d=1, dt=0.5, sigma=1.0,
-                                  prefix=np.zeros((2, 1)), per_step=())
+    problem = PathProblem(N=4, d=1, dt=0.5, sigma=1.0,
+                          prefix=np.zeros((2, 1)), costs=())
     exp, _, _ = _expansion(problem)
     assert exp.grams.shape == (4, 2, 4, 4)
     assert not exp.grams.any()
@@ -94,7 +94,7 @@ def _per_step_quadratics(problem, skeleton, solution):
     cursor, out = 0, []
     for n in range(1, problem.N + 1):
         G = np.zeros((2, width + 1, width + 1))
-        feats = list(problem.step_costs[n - 1])
+        feats = list(problem.costs)
         if n == problem.N:
             feats += list(problem.terminal_costs)
         for feat in feats:
@@ -146,8 +146,8 @@ def test_quadratize_matches_the_per_step_expansion(name, request):
 def test_costless_policy_raises_naming_the_last_step():
     # Nothing curves x_N, so the first pivot is zero; no regularization
     # papers over it.
-    problem = PathProblem.uniform(N=4, d=1, dt=0.5, sigma=1.0,
-                                  prefix=np.zeros((2, 1)), per_step=())
+    problem = PathProblem(N=4, d=1, dt=0.5, sigma=1.0,
+                          prefix=np.zeros((2, 1)), costs=())
     exp, _, _ = _expansion(problem)
     with pytest.raises(PolicyError, match="pivot of skeleton 'free' at step 4 "
                                           "is numerically singular"):

@@ -19,11 +19,11 @@ from slgp.solver import solve
 
 
 def _lq(N=6, d=2, target_weight=5.0):
-    return PathProblem.uniform(
+    return PathProblem(
         N=N, d=d, dt=0.2, sigma=0.4, prefix=np.zeros((2, d)),
-        per_step=(AccelerationPenalty(d, 0.2, 0.4),),
-        terminal=(coordinate_target(d, np.arange(d), np.full(d, 0.7),
-                                    target_weight),))
+        costs=(AccelerationPenalty(d, 0.2, 0.4),),
+        terminal_costs=(coordinate_target(d, np.arange(d), np.full(d, 0.7),
+                                          target_weight),))
 
 
 def _component(problem):
@@ -83,8 +83,8 @@ def test_pinned_coordinate_covariance_collapses_on_axis():
     unit = AffineFeature(np.eye(2), np.zeros(2), window=1, name="unit",
                          group=EFFORT)
     pin = AffineFeature(np.array([[1.0, 0.0]]), np.zeros(1), window=1, name="pin")
-    problem = PathProblem.uniform(N=2, d=2, dt=1.0, sigma=1.0,
-                                  prefix=np.zeros((2, 2)), per_step=(unit,))
+    problem = PathProblem(N=2, d=2, dt=1.0, sigma=1.0,
+                          prefix=np.zeros((2, 2)), costs=(unit,))
     skeleton = Skeleton(id="toy", modes=(Mode("pinned", (1, 2), eq=(pin,)),))
     sol = solve(problem, skeleton)
     assert sol.converged
@@ -134,9 +134,9 @@ def test_component_requires_a_converged_solution():
 
 def test_taskless_direction_makes_the_component_singular():
     # No effort rows at all: the uncontrolled Hessian has empty support.
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=3, d=1, dt=0.5, sigma=1.0, prefix=np.zeros((2, 1)),
-        per_step=(), terminal=(coordinate_target(1, [0], [1.0], 1.0),))
+        costs=(), terminal_costs=(coordinate_target(1, [0], [1.0], 1.0),))
     skeleton = free_skeleton(3)
     sol = solve(problem, skeleton)
     with pytest.raises(SingularComponentError,
@@ -148,9 +148,9 @@ def test_taskless_direction_makes_the_component_singular():
 
 
 def test_pure_effort_costs_give_zero_log_ratio():
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=5, d=2, dt=0.2, sigma=0.4, prefix=np.zeros((2, 2)),
-        per_step=(AccelerationPenalty(2, 0.2, 0.4),))
+        costs=(AccelerationPenalty(2, 0.2, 0.4),))
     comp, _ = _component(problem)
     assert comp.log_ratio == 0.0
 
@@ -166,9 +166,9 @@ def test_uniformly_scaled_hessian_shifts_log_ratio_by_rank():
         A[np.arange(d), k * d + np.arange(d)] = alpha * scale * stencil
     task_rows = AffineFeature(A, np.zeros(d), window=3, name="accel-task",
                               group="task")
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=5, d=2, dt=0.2, sigma=0.4, prefix=np.zeros((2, 2)),
-        per_step=(AccelerationPenalty(2, 0.2, 0.4), task_rows))
+        costs=(AccelerationPenalty(2, 0.2, 0.4), task_rows))
     comp, _ = _component(problem)
     expected = -0.5 * comp.rank * np.log(1.0 + alpha**2)
     assert comp.log_ratio == pytest.approx(expected, rel=1e-10)
@@ -233,14 +233,19 @@ def test_single_component_cost_is_f_minus_log_ratio():
     assert multimodal_cost([2.0], [-0.5]) == pytest.approx(2.5)
 
 
-def test_uniform_prior_mode_adds_log_component_count():
-    f = np.array([0.1930, 0.7682, 0.6204, 1.4827])
-    lr = np.log(np.array([0.0041, 0.0099, 0.0584, 0.0646]))
-    base = multimodal_cost(f, lr, "unnormalized")
-    uniform = multimodal_cost(f, lr, "uniform_na")
-    assert uniform == pytest.approx(base + np.log(4.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        multimodal_cost(f, lr, "bogus")
+def test_uniform_prior_mode_adds_log_component_count(elbow):
+    comps = [elbow.component(sid) for sid in ("free", "fix-joint-1",
+                                              "fix-joint-2", "fix-both")]
+    mix = build_mixture(comps)
+    costs = mix.to_dict()["multimodalCost"]
+    logits = np.array([c.log_ratio - c.f_star for c in comps])
+    assert costs["unnormalized"] == mix.cost == multimodal_cost(
+        [c.f_star for c in comps], [c.log_ratio for c in comps])
+    # -log of the mass under the uniform prior 1/4 over the components.
+    peak = logits.max()
+    uniform = -(peak + np.log(np.mean(np.exp(logits - peak))))
+    assert costs["uniform_na"] == pytest.approx(uniform, abs=1e-12)
+    assert costs["uniform_na"] == pytest.approx(mix.cost + np.log(4.0), abs=1e-12)
 
 
 def test_mixture_dict_schema_and_simplex(elbow):

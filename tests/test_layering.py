@@ -1,20 +1,29 @@
 """Which modules may reach scipy.
 
 scipy's LAPACK wrappers run in its own multi-threaded BLAS, where each
-call on an idle machine can stall for milliseconds.  Only slgp.banded,
-the solver's banded Cholesky, calls them; the Laplace elimination, its
-readers and the per-step controller use numpy alone.
+call on an idle machine can stall for milliseconds, and importing
+scipy.linalg dominates the start-up of a fresh process.  Only
+slgp.banded, the solver's banded Cholesky, calls them; every other module
+of the package, the Laplace elimination, its readers and the per-step
+controller among them, uses numpy alone.
 """
 
 import ast
 import importlib
 import inspect
+import pkgutil
 import types
 
 import pytest
 
+import slgp
 
-@pytest.mark.parametrize("name", ["slgp.laplace", "slgp.kodp", "slgp.execution"])
+NUMPY_ONLY = ["slgp", *(f"slgp.{info.name}"
+                        for info in pkgutil.iter_modules(slgp.__path__)
+                        if info.name != "banded")]
+
+
+@pytest.mark.parametrize("name", NUMPY_ONLY)
 def test_module_holds_no_reference_to_scipy(name):
     module = importlib.import_module(name)
     for attr, value in vars(module).items():

@@ -18,21 +18,21 @@ from path_windows import window
 
 
 def _toy_problem(N=6, d=2):
-    return PathProblem.uniform(
+    return PathProblem(
         N=N, d=d, dt=0.2, sigma=0.4, prefix=np.zeros((2, d)),
-        per_step=(AccelerationPenalty(d, 0.2, 0.4),),
-        terminal=(coordinate_target(d, [0], [1.0], 4.0),))
+        costs=(AccelerationPenalty(d, 0.2, 0.4),),
+        terminal_costs=(coordinate_target(d, [0], [1.0], 4.0),))
 
 
 def test_horizon_and_prefix_are_validated():
     with pytest.raises(ValueError):
         _toy_problem(N=1)
     with pytest.raises(ValueError):
-        PathProblem.uniform(N=4, d=2, dt=0.1, sigma=0.1,
-                            prefix=np.zeros((2, 3)), per_step=())
+        PathProblem(N=4, d=2, dt=0.1, sigma=0.1,
+                    prefix=np.zeros((2, 3)), costs=())
     with pytest.raises(ValueError):
-        PathProblem.uniform(N=4, d=2, dt=-0.1, sigma=0.1,
-                            prefix=np.zeros((2, 2)), per_step=())
+        PathProblem(N=4, d=2, dt=-0.1, sigma=0.1,
+                    prefix=np.zeros((2, 2)), costs=())
 
 
 def test_prefix_is_frozen():
@@ -99,8 +99,8 @@ def test_free_skeleton_assembles_no_constraint_rows():
     problem = _toy_problem()
     stack = assemble(problem, free_skeleton(problem.N), np.zeros((6, 2)))
     assert stack.eq.size == 0 and stack.ineq.size == 0
-    assert stack.eq_blocks.shape == (0, 6)
-    assert dense_jacobian(stack, "eq").shape == (0, 12)
+    assert stack.blocks[stack.kinds[1]].shape == (0, 6)
+    assert dense_jacobian(stack, stack.kinds[1]).shape == (0, 12)
 
 
 def test_assemble_rejects_invalid_skeleton_structure():
@@ -156,7 +156,7 @@ def test_assemble_is_deterministic():
     a = assemble(problem, free_skeleton(6), x)
     b = assemble(problem, free_skeleton(6), x)
     assert np.array_equal(a.residuals, b.residuals)
-    assert np.array_equal(a.cost_blocks, b.cost_blocks)
+    assert np.array_equal(a.blocks, b.blocks)
 
 
 def test_contact_equality_rows_cover_exactly_the_contact_window(elbow):
@@ -166,7 +166,7 @@ def test_contact_equality_rows_cover_exactly_the_contact_window(elbow):
     sk = scenario.skeleton("fix-joint-2")
     stack = assemble(scenario.problem, sk,
                      np.tile(params.start_angles, (params.N, 1)))
-    steps = sorted({step for step, _ in stack.eq_index})
+    steps = sorted({step for step, _ in stack.index[stack.kinds[1]]})
     assert steps == list(range(start, params.N + 1))
     # one pinned joint -> one equality row per contact step
     assert stack.eq.size == params.N - start + 1
@@ -180,7 +180,7 @@ def _per_step_oracle(problem, skeleton, x):
     d = problem.d
     kinds = {"cost": [], "eq": [], "ineq": []}
     for n in range(1, problem.N + 1):
-        costs = list(problem.step_costs[n - 1])
+        costs = list(problem.costs)
         if n == problem.N:
             costs += list(problem.terminal_costs)
         eq, ineq = step_constraints(skeleton, n)
@@ -192,8 +192,9 @@ def _per_step_oracle(problem, skeleton, x):
                 block = np.zeros((feat.size, 3 * d))
                 block[:, (3 - feat.window) * d:] = jac
                 for i in range(feat.size):
+                    effort = kind == "cost" and getattr(feat, "group", None) == EFFORT
                     kinds[kind].append((n, label, float(np.atleast_1d(value)[i]),
-                                        block[i], getattr(feat, "group", None) == EFFORT))
+                                        block[i], effort))
     return kinds
 
 
@@ -215,24 +216,69 @@ def test_batched_stack_matches_the_per_step_oracle(name, request):
                  + rng.normal(scale=0.3, size=(problem.N, problem.d)))
             stack = assemble(problem, skeleton, x)
             oracle = _per_step_oracle(problem, skeleton, x)
-            for kind, values, blocks, steps, index in (
-                    ("cost", stack.residuals, stack.cost_blocks, stack.cost_steps,
-                     stack.cost_index),
-                    ("eq", stack.eq, stack.eq_blocks, stack.eq_steps,
-                     stack.eq_index),
-                    ("ineq", stack.ineq, stack.ineq_blocks, stack.ineq_steps,
-                     stack.ineq_index)):
+            for kind, select in zip(("cost", "eq", "ineq"), stack.kinds):
                 rows = oracle[kind]
-                assert index == tuple((n, label) for n, label, *_ in rows)
-                assert np.array_equal(steps, [n for n, *_ in rows])
-                assert np.abs(values - [v for _, _, v, _, _ in rows]).max(initial=0) <= 1e-12
+                blocks = stack.blocks[select]
+                assert stack.index[select] == tuple((n, label) for n, label, *_ in rows)
+                assert np.array_equal(stack.steps[select], [n for n, *_ in rows])
+                assert np.abs(stack.values[select]
+                              - [v for _, _, v, _, _ in rows]).max(initial=0) <= 1e-12
                 assert np.abs(blocks - np.array([b for *_, b, _ in rows]).reshape(
                     blocks.shape)).max(initial=0) <= 1e-12
-                assert np.abs(dense_jacobian(stack, kind)
+                assert np.abs(dense_jacobian(stack, select)
                               - _dense(rows, problem.N, problem.d)
                               ).max(initial=0) <= 1e-12
             assert np.array_equal(stack.effort_mask,
-                                  [e for *_, e in oracle["cost"]])
+                                  [e for kind in ("cost", "eq", "ineq")
+                                   for *_, e in oracle[kind]])
+
+
+BUNDLED_SKELETONS = [("elbow", "free"), ("elbow", "fix-joint-1"),
+                     ("elbow", "fix-joint-2"), ("elbow", "fix-both"),
+                     ("push", "single-finger"), ("push", "two-finger"),
+                     ("tworoute", "via-near"), ("tworoute", "via-far")]
+
+
+def _gram_oracle(stack, select, weights, values):
+    """Per-step sums of weighted outer products, one selected row at a time."""
+    width = 3 * stack.d + values
+    out = np.zeros((stack.N, width, width))
+    for i in np.arange(stack.steps.size)[select]:
+        b = np.append(stack.blocks[i], stack.values[i]) if values else stack.blocks[i]
+        out[stack.steps[i] - 1] += weights[i] * np.outer(b, b)
+    return out
+
+
+@pytest.mark.parametrize("name, sid", BUNDLED_SKELETONS,
+                         ids=[f"{name}-{sid}" for name, sid in BUNDLED_SKELETONS])
+def test_row_table_partitions_its_kinds_and_forms_step_grams(name, sid, request):
+    bundle = request.getfixturevalue(name)
+    stack = assemble(bundle.scenario.problem, bundle.scenario.skeleton(sid),
+                     bundle.solution(sid).x_star)
+    rows = stack.steps.size
+    assert stack.values.shape == (rows,) and stack.blocks.shape == (rows, 3 * stack.d)
+    assert len(stack.index) == stack.effort_mask.size == rows
+    # The kind slices cover the table in order: cost, eq, ineq.
+    assert [(k.start, k.stop, k.step) for k in stack.kinds] == [
+        (0, stack.residuals.size, None),
+        (stack.residuals.size, rows - stack.ineq.size, None),
+        (rows - stack.ineq.size, rows, None)]
+    for kind in stack.kinds:
+        assert (np.diff(stack.steps[kind]) >= 0).all()
+
+    rng = np.random.default_rng(29)
+    weights = rng.uniform(0.5, 2.0, rows)
+    cost, _, ineq = stack.kinds
+    # The merit Hessian's selection: every cost and equality row and part
+    # of the inequality rows.
+    select = np.ones(rows, dtype=bool)
+    select[ineq] = rng.random(stack.ineq.size) < 0.5
+    if sid == "fix-both":
+        assert select[ineq].any() and not select[ineq].all()
+    for chosen, values in ((cost, True), (select, False)):
+        oracle = _gram_oracle(stack, chosen, weights, values)
+        assert np.abs(stack.gram(chosen, weights, values) - oracle).max() <= (
+            1e-12 * np.abs(oracle).max())
 
 
 class _Sqrt:
@@ -286,9 +332,9 @@ def test_raising_batch_names_the_step_that_raises():
 
 def test_first_bad_step_wins_across_costs_and_constraints():
     d = 2
-    problem = PathProblem.uniform(
+    problem = PathProblem(
         N=6, d=d, dt=0.2, sigma=0.4, prefix=np.zeros((2, d)),
-        per_step=(AccelerationPenalty(d, 0.2, 0.4), _Sqrt(1, "cost-sqrt")))
+        costs=(AccelerationPenalty(d, 0.2, 0.4), _Sqrt(1, "cost-sqrt")))
     sk = Skeleton(id="rooted", modes=(Mode("m", (1, 6), eq=(_SqrtRaising(0),),
                                            ineq=(_Sqrt(0, "ineq-sqrt"),)),))
     x = np.ones((6, d))
@@ -327,8 +373,8 @@ def test_interleaved_skeletons_assemble_as_on_fresh_problems(elbow):
         _stacks_equal(stack, assemble(dataclasses.replace(problem), sk, x))
         # Stacks of one skeleton share the layout built on its first use.
         kept = first.setdefault(sk.id, stack)
-        assert stack.cost_index is kept.cost_index
-        assert stack.ineq_steps is kept.ineq_steps
+        assert stack.index is kept.index
+        assert stack.steps is kept.steps
 
 
 def test_invalid_skeleton_raises_on_every_call_and_is_not_kept():
@@ -360,7 +406,7 @@ def test_replaced_problem_gets_no_stale_layout():
         other = dataclasses.replace(problem, terminal_costs=terminal)
         stack = assemble(other, sk, np.zeros((6, 2)))
         assert stack.residuals.size == stack.effort_mask.size == rows
-        assert len(stack.cost_index) == stack.cost_steps.size == rows
+        assert len(stack.index) == stack.steps.size == rows
         assert stack.effort_mask.sum() == 12
     assert assemble(problem, sk, np.zeros((6, 2))).residuals.size == 13
 
@@ -371,8 +417,8 @@ def test_shared_layout_arrays_are_read_only(elbow):
     x = elbow.solution("fix-both").x_star
     stack = assemble(problem, sk, x)
     fresh = assemble(dataclasses.replace(problem), sk, x)
-    assert stack.eq_steps.size and stack.ineq_steps.size
-    for name in ("cost_steps", "eq_steps", "ineq_steps", "effort_mask"):
+    assert stack.eq.size and stack.ineq.size
+    for name in ("steps", "effort_mask"):
         with pytest.raises(ValueError):
             getattr(stack, name)[0] = 99
     _stacks_equal(assemble(problem, sk, x), fresh)
@@ -388,7 +434,7 @@ def test_entry_under_a_reused_id_is_rebuilt():
     # The entry a dead skeleton would leave if its id came back.
     problem._layouts[id(sk)] = problem._layouts[id(capped)]
     stack = assemble(problem, sk, np.zeros((6, 2)))
-    assert stack.ineq_steps.size == 0
+    assert stack.ineq.size == 0
     _stacks_equal(stack, assemble(_toy_problem(), sk, np.zeros((6, 2))))
 
 

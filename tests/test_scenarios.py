@@ -30,6 +30,17 @@ def test_parameter_bounds_are_enforced():
         ScenarioParams(contact_fraction=1.2)
     with pytest.raises(ValueError):
         ScenarioParams(waypoint_fraction=-0.1)
+    for bad in (dict(N=True), dict(sigma=True), dict(T=np.nan),
+                dict(arm_target=(np.nan, 0.0)), dict(arm_target=1.0),
+                dict(route_target=(1.0,)), dict(box_start=(0.55, 0.0)),
+                dict(route_target=(True, 0.0)), dict(link_lengths=()),
+                dict(start_angles=(1.0, np.inf, 0.0, 0.0)),
+                dict(contact_offset=-0.2), dict(contact_offset=np.inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ScenarioParams(**bad)
+    # A time step whose effort scale overflows is named, not an OverflowError.
+    with pytest.raises(ValueError, match="effort scale"):
+        build_scenario(ScenarioParams(T=1e308))
 
 
 def test_unknown_scenario_name_lists_the_choices():
@@ -147,7 +158,7 @@ def test_second_finger_adds_constraint_rank(push):
     for sid in ("single-finger", "two-finger"):
         sol = push.solution(sid)
         stack = assemble(problem, push.scenario.skeleton(sid), sol.x_star)
-        ranks[sid] = np.linalg.matrix_rank(dense_jacobian(stack, "eq"))
+        ranks[sid] = np.linalg.matrix_rank(dense_jacobian(stack, stack.kinds[1]))
     assert ranks["two-finger"] > ranks["single-finger"]
 
 

@@ -26,10 +26,10 @@ EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 def _lsq_problem(N=5, d=2):
     # All residuals affine in the path, so the objective is a quadratic
     # with a unique minimizer reachable in one Gauss-Newton step.
-    return PathProblem.uniform(
+    return PathProblem(
         N=N, d=d, dt=0.25, sigma=0.5, prefix=np.zeros((2, d)),
-        per_step=(AccelerationPenalty(d, 0.25, 0.5),),
-        terminal=(coordinate_target(d, np.arange(d), np.full(d, 0.6), 3.0),))
+        costs=(AccelerationPenalty(d, 0.25, 0.5),),
+        terminal_costs=(coordinate_target(d, np.arange(d), np.full(d, 0.6), 3.0),))
 
 
 def _scalar_bound_problem():
@@ -38,9 +38,9 @@ def _scalar_bound_problem():
     cost = coordinate_target(1, [0], [0.0], 1.0)
     bound = AffineFeature(np.array([[-1.0]]), np.array([1.0]), window=1,
                           name="lower-bound")
-    problem = PathProblem.uniform(N=2, d=1, dt=1.0, sigma=1.0,
-                                  prefix=np.zeros((2, 1)), per_step=(),
-                                  terminal=(cost,))
+    problem = PathProblem(N=2, d=1, dt=1.0, sigma=1.0,
+                          prefix=np.zeros((2, 1)), costs=(),
+                          terminal_costs=(cost,))
     skeleton = Skeleton(id="bounded", modes=(Mode("m", (1, 2), ineq=(bound,)),))
     return problem, skeleton
 
@@ -53,7 +53,7 @@ def test_unconstrained_quadratic_converges_in_one_inner_iteration():
 
     stack = assemble(problem, free_skeleton(problem.N),
                      np.zeros((problem.N, problem.d)))
-    closed_form = np.linalg.lstsq(dense_jacobian(stack, "cost"), -stack.residuals,
+    closed_form = np.linalg.lstsq(dense_jacobian(stack, stack.kinds[0]), -stack.residuals,
                                   rcond=None)[0]
     assert np.abs(sol.x_star.ravel() - closed_form).max() < 1e-6
 
@@ -119,7 +119,7 @@ def test_undamped_step_is_the_exact_least_squares_step():
     al = ALState(lam=np.zeros(0), nu=np.zeros(0), mu=1.0)
     dx, damping = gauss_newton_step(stack, al, 0.0, _merit_grad(stack, al))
     assert damping == 0.0
-    A = dense_jacobian(stack, "cost")
+    A = dense_jacobian(stack, stack.kinds[0])
     exact = np.linalg.lstsq(A, -(stack.residuals + A @ (-x0.ravel())),
                             rcond=None)[0] - 0.0
     # Solve normal equations directly for the reference step.
@@ -242,17 +242,19 @@ def test_banded_merit_hessian_matches_the_dense_oracle(name, sid, request):
     al = ALState(lam=lam, nu=rng.normal(size=stack.eq.size), mu=3.0)
     active = al.active_rows(stack.ineq)
     assert stack.ineq.size == 0 or (lam[active] > 0).any() and not active.all()
-    J, Jh = dense_jacobian(stack, "cost"), dense_jacobian(stack, "eq")
-    Jg = dense_jacobian(stack, "ineq")[active]
+    cost, eq, ineq = stack.kinds
+    J, Jh = dense_jacobian(stack, cost), dense_jacobian(stack, eq)
+    Jg = dense_jacobian(stack, ineq)[active]
     damping = 1e-3
+    n_vars = problem.N * problem.d
     H = (J.T @ J + 2.0 * al.mu * (Jh.T @ Jh + Jg.T @ Jg)
-         + damping * np.eye(stack.n_vars))
+         + damping * np.eye(n_vars))
     ab = _merit_hessian(stack, al, damping)
-    assert ab.shape == (3 * problem.d, stack.n_vars)
+    assert ab.shape == (3 * problem.d, n_vars)
     assert np.abs(_dense_from_band(ab) - H).max() <= 1e-12 * np.abs(H).max()
     coeff = np.where(active, lam + 2.0 * al.mu * stack.ineq, lam)
     grad = (J.T @ stack.residuals + Jh.T @ (al.nu + 2.0 * al.mu * stack.eq)
-            + dense_jacobian(stack, "ineq").T @ coeff)
+            + dense_jacobian(stack, ineq).T @ coeff)
     assert np.abs(_merit_grad(stack, al) - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
