@@ -115,6 +115,22 @@ def _nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _out_of_memory(command: str, scenario: Scenario,
+                   exc: MemoryError) -> SystemExit:
+    return SystemExit(f"{command}: out of memory on scenario {scenario.name} "
+                      f"(N={scenario.params.N}, d={scenario.problem.d}): {exc}")
+
+
+# Beyond this magnitude the six decimals of .6f would print more digits
+# than the 16 significant ones a double holds.
+_FIXED_LIMIT = 1e10
+
+
+def _fixed(value: float) -> str:
+    """value with six decimals, or in exponent notation beyond _FIXED_LIMIT."""
+    return f"{value:.6f}" if abs(value) < _FIXED_LIMIT else f"{value:.6e}"
+
+
 def _workers(count: int) -> int:
     """Threads used for count independent tasks: always 1.
 
@@ -207,8 +223,11 @@ def cmd_plan(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    solutions, components, reasons = _plan_scenario(scenario, solver_cfg,
-                                                    collect_trace=args.trace)
+    try:
+        solutions, components, reasons = _plan_scenario(
+            scenario, solver_cfg, collect_trace=args.trace)
+    except MemoryError as exc:
+        raise _out_of_memory("plan", scenario, exc) from None
     live = [c for c in components if c is not None]
     mixture = build_mixture(live) if live else None
     weight_of = ({c.skeleton_id: float(w) for c, w in zip(live, mixture.weights)}
@@ -240,15 +259,15 @@ def cmd_plan(args) -> int:
              f"skeletons: {len(scenario.skeletons)}, converged: "
              f"{sum(s.converged for s in solutions)}"]
     for sk, sol, comp, reason in zip(scenario.skeletons, solutions, components, reasons):
-        part = (f"  {sk.id:<16} status={sol.status:<20} fStar={sol.f_star:.6f}")
+        part = (f"  {sk.id:<16} status={sol.status:<20} fStar={_fixed(sol.f_star)}")
         if comp is not None:
-            part += (f" logRatio={comp.log_ratio:.6f}"
-                     f" weight={weight_of.get(sk.id, 0.0):.6f}")
+            part += (f" logRatio={_fixed(comp.log_ratio)}"
+                     f" weight={_fixed(weight_of.get(sk.id, 0.0))}")
         else:
             part += f" dropped: {reason}"
         lines.append(part)
     if mixture:
-        lines.append(f"multimodal cost ({UNNORMALIZED}): {mixture.cost:.6f}")
+        lines.append(f"multimodal cost ({UNNORMALIZED}): {_fixed(mixture.cost)}")
     _write_text(out / "report.txt", "\n".join(lines) + "\n")
 
     print("\n".join(lines))
@@ -304,7 +323,10 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    solutions, components, reasons = _plan_scenario(scenario, solver_cfg)
+    try:
+        solutions, components, reasons = _plan_scenario(scenario, solver_cfg)
+    except MemoryError as exc:
+        raise _out_of_memory("simulate", scenario, exc) from None
     kept = [c for c in components if c is not None]
     dropped = [(sk.id, reason) for sk, reason in zip(scenario.skeletons, reasons)
                if reason is not None]
@@ -396,9 +418,9 @@ def cmd_simulate(args) -> int:
                  f"aborted: {aborted}")
     if errors:
         arr = np.array(errors)
-        lines.append(f"final error: mean {arr.mean():.6f}, "
-                     f"rms {float(np.sqrt(np.mean(arr ** 2))):.6f}, "
-                     f"max {arr.max():.6f}")
+        lines.append(f"final error: mean {_fixed(arr.mean())}, "
+                     f"rms {_fixed(float(np.sqrt(np.mean(arr ** 2))))}, "
+                     f"max {_fixed(arr.max())}")
         lines.append(f"plan deviation at final step: max {max(deviations):.2e}")
         lines.append(f"mean switches per rollout: {np.mean(switch_counts):.2f}")
     _write_text(out / "report.txt", "\n".join(lines) + "\n")

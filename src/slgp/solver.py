@@ -53,6 +53,7 @@ Array = np.ndarray
 CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 LINE_SEARCH_FAILURE = "line-search-failure"
+HESSIAN_OVERFLOW = "hessian-overflow"
 
 _MIN_STEP = 1e-12
 _INNER_CUT = 0.1  # relative gradient cut that ends an inner loop far from feasibility
@@ -67,6 +68,10 @@ _MU_MAX = 1e12
 
 class SolverError(RuntimeError):
     pass
+
+
+class HessianOverflowError(SolverError):
+    """The Gauss-Newton Hessian of the merit overflows float64."""
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,13 @@ def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> Array:
     select[ineq] = al.active_rows(stack.ineq)
     weights = np.full(stack.steps.size, 2.0 * al.mu)
     weights[cost] = 1.0
-    ab = band_from_step_blocks(stack.gram(select, weights))
+    # A cost weight near the float limit can overflow the Gram sums, and
+    # an infinite band would give a NaN step.
+    try:
+        with np.errstate(over="raise"):
+            ab = band_from_step_blocks(stack.gram(select, weights))
+    except FloatingPointError as exc:
+        raise HessianOverflowError(f"Gauss-Newton Hessian: {exc}") from None
     ab[-1] += damping
     return ab
 
@@ -190,7 +201,8 @@ def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float,
     merit gradient at the stack; returns dx and the damping it was solved at.
 
     On factorization failure the damping is grown tenfold up to 1e+2
-    before giving up.
+    before giving up.  Raises HessianOverflowError when the Hessian
+    overflows float64.
     """
     level = damping
     while True:
@@ -226,7 +238,7 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
     The accepted trial point keeps its stack and its merit, so each point
     is assembled once and has its merit and gradient computed once.
     Returns (x, stack at x, reason, iterations) with reason in
-    {"gradient", "step", "line-search", "max-inner"}.
+    {"gradient", "step", "line-search", "overflow", "max-inner"}.
     """
     shape = (problem.N, problem.d)
     small_steps = 0
@@ -238,7 +250,10 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
             grad_tol = max(grad_tol, cut * grad_norm)
         if grad_norm <= grad_tol:
             return x_flat, stack, "gradient", it
-        dx, damping = gauss_newton_step(stack, al, cfg.hessian_reg, grad)
+        try:
+            dx, damping = gauss_newton_step(stack, al, cfg.hessian_reg, grad)
+        except HessianOverflowError:
+            return x_flat, stack, "overflow", it
         slope = float(grad @ dx)
         alpha = 1.0
         backtracks = 0
@@ -316,6 +331,10 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
         if cfg.accepts(kkt, lam_new):
             al = ALState(lam=lam_new, nu=nu_new, mu=al.mu)
             status = CONVERGED
+            break
+        if reason == "overflow":
+            al = ALState(lam=lam_new, nu=nu_new, mu=al.mu)
+            status = HESSIAN_OVERFLOW
             break
         if reason == "line-search":
             ls_failures += 1

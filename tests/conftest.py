@@ -5,9 +5,15 @@ each scenario is solved once per session and the (scenario, solutions,
 components) triple is shared read-only across test modules.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slgp
 from slgp import (ScenarioParams, build_component, build_scenario, solve)
 
 
@@ -48,3 +54,17 @@ def push():
 @pytest.fixture(scope="session")
 def tworoute():
     return _solve_all(ScenarioParams(name="tworoute"))
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a new interpreter that imports slgp from this tree;
+    returns the completed process with its text output."""
+    src = str(Path(slgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+    return run

@@ -91,6 +91,72 @@ def test_indefinite_matrix_raises():
         banded_cholesky_solve(to_banded_upper(A), np.ones(3))
 
 
+def _spd_system(seed, n_blocks=5, d=2):
+    rng = np.random.default_rng(seed)
+    A = _block_tridiagonal_spd(n_blocks, d, rng)
+    return A, to_banded_upper(A), rng.normal(size=A.shape[0])
+
+
+def test_one_dimensional_rhs_gives_the_dense_solution():
+    A, ab, rhs = _spd_system(40)
+    x = banded_cholesky_solve(ab, rhs)
+    assert x.shape == rhs.shape
+    x_dense = np.linalg.solve(A, rhs)
+    assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+
+
+def test_inputs_are_left_unchanged():
+    _, ab, rhs = _spd_system(41)
+    ab_before, rhs_before = ab.copy(), rhs.copy()
+    banded_cholesky_solve(ab, rhs)
+    assert np.array_equal(ab, ab_before) and np.array_equal(rhs, rhs_before)
+
+    ab[-1, 3] = -1.0
+    ab_before = ab.copy()
+    with pytest.raises(FactorizationError, match="order 4"):
+        banded_cholesky_solve(ab, rhs)
+    assert np.array_equal(ab, ab_before) and np.array_equal(rhs, rhs_before)
+
+
+@pytest.mark.parametrize("ab_shape, rhs_shape", [
+    ((3, 10), (9,)),       # rhs shorter than the band's columns
+    ((3, 10), (11, 2)),    # rhs longer than the band's columns
+    ((10,), (10,)),        # band not 2-D
+    ((2, 3, 10), (10,)),   # band not 2-D
+    ((0, 10), (10,)),      # band without a diagonal row
+], ids=["short-rhs", "long-rhs", "flat-band", "cube-band", "empty-band"])
+def test_shape_mismatch_is_rejected_before_lapack(ab_shape, rhs_shape, capfd):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        banded_cholesky_solve(np.ones(ab_shape), np.ones(rhs_shape))
+    # LAPACK's own argument check would print to stdout.
+    assert capfd.readouterr().out == ""
+
+
+def test_import_names_the_missing_lapack(fresh_python):
+    # A LAPACK without the two routines: the library exports nothing.
+    script = """
+import ctypes
+class Empty:
+    def __init__(self, path):
+        pass
+    def __getattr__(self, name):
+        raise AttributeError(name)
+ctypes.CDLL = Empty
+try:
+    import slgp.banded
+except ImportError as exc:
+    print(exc)
+"""
+    done = fresh_python(script)
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+    assert done.stdout.strip() == (
+        "slgp needs LAPACK dpbtrf/dpbtrs from numpy's bundled OpenBLAS "
+        f"(scipy_dpbtrf_64_, scipy_dpbtrs_64_), but numpy {np.__version__} "
+        f"with LAPACK '{lapack}' does not export them through "
+        "numpy.linalg._umath_linalg; slgp was tested only with numpy's "
+        "Linux x86-64 PyPI wheels")
+
+
 def test_cost_scales_roughly_linearly_with_horizon():
     # Fixed block size, growing horizon: a banded solve is O(N d^3), so the
     # per-solve time ratio should track N, far below the dense O(N^3) cubic.

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,17 @@ def test_plan_honors_config_file_and_overrides(tmp_path):
     assert len(sol["xStar"]) == 24
     report = (out / "report.txt").read_text()
     assert "N=24" in report and "sigma=0.2" in report
+
+    # A cost near the float limit overflows the Gauss-Newton Hessian: each
+    # skeleton ends in a status that says so, and its cost prints in
+    # exponent notation, not as a 300-digit fixed-point number.
+    code, out = _plan(tmp_path, "elbow", "--set", "scenario.arm_target_weight=1e308")
+    assert code == 1
+    lines = (out / "report.txt").read_text().splitlines()[2:]
+    assert len(lines) == 4
+    for line in lines:
+        assert "status=hessian-overflow" in line
+        assert re.search(r" fStar=\d\.\d{6}e\+30\d ", line) and len(line) < 120
 
 
 # --- simulate ---------------------------------------------------------------
@@ -501,6 +513,22 @@ def test_singular_component_is_reported_as_the_drop_reason(tmp_path, monkeypatch
     report = (sim / "report.txt").read_text()
     assert f"dropped via-far: {reason}" in report
     assert "no converged solution" not in report
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_running_out_of_memory_names_the_command_and_the_horizon(
+        tmp_path, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                          "(100000000000, 2) and data type float64")
+
+    monkeypatch.setattr("slgp.cli.solve", exhausted)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--scenario", "tworoute", "--out", str(tmp_path / "x")])
+    assert str(info.value.code) == (
+        f"{command}: out of memory on scenario tworoute (N=40, d=2): Unable to "
+        "allocate 1.46 TiB for an array with shape (100000000000, 2) and data "
+        "type float64")
 
 
 def test_unknown_subcommand_and_scenario_are_rejected(tmp_path):

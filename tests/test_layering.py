@@ -1,11 +1,9 @@
-"""Which modules may reach scipy.
+"""No module of slgp reaches scipy.
 
-scipy's LAPACK wrappers run in its own multi-threaded BLAS, where each
-call on an idle machine can stall for milliseconds, and importing
-scipy.linalg dominates the start-up of a fresh process.  Only
-slgp.banded, the solver's banded Cholesky, calls them; every other module
-of the package, the Laplace elimination, its readers and the per-step
-controller among them, uses numpy alone.
+Importing scipy.linalg costs a fresh `slgp` process about 0.3 s of
+start-up.  The solver's banded Cholesky (slgp.banded) calls LAPACK from
+numpy's own OpenBLAS, so every module of the package uses numpy alone,
+and a fresh process that plans must never load scipy.
 """
 
 import ast
@@ -19,8 +17,7 @@ import pytest
 import slgp
 
 NUMPY_ONLY = ["slgp", *(f"slgp.{info.name}"
-                        for info in pkgutil.iter_modules(slgp.__path__)
-                        if info.name != "banded")]
+                        for info in pkgutil.iter_modules(slgp.__path__))]
 
 
 @pytest.mark.parametrize("name", NUMPY_ONLY)
@@ -39,3 +36,17 @@ def test_module_holds_no_reference_to_scipy(name):
             continue
         assert not any(n.split(".")[0] == "scipy" for n in names), \
             f"{name} imports {names} at line {node.lineno}"
+
+
+def test_a_fresh_process_plans_without_loading_scipy(tmp_path, fresh_python):
+    script = f"""
+import sys
+import slgp
+from slgp.cli import main
+slgp.build_scenario(slgp.ScenarioParams(name="elbow"))
+code = main(["plan", "--scenario", "elbow", "--out", {str(tmp_path)!r}])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    done = fresh_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
