@@ -4,6 +4,11 @@ Outputs are deterministic byte-for-byte across reruns: JSON is written
 with sorted keys, nothing records wall-clock time, and every random
 stream is seeded explicitly.
 
+Each command checks every argument before it plans, so a bad argument
+exits with a message before any skeleton is solved or any output
+directory is created.  It then plans once, into one record per skeleton,
+and writes every artifact from those records.
+
 Skeletons (plan) and seeds (simulate) run one after another on one
 thread.  The solves and rollouts are mostly Python code holding the global
 interpreter lock, so a thread pool does not overlap them: on 2 CPUs, elbow
@@ -23,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .execution import (BLENDING, SWITCHING, RolloutError, build_controller,
-                        rollout)
+                        check_disturbance, rollout)
 from .kodp import read_policy
 from .laplace import (UNNORMALIZED, SingularComponentError, build_component,
                       build_mixture)
@@ -64,8 +69,11 @@ def _assign(cfg: dict, dotted: str, value) -> None:
 def _load_config(args) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SystemExit(f"cannot read config file '{args.config}': {exc}") from None
         if not isinstance(loaded, dict):
             raise SystemExit("config file must hold a JSON object")
         cfg = loaded
@@ -115,12 +123,6 @@ def _nonnegative(name: str, value: float) -> float:
     return value
 
 
-def _out_of_memory(command: str, scenario: Scenario,
-                   exc: MemoryError) -> SystemExit:
-    return SystemExit(f"{command}: out of memory on scenario {scenario.name} "
-                      f"(N={scenario.params.N}, d={scenario.problem.d}): {exc}")
-
-
 # Beyond this magnitude the six decimals of .6f would print more digits
 # than the 16 significant ones a double holds.
 _FIXED_LIMIT = 1e10
@@ -161,37 +163,42 @@ def _kkt_dict(kkt) -> dict:
             "complementarity": kkt.complementarity}
 
 
-def _plan_scenario(scenario: Scenario, solver_cfg: SolverConfig,
-                   collect_trace: bool = False):
-    """Solve every skeleton and build the Laplace components.
+def _plan_scenario(command: str, scenario: Scenario, solver_cfg: SolverConfig,
+                   out: Path, collect_trace: bool = False):
+    """Check every skeleton, create out, solve each skeleton and build its
+    Laplace component.
 
-    Returns (solutions, components, drop reasons) in skeleton order; a
-    skeleton without a component has None there and the reason: the solver
-    status, or the SingularComponentError naming the skeleton, the step
-    and the smallest eigenvalue of the singular pivot.
+    Returns one (skeleton, solution, component, drop reason) record per
+    skeleton, in skeleton order.  A skeleton without a component has None
+    there and the reason: the solver status, or the SingularComponentError
+    naming the skeleton, the step and the smallest eigenvalue of the
+    singular pivot.  Running out of memory exits naming the command and
+    the horizon.
     """
     for sk in scenario.skeletons:
         bad = validate_skeleton(sk, scenario.successors, scenario.problem.N)
         if bad:
             raise SystemExit(f"skeleton '{sk.id}' invalid: "
                              + "; ".join(v.message for v in bad))
-
-    solutions = [solve(scenario.problem, sk, config=solver_cfg,
-                       collect_trace=collect_trace)
-                 for sk in scenario.skeletons]
-    components, reasons = [], []
-    for sk, sol in zip(scenario.skeletons, solutions):
-        comp, reason = None, None
-        if not sol.converged:
-            reason = f"solver status {sol.status}"
-        else:
-            try:
-                comp = build_component(scenario.problem, sk, sol)
-            except SingularComponentError as exc:
-                reason = str(exc)
-        components.append(comp)
-        reasons.append(reason)
-    return solutions, components, reasons
+    out.mkdir(parents=True, exist_ok=True)
+    records = []
+    try:
+        for sk in scenario.skeletons:
+            sol = solve(scenario.problem, sk, config=solver_cfg,
+                        collect_trace=collect_trace)
+            comp, reason = None, None
+            if not sol.converged:
+                reason = f"solver status {sol.status}"
+            else:
+                try:
+                    comp = build_component(scenario.problem, sk, sol)
+                except SingularComponentError as exc:
+                    reason = str(exc)
+            records.append((sk, sol, comp, reason))
+    except MemoryError as exc:
+        raise SystemExit(f"{command}: out of memory on scenario {scenario.name} "
+                         f"(N={scenario.params.N}, d={scenario.problem.d}): {exc}") from None
+    return records
 
 
 def _solution_payload(sk, sol, comp, weight, reason) -> dict:
@@ -222,88 +229,80 @@ def cmd_plan(args) -> int:
     solver_cfg = _config(cfg, "solver")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        solutions, components, reasons = _plan_scenario(
-            scenario, solver_cfg, collect_trace=args.trace)
-    except MemoryError as exc:
-        raise _out_of_memory("plan", scenario, exc) from None
-    live = [c for c in components if c is not None]
+    records = _plan_scenario("plan", scenario, solver_cfg, out, collect_trace=args.trace)
+    live = [comp for _, _, comp, _ in records if comp is not None]
     mixture = build_mixture(live) if live else None
     weight_of = ({c.skeleton_id: float(w) for c, w in zip(live, mixture.weights)}
                  if mixture else {})
 
-    for sk, sol, comp, reason in zip(scenario.skeletons, solutions, components, reasons):
+    rows = []
+    lines = [f"scenario: {scenario.name} (N={params.N}, d={scenario.problem.d}, "
+             f"dt={params.dt:g}, sigma={params.sigma:g})",
+             f"skeletons: {len(records)}, converged: "
+             f"{sum(sol.converged for _, sol, _, _ in records)}"]
+    for sk, sol, comp, reason in records:
+        weight = weight_of.get(sk.id)
         _write_json(out / f"solution-{sk.id}.json",
-                    _solution_payload(sk, sol, comp, weight_of.get(sk.id), reason))
+                    _solution_payload(sk, sol, comp, weight, reason))
         if args.trace and sol.trace:
             _write_csv(out / f"trace-{sk.id}.csv",
                        ("outer", "inner", "merit", "violation", "stepNorm", "mu",
                         "backtracks", "damping"),
                        [(o, i, repr(m), repr(v), repr(s), repr(mu), b, repr(dmp))
                         for o, i, m, v, s, mu, b, dmp in sol.trace])
-    if mixture:
-        _write_json(out / "mixture.json", mixture.to_dict())
-    _write_csv(out / "weights.csv",
-               ("skeletonId", "status", "fStar", "logRatio", "entropyRatio",
-                "rank", "weight"),
-               [(sk.id, sol.status, repr(sol.f_star),
-                 repr(comp.log_ratio) if comp else "",
-                 repr(float(np.exp(comp.log_ratio))) if comp else "",
-                 comp.rank if comp else "",
-                 repr(weight_of[sk.id]) if sk.id in weight_of else "")
-                for sk, sol, comp in zip(scenario.skeletons, solutions, components)])
-
-    lines = [f"scenario: {scenario.name} (N={params.N}, d={scenario.problem.d}, "
-             f"dt={params.dt:g}, sigma={params.sigma:g})",
-             f"skeletons: {len(scenario.skeletons)}, converged: "
-             f"{sum(s.converged for s in solutions)}"]
-    for sk, sol, comp, reason in zip(scenario.skeletons, solutions, components, reasons):
-        part = (f"  {sk.id:<16} status={sol.status:<20} fStar={_fixed(sol.f_star)}")
+        rows.append((sk.id, sol.status, repr(sol.f_star),
+                     repr(comp.log_ratio) if comp else "",
+                     repr(float(np.exp(comp.log_ratio))) if comp else "",
+                     comp.rank if comp else "",
+                     repr(weight) if weight is not None else ""))
+        part = f"  {sk.id:<16} status={sol.status:<20} fStar={_fixed(sol.f_star)}"
         if comp is not None:
-            part += (f" logRatio={_fixed(comp.log_ratio)}"
-                     f" weight={_fixed(weight_of.get(sk.id, 0.0))}")
+            part += f" logRatio={_fixed(comp.log_ratio)} weight={_fixed(weight)}"
         else:
             part += f" dropped: {reason}"
         lines.append(part)
     if mixture:
+        _write_json(out / "mixture.json", mixture.to_dict())
         lines.append(f"multimodal cost ({UNNORMALIZED}): {_fixed(mixture.cost)}")
+    _write_csv(out / "weights.csv",
+               ("skeletonId", "status", "fStar", "logRatio", "entropyRatio",
+                "rank", "weight"), rows)
     _write_text(out / "report.txt", "\n".join(lines) + "\n")
 
     print("\n".join(lines))
-    return 0 if all(s.converged for s in solutions) else 1
+    return 0 if all(sol.converged for _, sol, _, _ in records) else 1
 
 
 def _parse_seeds(expr: str) -> list[int]:
     expr = expr.strip()
-    if ".." in expr:
-        lo, _, hi = expr.partition("..")
-        try:
-            a, b = int(lo), int(hi)
-        except ValueError:
-            raise SystemExit(f"bad --seeds range '{expr}'")
-        if b < a:
-            raise SystemExit(f"empty --seeds range '{expr}'")
-        return list(range(a, b + 1))
+    lo, dots, hi = expr.partition("..")
     try:
-        return [int(expr)]
+        a = int(lo)
+        b = int(hi) if dots else a
     except ValueError:
-        raise SystemExit(f"bad --seeds value '{expr}'")
+        raise SystemExit(f"bad --seeds {'range' if dots else 'value'} '{expr}'") from None
+    if b < a:
+        raise SystemExit(f"empty --seeds range '{expr}'")
+    if a < 0:
+        raise SystemExit(f"--seeds must be >= 0, got {a}")
+    return list(range(a, b + 1))
 
 
-def _parse_disturb(exprs) -> list[tuple[int, np.ndarray]]:
+def _parse_disturb(exprs, problem) -> list[tuple[int, np.ndarray]]:
+    """The --disturb impulses, each checked by the rule rollout applies."""
     out = []
     for expr in exprs or []:
         step, colon, rest = expr.partition(":")
         try:
-            vec = np.array([float(v) for v in rest.split(",")])
-            out.append((int(step), vec))
+            step, vec = int(step), [float(v) for v in rest.split(",")]
         except ValueError:
             colon = ""
         if not colon:
             raise SystemExit(f"--disturb expects step:v1,v2,..., got '{expr}'")
-        if not np.isfinite(vec).all():
-            raise SystemExit(f"--disturb entries must be finite, got '{expr}'")
+        try:
+            out.append(check_disturbance(step, vec, problem.N, problem.d))
+        except ValueError as exc:
+            raise SystemExit(f"--disturb {exc}, got '{expr}'") from None
     return out
 
 
@@ -314,24 +313,22 @@ def cmd_simulate(args) -> int:
     hysteresis = _nonnegative("--hysteresis", args.hysteresis)
     noise = _nonnegative("--noise", args.noise)
     seeds = _parse_seeds(args.seeds)
-    disturbances = _parse_disturb(args.disturb)
-    for step, vec in disturbances:
-        if vec.shape != (scenario.problem.d,):
-            raise SystemExit(f"--disturb vector needs {scenario.problem.d} entries")
-        if not 1 <= step <= scenario.problem.N:
-            raise SystemExit(f"--disturb step {step} outside [1, {scenario.problem.N}]")
+    disturbances = _parse_disturb(args.disturb, scenario.problem)
+    truth = scenario.truth
+    if args.truth:
+        try:
+            truth = scenario.skeleton(args.truth)
+        except KeyError:
+            raise SystemExit(
+                f"unknown truth skeleton '{args.truth}'; choose from "
+                f"{sorted(sk.id for sk in scenario.skeletons)}") from None
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        solutions, components, reasons = _plan_scenario(scenario, solver_cfg)
-    except MemoryError as exc:
-        raise _out_of_memory("simulate", scenario, exc) from None
-    kept = [c for c in components if c is not None]
-    dropped = [(sk.id, reason) for sk, reason in zip(scenario.skeletons, reasons)
-               if reason is not None]
+    records = _plan_scenario("simulate", scenario, solver_cfg, out)
+    kept = [comp for _, _, comp, _ in records if comp is not None]
+    dropped = [(sk.id, reason) for sk, _, _, reason in records if reason is not None]
     if not kept:
-        lost = "kept" if any(s.converged for s in solutions) else "converged"
+        lost = "kept" if any(sol.converged for _, sol, _, _ in records) else "converged"
         print(f"no skeleton {lost}; nothing to execute", file=sys.stderr)
         for sid, reason in dropped:
             print(f"dropped {sid}: {reason}", file=sys.stderr)
@@ -340,39 +337,19 @@ def cmd_simulate(args) -> int:
                 for c in kept]
     controller = build_controller(policies, kept, mode=args.controller,
                                   hysteresis=hysteresis)
-
-    if args.truth:
-        try:
-            truth = scenario.skeleton(args.truth)
-        except KeyError:
-            raise SystemExit(
-                f"unknown truth skeleton '{args.truth}'; choose from "
-                f"{sorted(sk.id for sk in scenario.skeletons)}") from None
-    elif scenario.truth is not None:
-        truth = scenario.truth
-    else:
+    if truth is None:
         mixture = build_mixture(kept)
         truth = scenario.skeleton(kept[int(np.argmax(mixture.weights))].skeleton_id)
 
-    def run(seed: int):
+    ids = [p.skeleton_id for p in policies]
+    steps, rows, weight_rows = [], [], []
+    errors, deviations, switch_counts = [], [], []
+    for seed in seeds:
         try:
             ro = rollout(scenario.problem, truth, controller, noise_scale=noise,
                          disturbances=disturbances, seed=seed)
-            return seed, ro, None
         except RolloutError as exc:
-            return seed, None, str(exc)
-
-    results = [run(seed) for seed in seeds]
-
-    ids = [p.skeleton_id for p in controller.policies]
-    records, rows, weight_rows = [], [], []
-    errors, deviations = [], []
-    aborted = 0
-    switch_counts = []
-    for seed, ro, failure in results:
-        if ro is None:
-            aborted += 1
-            records.append({"seed": seed, "aborted": True, "reason": failure})
+            steps.append({"seed": seed, "aborted": True, "reason": str(exc)})
             rows.append((seed, 1, "", "", "", ""))
             continue
         err = scenario.final_error(ro.path[-1])
@@ -380,26 +357,25 @@ def cmd_simulate(args) -> int:
         # functions can tie the weights, so the last active label alone does
         # not identify which reference the path tracked.
         deviation = min(float(np.linalg.norm(ro.path[-1] - p.x_ref[-1]))
-                        for p in controller.policies)
+                        for p in policies)
         errors.append(err)
         deviations.append(deviation)
         switches = int(np.sum(ro.active[1:] != ro.active[:-1]))
         switch_counts.append(switches)
         for n in range(scenario.problem.N):
-            records.append({
-                "seed": seed, "n": n + 1,
-                "x": ro.path[n].tolist(),
-                "command": ro.commands[n].tolist(),
-                "weights": [float(v) for v in ro.weights[n]],
-                "active": ids[int(ro.active[n])],
-            })
-            weight_rows.append((seed, n + 1, ids[int(ro.active[n])],
+            active = ids[int(ro.active[n])]
+            steps.append({"seed": seed, "n": n + 1, "x": ro.path[n].tolist(),
+                          "command": ro.commands[n].tolist(),
+                          "weights": [float(v) for v in ro.weights[n]],
+                          "active": active})
+            weight_rows.append((seed, n + 1, active,
                                 *(repr(float(v)) for v in ro.weights[n])))
         rows.append((seed, 0, repr(err), repr(deviation),
                      repr(ro.total_cost), switches))
+    aborted = len(seeds) - len(errors)
 
     _write_text(out / "rollouts.jsonl",
-                "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+                "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in steps))
     _write_csv(out / "summary.csv",
                ("seed", "aborted", "finalError", "planDeviation", "totalCost",
                 "switchCount"), rows)
@@ -410,7 +386,7 @@ def cmd_simulate(args) -> int:
     lines = [f"scenario: {scenario.name}  controller: {args.controller}  "
              f"hysteresis: {hysteresis:g}  noise: {noise:g}",
              f"truth skeleton: {truth.id}",
-             f"skeletons executed: {', '.join(c.skeleton_id for c in kept)}"]
+             f"skeletons executed: {', '.join(ids)}"]
     lines.extend(f"dropped {sid}: {reason}" for sid, reason in dropped)
     lines.extend(f"policy {p.skeleton_id} step {n}: {note}"
                  for p in policies for n, note in p.notes)

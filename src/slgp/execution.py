@@ -67,6 +67,10 @@ class CompositeController:
     command: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.mode not in (BLENDING, SWITCHING):
+            raise ValueError(f"unknown mode '{self.mode}'")
+        if not self.hysteresis >= 0.0:
+            raise ValueError(f"hysteresis must be nonnegative, got {self.hysteresis!r}")
         pols = self.policies
         shapes = {p.x_ref.shape for p in pols}
         if len(shapes) != 1:
@@ -90,16 +94,27 @@ class CompositeController:
             object.__setattr__(self, name, table)
 
 
+def check_disturbance(step, vector, N: int, d: int) -> tuple[int, Array]:
+    """One (step, vector) impulse as an int and a float array.  The step
+    must be an integer in [1, N] and the vector hold d finite entries;
+    anything else raises ValueError saying which."""
+    if (isinstance(step, bool) or not isinstance(step, (int, np.integer))
+            or not 1 <= step <= N):
+        raise ValueError(f"step must be an integer in [1, {N}]")
+    vec = np.asarray(vector, dtype=float)
+    if vec.shape != (d,):
+        raise ValueError(f"vector must hold {d} entries, not shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("entries must be finite")
+    return int(step), vec
+
+
 def build_controller(policies, components, mode: str = SWITCHING,
                      hysteresis: float = 0.0) -> CompositeController:
     """Pair policies with their Laplace components and precompute the
     per-step future log entropy ratios and the stacked step tables."""
     policies = tuple(policies)
     components = tuple(components)
-    if mode not in (BLENDING, SWITCHING):
-        raise ValueError(f"unknown mode '{mode}'")
-    if not hysteresis >= 0.0:
-        raise ValueError(f"hysteresis must be nonnegative, got {hysteresis!r}")
     if len(policies) != len(components) or not policies:
         raise ValueError("need one component per policy")
     for p, c in zip(policies, components):
@@ -212,7 +227,8 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     (step, vector) impulses.  After each realized step the configuration
     is projected onto the executing skeleton's active equality rows.
     target, when given, is (coords, values) for the final-error metric.
-    A negative or nonfinite noise_scale raises ValueError.  Skeleton
+    A negative or nonfinite noise_scale, and a disturbance that
+    check_disturbance rejects, raise ValueError.  Skeleton
     weights that are not finite, a stalled projection, or a feature that
     fails to evaluate in the projection or on the realized path raise
     RolloutError naming the step.
@@ -222,7 +238,13 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     N, d = problem.N, problem.d
     K = len(controller.policies)
     rng = np.random.default_rng(seed)
-    bumps = {int(step): np.asarray(vec, dtype=float) for step, vec in disturbances}
+    bumps = {}
+    for i, (step, vec) in enumerate(disturbances):
+        try:
+            step, vec = check_disturbance(step, vec, N, d)
+        except ValueError as exc:
+            raise ValueError(f"disturbance {i} at step {step!r}: {exc}") from None
+        bumps[step] = vec
     std = problem.sigma * noise_scale * problem.dt**1.5
 
     # The realized path behind the prefix; the past pair at step n is the

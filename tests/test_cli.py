@@ -248,29 +248,62 @@ def test_simulate_eliminates_each_kept_skeleton_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["via-far", "via-near"]
 
 
-def test_bad_arguments_exit_with_a_message(tmp_path):
-    out = str(tmp_path / "x")
+def _unplanned(*args, **kwargs):
+    raise AssertionError("an argument check ran after planning began")
+
+
+def test_bad_arguments_exit_with_a_message(tmp_path, monkeypatch):
+    monkeypatch.setattr("slgp.cli.solve", _unplanned)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    out = tmp_path / "x"
     for argv in (
-        ["simulate", "--scenario", "tworoute", "--out", out,
-         "--seeds", "a..z"],
-        ["simulate", "--scenario", "tworoute", "--out", out,
-         "--disturb", "12:zero"],
-        ["simulate", "--scenario", "tworoute", "--out", out,
-         "--disturb", "12:0.0"],
-        ["simulate", "--scenario", "tworoute", "--out", out,
-         "--disturb", "0:0.0,0.8"],
-        ["simulate", "--scenario", "tworoute", "--out", out,
-         "--truth", "via-nowhere"],
-        ["plan", "--scenario", "tworoute", "--out", out,
-         "--set", "scenario.bogus=1"],
-        ["plan", "--scenario", "tworoute", "--out", out,
-         "--set", "solver.bogus=2"],
-        ["plan", "--scenario", "tworoute", "--out", out, "--set", "oops"],
-        ["plan", "--scenario", "tworoute", "--out", out,
-         "--set", "scenario.N=2"],
+        ["simulate", "--scenario", "tworoute", "--seeds", "a..z"],
+        ["simulate", "--scenario", "tworoute", "--seeds", "3..1"],
+        ["simulate", "--scenario", "tworoute", "--seeds", "x"],
+        ["simulate", "--scenario", "tworoute", "--disturb", "12:zero"],
+        ["simulate", "--scenario", "tworoute", "--disturb", "12:0.0"],
+        ["simulate", "--scenario", "tworoute", "--disturb", "0:0.0,0.8"],
+        ["simulate", "--scenario", "tworoute", "--truth", "via-nowhere"],
+        ["plan", "--scenario", "tworoute", "--set", "scenario.bogus=1"],
+        ["plan", "--scenario", "tworoute", "--set", "solver.bogus=2"],
+        ["plan", "--scenario", "tworoute", "--set", "oops"],
+        ["plan", "--scenario", "tworoute", "--set", "scenario.N=2"],
+        ["plan", "--scenario", "tworoute", "--set", "scenario.N=40",
+         "--set", "scenario.N.x=1"],
+        ["plan", "--config", str(listed)],
     ):
         with pytest.raises(SystemExit):
-            main(argv)
+            main([*argv, "--out", str(out)])
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("text, cause", [
+    (None, "No such file or directory"),
+    ("{bad", "Expecting property name enclosed in double quotes"),
+], ids=["missing", "bad-json"])
+def test_unreadable_config_file_exits_naming_the_path_and_the_cause(tmp_path, text,
+                                                                   cause):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["plan", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    message = str(info.value.code)
+    assert message.startswith(f"cannot read config file '{cfg}': ") and cause in message
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("seeds, first", [("-3..-1", -3), ("-1", -1), ("-1..2", -1)],
+                         ids=["range", "single", "straddling"])
+def test_negative_seeds_are_refused_before_planning(tmp_path, monkeypatch, seeds,
+                                                   first):
+    monkeypatch.setattr("slgp.cli.solve", _unplanned)
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--scenario", "tworoute", f"--seeds={seeds}",
+              "--out", str(tmp_path / "x")])
+    assert str(info.value.code) == f"--seeds must be >= 0, got {first}"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])

@@ -158,6 +158,18 @@ def test_direct_construction_checks_the_table_shapes(routes):
     with pytest.raises(ValueError, match="horizon"):
         CompositeController(policies=(pols[0], short), future_ratios=ratios,
                             mode="blending")
+    # The controller checks its own mode and hysteresis, so a direct
+    # construction and dataclasses.replace get the same checks.
+    ctrl = CompositeController(policies=tuple(pols), future_ratios=ratios,
+                               mode="blending")
+    for change, message in (({"mode": "bogus"}, "unknown mode 'bogus'"),
+                            ({"hysteresis": float("nan")}, "got nan"),
+                            ({"hysteresis": -1.0}, "got -1.0")):
+        with pytest.raises(ValueError, match=message):
+            CompositeController(policies=tuple(pols), future_ratios=ratios,
+                                **{"mode": "switching", **change})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ctrl, **change)
 
 
 def _policy_loop(ctrl, n, past, incumbent):
@@ -326,6 +338,27 @@ def test_disturbances_and_target_metric_are_applied(routes):
     assert np.abs(ro.path[4] - (quiet.commands[4] + bump)).max() < 1e-12
     assert np.isfinite(ro.final_error)
     assert np.isnan(quiet.final_error)
+
+
+@pytest.mark.parametrize("step, vector, message", [
+    (5, [0.3], r"disturbance 1 at step 5: vector must hold 2 entries, not shape \(1,\)"),
+    (0, [0.3, 0.0], r"disturbance 1 at step 0: step must be an integer in \[1, 40\]"),
+    (41, [0.3, 0.0], r"disturbance 1 at step 41: step must be an integer in \[1, 40\]"),
+    (99, [0.3, 0.0], r"disturbance 1 at step 99: step must be an integer in \[1, 40\]"),
+    (5.7, [0.3, 0.0], r"disturbance 1 at step 5.7: step must be an integer in \[1, 40\]"),
+    (True, [0.3, 0.0], r"disturbance 1 at step True: step must be an integer"),
+    (5, [np.nan, 0.0], r"disturbance 1 at step 5: entries must be finite"),
+    (5, [[0.3, 0.0]], r"disturbance 1 at step 5: vector must hold 2 entries"),
+], ids=["short-vector", "step-zero", "step-past-horizon", "step-99", "fractional-step",
+        "bool-step", "nan-entry", "nested-vector"])
+def test_bad_disturbances_are_named(routes, step, vector, message):
+    sc, pols, comps = routes
+    ctrl = build_controller(pols, comps)
+    assert sc.problem.N == 40 and sc.problem.d == 2
+    good = (np.int64(40), np.array([0.0, 0.1]))
+    with pytest.raises(ValueError, match=message):
+        rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0,
+                disturbances=(good, (step, vector)))
 
 
 @pytest.mark.parametrize("scale", [-1.0, -1e-12, float("nan"), float("inf")])
