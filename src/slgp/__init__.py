@@ -18,11 +18,10 @@ from .laplace import (LaplaceComponent, PathMixture, SingularComponentError,
                       build_component, build_mixture, future_log_ratios,
                       mixture_weights, multimodal_cost, nullspace_basis,
                       sample_paths)
-from .kodp import (KodpPolicy, PolicyError, backward_pass, cost_to_go,
-                   quadratize, read_policy, step_policy)
+from .kodp import PolicyError, backward_pass, quadratize
 from .execution import (CompositeController, Rollout, RolloutError,
-                        build_controller, compose, online_weights,
-                        rms_final_error, rollout, select_skeleton)
+                        build_controller, compose, online_weights, rollout,
+                        select_skeleton)
 from .scenarios import Scenario, ScenarioParams, build_scenario
 
 __version__ = "0.1.0"
@@ -37,11 +36,9 @@ __all__ = [
     "LaplaceComponent", "PathMixture", "SingularComponentError",
     "build_component", "build_mixture", "future_log_ratios",
     "mixture_weights", "multimodal_cost", "nullspace_basis", "sample_paths",
-    "KodpPolicy", "PolicyError", "backward_pass", "cost_to_go", "quadratize",
-    "read_policy", "step_policy",
+    "PolicyError", "backward_pass", "quadratize",
     "CompositeController", "Rollout", "RolloutError", "build_controller",
-    "compose", "online_weights", "rms_final_error", "rollout",
-    "select_skeleton",
+    "compose", "online_weights", "rollout", "select_skeleton",
     "Scenario", "ScenarioParams", "build_scenario",
     "__version__",
 ]

@@ -29,7 +29,6 @@ import numpy as np
 
 from .execution import (BLENDING, SWITCHING, RolloutError, build_controller,
                         check_disturbance, rollout)
-from .kodp import read_policy
 from .laplace import (UNNORMALIZED, SingularComponentError, build_component,
                       build_mixture)
 from .problem import validate_skeleton
@@ -333,15 +332,13 @@ def cmd_simulate(args) -> int:
         for sid, reason in dropped:
             print(f"dropped {sid}: {reason}", file=sys.stderr)
         return 2
-    policies = [read_policy(c.elimination, c.skeleton_id, c.x_star, c.prefix)
-                for c in kept]
-    controller = build_controller(policies, kept, mode=args.controller,
-                                  hysteresis=hysteresis)
+    controller = build_controller([c.elimination for c in kept], kept,
+                                  mode=args.controller, hysteresis=hysteresis)
     if truth is None:
         mixture = build_mixture(kept)
         truth = scenario.skeleton(kept[int(np.argmax(mixture.weights))].skeleton_id)
 
-    ids = [p.skeleton_id for p in policies]
+    ids = [c.skeleton_id for c in kept]
     steps, rows, weight_rows = [], [], []
     errors, deviations, switch_counts = [], [], []
     for seed in seeds:
@@ -356,8 +353,8 @@ def cmd_simulate(args) -> int:
         # Distance to the nearest executed plan; identical remaining value
         # functions can tie the weights, so the last active label alone does
         # not identify which reference the path tracked.
-        deviation = min(float(np.linalg.norm(ro.path[-1] - p.x_ref[-1]))
-                        for p in policies)
+        deviation = min(float(np.linalg.norm(ro.path[-1] - c.x_star[-1]))
+                        for c in kept)
         errors.append(err)
         deviations.append(deviation)
         switches = int(np.sum(ro.active[1:] != ro.active[:-1]))
@@ -388,8 +385,8 @@ def cmd_simulate(args) -> int:
              f"truth skeleton: {truth.id}",
              f"skeletons executed: {', '.join(ids)}"]
     lines.extend(f"dropped {sid}: {reason}" for sid, reason in dropped)
-    lines.extend(f"policy {p.skeleton_id} step {n}: {note}"
-                 for p in policies for n, note in p.notes)
+    lines.extend(f"policy {c.skeleton_id} step {n}: {note}"
+                 for c in kept for n, note in c.elimination.notes)
     lines.append(f"seeds: {seeds[0]}..{seeds[-1]} ({len(seeds)} total), "
                  f"aborted: {aborted}")
     if errors:
@@ -437,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--hysteresis", type=float, default=0.0,
                      help="switching margin")
     sim.add_argument("--disturb", action="append", metavar="STEP:V1,V2,...",
-                     help="impulse added after the step's command")
+                     help="impulse added after the step's command; impulses "
+                          "at one step add up")
     sim.add_argument("--seeds", default="0", help="seed or inclusive range a..b")
     sim.add_argument("--truth", help="skeleton id used as rollout truth")
     sim.set_defaults(func=cmd_simulate)

@@ -1,7 +1,19 @@
 """Composite execution of per-skeleton policies with on-the-fly weights.
 
+A skeleton's feedback policy is slice 0, the full cost, of the
+Elimination that weighs it (laplace.eliminate): the policy Hessian is the
+Hessian of the "optimal" Laplace distribution.  With the past deviation
+p = (dx_{n-2}, dx_{n-1}, 1), the first 2d columns of law[n-1] are the
+gain K and the last one the feedforward u_ff, dx_n = u_ff + K p[:2d], and
+V[n-1] splits into the cost-to-go
+J_n(dp) = 1/2 dp^T V dp + v^T dp + v_bar with v_bar = V[2d, 2d] / 2.
+The constrained recursion follows Laine & Tomlin, "Efficient computation
+of feedback control for equality-constrained LQR", ICRA 2019; in the
+first-order unconstrained case it reduces to the Riccati recursion, and
+a dense KKT oracle pins the constrained case (slgp.selftest).
+
 At step n with observed past x_{n-2:n-1} each skeleton's weight combines
-its quadratic cost-to-go at the deviation from its own reference with the
+its cost-to-go at the deviation from its own reference with the
 precomputed log entropy ratio of its conditional future distribution:
 
     w_i  propto  exp(-J_n^{(i)}(past - past*_i) + future_log_ratio_i(n)).
@@ -17,10 +29,9 @@ equality manifold of the executing skeleton.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from .kodp import KodpPolicy
 from .laplace import future_log_ratios
 from .problem import (FeatureEvalError, PathProblem, Skeleton, assemble,
                       cost_value, step_constraints, step_equalities)
@@ -40,13 +51,11 @@ class RolloutError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeController:
-    """Per-skeleton policies and their future log ratios.
-
-    __post_init__ stacks the policies into per-step tables, so one control
-    step is a few batched array operations over all K skeletons.  Row
-    n-1 of each table serves step n:
+    """Per-step tables of K skeletons' policies, so one control step is a
+    few batched array operations over all of them.  Row n-1 of each table
+    serves step n:
 
       past_ref  (N, K, 2d)      reference (x_{n-2}, x_{n-1}), prefix-padded;
       V, v      (N, K, 2d[, 2d]) quadratic and linear cost-to-go terms;
@@ -55,43 +64,30 @@ class CompositeController:
       command   (N, K, d)       x_ref + u_ff, the command at zero deviation.
     """
 
-    policies: tuple[KodpPolicy, ...]
-    future_ratios: Array
+    past_ref: Array
+    V: Array
+    v: Array
+    offset: Array
+    gain: Array
+    command: Array
     mode: str
     hysteresis: float = 0.0
-    past_ref: Array = field(init=False, repr=False, compare=False)
-    V: Array = field(init=False, repr=False, compare=False)
-    v: Array = field(init=False, repr=False, compare=False)
-    offset: Array = field(init=False, repr=False, compare=False)
-    gain: Array = field(init=False, repr=False, compare=False)
-    command: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (BLENDING, SWITCHING):
             raise ValueError(f"unknown mode '{self.mode}'")
         if not self.hysteresis >= 0.0:
             raise ValueError(f"hysteresis must be nonnegative, got {self.hysteresis!r}")
-        pols = self.policies
-        shapes = {p.x_ref.shape for p in pols}
-        if len(shapes) != 1:
-            raise ValueError(f"policies must share one horizon and dimension, "
-                             f"got x_ref shapes {sorted(shapes)}")
-        (N, _), = shapes
-        if np.shape(self.future_ratios) != (len(pols), N):
-            raise ValueError(f"future_ratios must have shape ({len(pols)}, {N}), "
-                             f"got {np.shape(self.future_ratios)}")
-        padded = np.stack([np.concatenate([p.prefix, p.x_ref]) for p in pols], axis=1)
-        tables = {
-            "past_ref": np.concatenate([padded[:-2], padded[1:-1]], axis=-1),
-            "V": np.stack([p.V for p in pols], axis=1),
-            "v": np.stack([p.v for p in pols], axis=1),
-            "offset": (np.stack([p.v_bar for p in pols], axis=1)
-                       - np.asarray(self.future_ratios, dtype=float).T),
-            "gain": np.stack([p.K for p in pols], axis=1),
-            "command": padded[2:] + np.stack([p.u_ff for p in pols], axis=1),
-        }
-        for name, table in tables.items():
-            object.__setattr__(self, name, table)
+        shape = np.shape(self.past_ref)
+        if len(shape) != 3 or shape[2] % 2:
+            raise ValueError(f"past_ref must have shape (N, K, 2d), got {shape}")
+        N, K, two_d = shape
+        expected = {"V": (N, K, two_d, two_d), "v": (N, K, two_d), "offset": (N, K),
+                    "gain": (N, K, two_d // 2, two_d), "command": (N, K, two_d // 2)}
+        for name, want in expected.items():
+            if np.shape(getattr(self, name)) != want:
+                raise ValueError(f"{name} must have shape {want} to match past_ref "
+                                 f"{shape}, got {np.shape(getattr(self, name))}")
 
 
 def check_disturbance(step, vector, N: int, d: int) -> tuple[int, Array]:
@@ -109,21 +105,43 @@ def check_disturbance(step, vector, N: int, d: int) -> tuple[int, Array]:
     return int(step), vec
 
 
-def build_controller(policies, components, mode: str = SWITCHING,
+def build_controller(eliminations, components, mode: str = SWITCHING,
                      hysteresis: float = 0.0) -> CompositeController:
-    """Pair policies with their Laplace components and precompute the
-    per-step future log entropy ratios and the stacked step tables."""
-    policies = tuple(policies)
+    """Stack each skeleton's policy, slice 0 of its elimination's law and
+    V, with its component's reference path and per-step future log
+    entropy ratios into the controller's step tables.
+
+    eliminations[i] belongs to components[i]: the component's own
+    elimination, or backward_pass of its expansion, whose slice 0 is the
+    same.  A pair of different skeletons raises ValueError naming both.
+    """
+    elims = tuple(eliminations)
     components = tuple(components)
-    if len(policies) != len(components) or not policies:
-        raise ValueError("need one component per policy")
-    for p, c in zip(policies, components):
-        if p.skeleton_id != c.skeleton_id:
-            raise ValueError(f"policy '{p.skeleton_id}' paired with "
-                             f"component '{c.skeleton_id}'")
-    ratios = np.stack([future_log_ratios(c) for c in components])
-    return CompositeController(policies=policies, future_ratios=ratios, mode=mode,
-                               hysteresis=hysteresis)
+    if len(elims) != len(components) or not elims:
+        raise ValueError("need one component per elimination")
+    for e, c in zip(elims, components):
+        if e.skeleton_id != c.skeleton_id:
+            raise ValueError(f"elimination of '{e.skeleton_id}' paired with component "
+                             f"'{c.skeleton_id}'")
+    shapes = ({c.x_star.shape for c in components}
+              | {(e.law.shape[0], e.law.shape[2]) for e in elims})
+    if len(shapes) != 1:
+        raise ValueError(f"eliminations and components must share one horizon and "
+                         f"dimension, got (N, d) {sorted(shapes)}")
+    (_, d), = shapes
+    two_d = 2 * d
+    laws = [e.law[:, 0] for e in elims]
+    values = [e.V[:, 0] for e in elims]
+    padded = np.stack([np.concatenate([c.prefix, c.x_star]) for c in components], axis=1)
+    return CompositeController(
+        past_ref=np.concatenate([padded[:-2], padded[1:-1]], axis=-1),
+        V=np.stack([V[:, :two_d, :two_d] for V in values], axis=1),
+        v=np.stack([V[:, :two_d, two_d] for V in values], axis=1),
+        offset=(np.stack([0.5 * V[:, two_d, two_d] for V in values], axis=1)
+                - np.stack([future_log_ratios(c) for c in components], axis=1)),
+        gain=np.stack([law[:, :, :two_d] for law in laws], axis=1),
+        command=padded[2:] + np.stack([law[:, :, two_d] for law in laws], axis=1),
+        mode=mode, hysteresis=hysteresis)
 
 
 def online_weights(controller: CompositeController, n: int, past: Array) -> Array:
@@ -224,11 +242,12 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
 
     Noise per step is zero-mean with per-axis std sigma * noise_scale *
     dt^{3/2}, injected only into actuated coordinates; disturbances are
-    (step, vector) impulses.  After each realized step the configuration
-    is projected onto the executing skeleton's active equality rows.
-    target, when given, is (coords, values) for the final-error metric.
-    A negative or nonfinite noise_scale, and a disturbance that
-    check_disturbance rejects, raise ValueError.  Skeleton
+    (step, vector) impulses, and the impulses at one step add up.  After
+    each realized step the configuration is projected onto the executing
+    skeleton's active equality rows.  target, when given, is (coords,
+    values) for the final-error metric.  A controller planned for another
+    horizon or dimension, a negative or nonfinite noise_scale, and a
+    disturbance that check_disturbance rejects, raise ValueError.  Skeleton
     weights that are not finite, a stalled projection, or a feature that
     fails to evaluate in the projection or on the realized path raise
     RolloutError naming the step.
@@ -236,7 +255,10 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     if not 0.0 <= noise_scale < np.inf:
         raise ValueError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
     N, d = problem.N, problem.d
-    K = len(controller.policies)
+    planned_N, K, two_d = controller.past_ref.shape
+    if (planned_N, two_d) != (N, 2 * d):
+        raise ValueError(f"controller planned for N={planned_N}, d={two_d // 2} cannot "
+                         f"run a problem with N={N}, d={d}")
     rng = np.random.default_rng(seed)
     bumps = {}
     for i, (step, vec) in enumerate(disturbances):
@@ -244,7 +266,7 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
             step, vec = check_disturbance(step, vec, N, d)
         except ValueError as exc:
             raise ValueError(f"disturbance {i} at step {step!r}: {exc}") from None
-        bumps[step] = vec
+        bumps[step] = bumps[step] + vec if step in bumps else vec
     std = problem.sigma * noise_scale * problem.dt**1.5
 
     # The realized path behind the prefix; the past pair at step n is the
@@ -284,20 +306,3 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
                                            - np.asarray(values, float)))
     return Rollout(path=path, commands=commands, weights=weights, active=active,
                    final_error=final_error, total_cost=cost_value(stack))
-
-
-def rms_final_error(rollouts, coords, values) -> float:
-    """Root-mean-square final distance to the target across rollouts.
-
-    Accepts Rollout objects or raw (N, d) paths.
-    """
-    coords = np.asarray(coords, dtype=int)
-    values = np.asarray(values, dtype=float)
-    sq = []
-    for item in rollouts:
-        path = item.path if isinstance(item, Rollout) else np.asarray(item, float)
-        err = path[-1, coords] - values
-        sq.append(float(err @ err))
-    if not sq:
-        raise ValueError("no rollouts given")
-    return float(np.sqrt(np.mean(sq)))

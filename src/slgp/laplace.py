@@ -44,8 +44,9 @@ weights (the half log-determinants), the sampler's forward ancestral
 substitution through the conditional law and its square root (Rue &
 Held, Gaussian Markov Random Fields, 2005, ch. 2; any square root of the
 conditional covariance samples the same Gaussian), and the feedback
-policy of slgp.kodp, read off the full-cost slice of the law and the
-value, whose affine column carries the gradient and the constant.
+policy: slgp.execution.build_controller stacks the full-cost slice of
+the law and the value, whose affine column carries the gradient and the
+constant.
 nullspace_basis remains as the dense reference for tests.
 """
 
@@ -189,9 +190,11 @@ class Elimination:
                        S_k^T G_k S_k - C_k^T C_k: the cost of steps k..N
                        is 1/2 p^T V p once x_k..x_N are minimized out.
 
-    notes list (step, text) for the rows carried back or dropped.
+    skeleton_id names the skeleton of the expansion; notes list (step,
+    text) for the rows carried back or dropped.
     """
 
+    skeleton_id: str
     law: Array
     root: tuple
     half_logdet: Array
@@ -272,8 +275,8 @@ def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Eliminat
         V = 0.5 * (V + V.transpose(0, 2, 1))
         values[k - 1], roots[k - 1] = V, root
         half_logdet[k - 1] = 0.5 * np.log(lam).sum(axis=1)
-    return Elimination(law=law, root=tuple(roots), half_logdet=half_logdet,
-                       V=values, notes=tuple(notes))
+    return Elimination(skeleton_id=expansion.skeleton_id, law=law, root=tuple(roots),
+                       half_logdet=half_logdet, V=values, notes=tuple(notes))
 
 
 def build_component(problem: PathProblem, skeleton: Skeleton,

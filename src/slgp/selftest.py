@@ -19,10 +19,9 @@ import numpy as np
 
 from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
-from .kodp import backward_pass, cost_to_go, read_policy, step_policy
-from .laplace import (Expansion, ancestral_paths, build_component, build_mixture,
-                      future_log_ratios, mixture_weights, multimodal_cost,
-                      nullspace_basis, sample_paths)
+from .laplace import (Elimination, Expansion, ancestral_paths, build_component,
+                      build_mixture, eliminate, future_log_ratios, mixture_weights,
+                      multimodal_cost, nullspace_basis, sample_paths)
 from .problem import PathProblem, assemble, free_skeleton
 from .scenarios import ScenarioParams, build_scenario
 from .solver import SolverConfig, solve
@@ -52,7 +51,8 @@ def suite_table_arithmetic() -> tuple[bool, str]:
 def _quadratic_expansion(hess, grad, const, rows, skeleton_id: str) -> Expansion:
     """Expansion of the per-step quadratics 1/2 w^T hess w + grad^T w + const
     over the windows w, with the active rows.  Only the full-cost Gram is
-    filled: the effort slot stays zero, which backward_pass never reads."""
+    filled: the effort slot stays zero, which eliminate(count=1) never
+    reads."""
     N, width = len(hess), np.shape(hess)[1]
     grams = np.zeros((N, 2, width + 1, width + 1))
     grams[:, 0, :width, :width] = hess
@@ -61,6 +61,29 @@ def _quadratic_expansion(hess, grad, const, rows, skeleton_id: str) -> Expansion
     d = width // 3
     return Expansion(skeleton_id=skeleton_id, x_ref=np.zeros((N, d)),
                      prefix=np.zeros((2, d)), grams=grams, rows=tuple(rows))
+
+
+# --- the policy in the full-cost slice ----------------------------------------
+# The feedback law and value of a skeleton are slice 0 of an elimination's
+# law and V, over the past p = (dx_{n-2}, dx_{n-1}, 1) (see slgp.execution).
+
+def _roll_policy(elim: Elimination, delta_prefix: Array) -> Array:
+    """Deviation path dx_{1:N} that the full-cost law drives from the
+    prefix deviation (dx_{-1}, dx_0)."""
+    law = elim.law[:, 0]
+    d = law.shape[1]
+    p = np.append(np.asarray(delta_prefix, dtype=float), 1.0)
+    xs = np.empty((len(law), d))
+    for k, step_law in enumerate(law):
+        xs[k] = step_law @ p
+        p = np.concatenate([p[d:2 * d], xs[k], [1.0]])
+    return xs
+
+
+def _optimal_cost(elim: Elimination, delta_prefix: Array) -> float:
+    """J_1 = 1/2 p^T V_1 p of the full cost at the prefix deviation."""
+    p = np.append(np.asarray(delta_prefix, dtype=float), 1.0)
+    return float(0.5 * p @ elim.V[0, 0] @ p)
 
 
 # --- first-order LQ oracle --------------------------------------------------
@@ -122,22 +145,22 @@ def suite_riccati_equivalence(instances: int = 10) -> tuple[bool, str]:
             hess[n, 2 * d:, 2 * d:] = R[n] + Q[n]
         grad = np.zeros((N, 3 * d))
         grad[:, 2 * d:] = g
-        policy = backward_pass(_quadratic_expansion(
-            hess, grad, consts, [np.zeros((0, 3 * d))] * N, "lq"))
+        elim = eliminate(_quadratic_expansion(
+            hess, grad, consts, [np.zeros((0, 3 * d))] * N, "lq"), count=1)
 
         oracle = _lq_oracle(A, R, Q, g, consts)
         for n in range(N):
             P, p, c, F, f0 = oracle[n]
+            V, law = elim.V[n, 0], elim.law[n, 0]
             scale = max(1.0, np.abs(P).max(), abs(c))
             worst = max(worst,
-                        np.abs(policy.V[n][d:, d:] - P).max() / scale,
-                        np.abs(policy.V[n][:d, :]).max() / scale,
-                        np.abs(policy.v[n][d:] - p).max() / scale,
-                        np.abs(policy.v[n][:d]).max() / scale,
-                        abs(policy.v_bar[n] - c) / scale,
-                        np.abs(policy.K[n][:, d:] - F).max() / scale,
-                        np.abs(policy.K[n][:, :d]).max() / scale,
-                        np.abs(policy.u_ff[n] - f0).max() / scale)
+                        np.abs(V[d:2 * d, d:2 * d] - P).max() / scale,
+                        np.abs(V[:d]).max() / scale,
+                        np.abs(V[d:2 * d, 2 * d] - p).max() / scale,
+                        abs(0.5 * V[2 * d, 2 * d] - c) / scale,
+                        np.abs(law[:, d:2 * d] - F).max() / scale,
+                        np.abs(law[:, :d]).max() / scale,
+                        np.abs(law[:, 2 * d] - f0).max() / scale)
     elapsed = time.perf_counter() - start
     return worst <= 1e-8, (f"{instances} instances, max rel err {worst:.2e} "
                            f"(tol 1e-8), {elapsed:.2f}s")
@@ -184,17 +207,6 @@ def _dense_qp_oracle(expansion: Expansion, delta_prefix: Array):
     return z.reshape(N, d), float(cost)
 
 
-def _roll_policy(policy, delta_prefix: Array) -> Array:
-    d = policy.d
-    dp = np.asarray(delta_prefix, dtype=float).copy()
-    xs = []
-    for n in range(1, policy.N + 1):
-        dx = step_policy(policy, n, dp)
-        xs.append(dx)
-        dp = np.concatenate([dp[d:], dx])
-    return np.array(xs)
-
-
 def suite_dense_qp(instances: int = 10, deviations: int = 20) -> tuple[bool, str]:
     """Constrained quadratic instances: the staged policy reproduces the
     dense KKT trajectory and optimal cost for random past deviations."""
@@ -213,12 +225,12 @@ def suite_dense_qp(instances: int = 10, deviations: int = 20) -> tuple[bool, str
             grad.append(rng.standard_normal(3 * d))
             const.append(float(rng.standard_normal()))
         expansion = _quadratic_expansion(hess, grad, const, rows, "qp")
-        policy = backward_pass(expansion)
+        elim = eliminate(expansion, count=1)
         for _ in range(deviations):
             dp = 0.3 * rng.standard_normal(2 * d)
             z_ref, cost_ref = _dense_qp_oracle(expansion, dp)
-            z = _roll_policy(policy, dp)
-            cost = cost_to_go(policy, 1, dp)
+            z = _roll_policy(elim, dp)
+            cost = _optimal_cost(elim, dp)
             scale = max(1.0, np.abs(z_ref).max(), abs(cost_ref))
             worst = max(worst, np.abs(z - z_ref).max() / scale,
                         abs(cost - cost_ref) / scale)
@@ -473,9 +485,7 @@ def suite_determinism() -> tuple[bool, str]:
         comps = [build_component(scenario.problem, sk, s)
                  for sk, s in zip(scenario.skeletons, sols)]
         blob = json.dumps(build_mixture(comps).to_dict(), sort_keys=True)
-        policies = [read_policy(c.elimination, c.skeleton_id, c.x_star, c.prefix)
-                    for c in comps]
-        ctrl = build_controller(policies, comps)
+        ctrl = build_controller([c.elimination for c in comps], comps)
         ro = rollout(scenario.problem, scenario.truth, ctrl, noise_scale=1.0,
                      seed=11, target=(scenario.target_coords, scenario.target_values))
         draws = sample_paths(comps[0], 16, seed=5)

@@ -8,12 +8,10 @@ import pytest
 
 from slgp.execution import (BLENDING, CompositeController, RolloutError,
                             _project_equalities, build_controller, compose,
-                            online_weights, rms_final_error, rollout,
-                            select_skeleton)
+                            online_weights, rollout, select_skeleton)
 from slgp.features import AffineFeature, FiniteDifference
-from slgp.kodp import (KodpPolicy, backward_pass, cost_to_go, quadratize,
-                       step_policy)
-from slgp.laplace import build_component, mixture_weights
+from slgp.kodp import backward_pass, quadratize
+from slgp.laplace import build_component, future_log_ratios, mixture_weights
 from slgp.problem import (Mode, Skeleton, Switch, step_constraints,
                           step_equalities)
 from slgp.scenarios import ContactPointTouch, ScenarioParams, build_scenario
@@ -26,26 +24,31 @@ def routes():
     # headroom: the waypoint projection error tracks tol_constraint.
     sc = build_scenario(ScenarioParams(name="tworoute"))
     cfg = SolverConfig(tol_step=1e-9, tol_constraint=1e-9, hessian_reg=1e-10)
-    pols, comps = [], []
+    elims, comps = [], []
     for sid in ("via-near", "via-far"):
         sol = solve(sc.problem, sc.skeleton(sid), config=cfg)
         assert sol.converged
-        pols.append(backward_pass(quadratize(sc.problem, sc.skeleton(sid),
-                                             sol)))
+        elims.append(backward_pass(quadratize(sc.problem, sc.skeleton(sid),
+                                              sol)))
         comps.append(build_component(sc.problem, sc.skeleton(sid), sol))
-    return sc, pols, comps
+    return sc, elims, comps
 
 
 def _mid_step(sc):
     return sc.skeleton("via-near").switches[0].at_step
 
 
+def _past_reference(comp, n):
+    """A component's reference (x_{n-2}, x_{n-1}), prefix-substituted."""
+    return np.concatenate([comp.prefix, comp.x_star])[n - 1:n + 1]
+
+
 # --- online weights -------------------------------------------------------
 
 
 def test_first_step_weights_match_the_offline_mixture(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     w = online_weights(ctrl, 1, sc.problem.prefix)
     offline = mixture_weights([c.f_star for c in comps],
                               [c.log_ratio for c in comps])
@@ -53,29 +56,29 @@ def test_first_step_weights_match_the_offline_mixture(routes):
 
 
 def test_past_on_a_reference_favors_that_skeleton(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     n = _mid_step(sc)
-    on_near = online_weights(ctrl, n, pols[0].past_reference(n))
-    on_far = online_weights(ctrl, n, pols[1].past_reference(n))
+    on_near = online_weights(ctrl, n, _past_reference(comps[0], n))
+    on_far = online_weights(ctrl, n, _past_reference(comps[1], n))
     assert on_near[0] > 0.99
     assert on_far[1] > 0.99
 
 
 def test_identical_copies_split_the_weight_evenly(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller([pols[0], pols[0]], [comps[0], comps[0]])
+    sc, elims, comps = routes
+    ctrl = build_controller([elims[0], elims[0]], [comps[0], comps[0]])
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(1, sc.problem.N + 1))
-        past = pols[0].past_reference(n) + rng.normal(scale=0.2, size=(2, 2))
+        past = _past_reference(comps[0], n) + rng.normal(scale=0.2, size=(2, 2))
         w = online_weights(ctrl, n, past)
         assert np.abs(w - 0.5).max() < 1e-12
 
 
 def test_weight_rows_stay_on_the_simplex(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps, mode="switching")
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps, mode="switching")
     ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=2.0, seed=3)
     assert np.abs(ro.weights.sum(axis=1) - 1.0).max() < 1e-12
     assert (ro.weights >= 0.0).all()
@@ -85,33 +88,34 @@ def test_weight_rows_stay_on_the_simplex(routes):
 
 
 def test_identical_policies_compose_to_the_same_command(routes):
-    sc, pols, comps = routes
+    sc, elims, comps = routes
     rng = np.random.default_rng(5)
-    past = pols[0].past_reference(4) + rng.normal(scale=0.1, size=(2, 2))
+    past = _past_reference(comps[0], 4) + rng.normal(scale=0.1, size=(2, 2))
     cmds = {}
     for mode in ("blending", "switching"):
-        ctrl = build_controller([pols[0], pols[0]], [comps[0], comps[0]],
+        ctrl = build_controller([elims[0], elims[0]], [comps[0], comps[0]],
                                 mode=mode)
         cmds[mode] = compose(ctrl, 4, past)
-    direct = pols[0].reference(4)
+    direct = comps[0].x_star[3]
     assert np.allclose(cmds["blending"], cmds["switching"], atol=1e-12)
     assert np.abs(cmds["blending"] - direct).max() < 1.0  # same plan family
 
 
 def test_dominant_weight_makes_both_modes_emit_its_command(routes):
-    sc, pols, comps = routes
+    sc, elims, comps = routes
     # Push the second plan's value up by a constant: its weight collapses
     # to exp(-80) and both modes must emit the first plan's command.
-    worse = dataclasses.replace(pols[1], v_bar=pols[1].v_bar + 80.0)
+    V = elims[1].V.copy()
+    V[:, 0, -1, -1] += 160.0
+    worse = dataclasses.replace(elims[1], V=V)
     rng = np.random.default_rng(13)
     # Small in value-function units: the quadratics carry 1/(sigma^2 dt^3)
     # curvature, so a 1e-3 displacement costs well under a nat.
-    past = pols[0].past_reference(3) + rng.normal(scale=1e-3, size=(2, 2))
-    from slgp.kodp import step_policy
-    dp = (past - pols[0].past_reference(3)).ravel()
-    direct = pols[0].reference(3) + step_policy(pols[0], 3, dp)
+    past = _past_reference(comps[0], 3) + rng.normal(scale=1e-3, size=(2, 2))
+    dp = (past - _past_reference(comps[0], 3)).ravel()
+    direct = comps[0].x_star[2] + elims[0].law[2, 0] @ np.append(dp, 1.0)
     for mode in ("blending", "switching"):
-        ctrl = build_controller([pols[0], worse], [comps[0], comps[1]],
+        ctrl = build_controller([elims[0], worse], [comps[0], comps[1]],
                                 mode=mode)
         w = online_weights(ctrl, 3, past)
         assert w[0] > 1.0 - 1e-12
@@ -119,15 +123,10 @@ def test_dominant_weight_makes_both_modes_emit_its_command(routes):
 
 
 def test_opposed_feedforwards_blend_to_zero_and_switch_to_the_first():
-    def pol(sid, sign):
-        return KodpPolicy(
-            skeleton_id=sid, d=1, V=np.zeros((1, 2, 2)), v=np.zeros((1, 2)),
-            v_bar=np.zeros(1), u_ff=np.array([[sign * 0.6]]),
-            K=np.zeros((1, 1, 2)), x_ref=np.zeros((1, 1)),
-            prefix=np.zeros((2, 1)), notes=())
-
-    ctrl = CompositeController(policies=(pol("a", 1.0), pol("b", -1.0)),
-                               future_ratios=np.zeros((2, 1)), mode="blending")
+    ctrl = CompositeController(
+        past_ref=np.zeros((1, 2, 2)), V=np.zeros((1, 2, 2, 2)), v=np.zeros((1, 2, 2)),
+        offset=np.zeros((1, 2)), gain=np.zeros((1, 2, 1, 2)),
+        command=np.array([[[0.6], [-0.6]]]), mode="blending")
     past = np.zeros((2, 1))
     assert compose(ctrl, 1, past) == pytest.approx([0.0], abs=1e-15)
     switch = dataclasses.replace(ctrl, mode="switching")
@@ -135,8 +134,8 @@ def test_opposed_feedforwards_blend_to_zero_and_switch_to_the_first():
 
 
 def test_out_of_horizon_steps_and_bad_pasts_are_rejected(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     N, d = sc.problem.N, sc.problem.d
     past = sc.problem.prefix
     for query in (online_weights, compose):
@@ -148,37 +147,43 @@ def test_out_of_horizon_steps_and_bad_pasts_are_rejected(routes):
                 query(ctrl, 3, bad)
 
 
+TABLES = ("past_ref", "V", "v", "offset", "gain", "command")
+
+
 def test_direct_construction_checks_the_table_shapes(routes):
-    sc, pols, comps = routes
-    ratios = np.zeros((2, sc.problem.N))
-    with pytest.raises(ValueError, match="future_ratios"):
-        CompositeController(policies=tuple(pols), future_ratios=ratios[:, 1:],
-                            mode="blending")
-    short = dataclasses.replace(pols[1], x_ref=pols[1].x_ref[1:])
-    with pytest.raises(ValueError, match="horizon"):
-        CompositeController(policies=(pols[0], short), future_ratios=ratios,
-                            mode="blending")
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps, mode="blending")
+    tables = {name: getattr(ctrl, name) for name in TABLES}
+    for name in TABLES[1:]:
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            dataclasses.replace(ctrl, **{name: tables[name][1:]})
+    with pytest.raises(ValueError, match=r"^V must .* to match past_ref \(39, 2, 4\)"):
+        dataclasses.replace(ctrl, past_ref=ctrl.past_ref[1:])
+    with pytest.raises(ValueError, match=r"past_ref must have shape \(N, K, 2d\)"):
+        dataclasses.replace(ctrl, past_ref=ctrl.past_ref[..., 1:])
     # The controller checks its own mode and hysteresis, so a direct
     # construction and dataclasses.replace get the same checks.
-    ctrl = CompositeController(policies=tuple(pols), future_ratios=ratios,
-                               mode="blending")
     for change, message in (({"mode": "bogus"}, "unknown mode 'bogus'"),
                             ({"hysteresis": float("nan")}, "got nan"),
                             ({"hysteresis": -1.0}, "got -1.0")):
         with pytest.raises(ValueError, match=message):
-            CompositeController(policies=tuple(pols), future_ratios=ratios,
-                                **{"mode": "switching", **change})
+            CompositeController(**tables, **{"mode": "switching", **change})
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ctrl, **change)
 
 
-def _policy_loop(ctrl, n, past, incumbent):
-    """Weights and command from a loop over the per-policy queries."""
+def _policy_loop(elims, comps, ctrl, n, past, incumbent):
+    """Weights and command from a loop over the skeletons: each reads its
+    policy off slice 0 of its elimination, its reference off its component."""
     logits, commands = [], []
-    for p, ratios in zip(ctrl.policies, ctrl.future_ratios):
-        dp = (past - p.past_reference(n)).ravel()
-        logits.append(-cost_to_go(p, n, dp) + ratios[n - 1])
-        commands.append(p.reference(n) + step_policy(p, n, dp))
+    for elim, comp in zip(elims, comps):
+        dp = (past - _past_reference(comp, n)).ravel()
+        two_d = dp.size
+        V, law = elim.V[n - 1, 0], elim.law[n - 1, 0]
+        cost = (0.5 * dp @ V[:two_d, :two_d] @ dp + V[:two_d, two_d] @ dp
+                + 0.5 * V[two_d, two_d])
+        logits.append(-cost + future_log_ratios(comp)[n - 1])
+        commands.append(comp.x_star[n - 1] + law[:, two_d] + law[:, :two_d] @ dp)
     logits = np.array(logits)
     w = np.exp(logits - logits.max())
     w /= w.sum()
@@ -187,29 +192,32 @@ def _policy_loop(ctrl, n, past, incumbent):
     return w, commands[select_skeleton(w, incumbent, ctrl.hysteresis)]
 
 
+def _kept_components(bundle):
+    return [c for c in map(bundle.component, (sk.id for sk in bundle.scenario.skeletons))
+            if c is not None]
+
+
 def _bundle_controller(bundle):
-    problem = bundle.scenario.problem
-    kept = [sk for sk in bundle.scenario.skeletons
-            if bundle.component(sk.id) is not None]
-    pols = [backward_pass(quadratize(problem, sk, bundle.solution(sk.id)))
-            for sk in kept]
-    return build_controller(pols, [bundle.component(sk.id) for sk in kept])
+    comps = _kept_components(bundle)
+    return build_controller([c.elimination for c in comps], comps)
 
 
 @pytest.mark.parametrize("name", ["tworoute", "elbow"])
 def test_stacked_tables_match_the_per_policy_queries(name, request):
     bundle = request.getfixturevalue(name)
-    base = _bundle_controller(bundle)
+    comps = _kept_components(bundle)
+    elims = [c.elimination for c in comps]
+    base = build_controller(elims, comps)
     problem = bundle.scenario.problem
     rng = np.random.default_rng(17)
     for mode in ("blending", "switching"):
         ctrl = dataclasses.replace(base, mode=mode)
         for n in range(1, problem.N + 1):
-            owner = ctrl.policies[int(rng.integers(len(ctrl.policies)))]
-            past = owner.past_reference(n) + rng.normal(scale=1e-3,
-                                                        size=(2, problem.d))
-            incumbent = int(rng.integers(len(ctrl.policies)))
-            w_loop, cmd_loop = _policy_loop(ctrl, n, past, incumbent)
+            owner = comps[int(rng.integers(len(comps)))]
+            past = _past_reference(owner, n) + rng.normal(scale=1e-3,
+                                                          size=(2, problem.d))
+            incumbent = int(rng.integers(len(comps)))
+            w_loop, cmd_loop = _policy_loop(elims, comps, ctrl, n, past, incumbent)
             w = online_weights(ctrl, n, past)
             cmd = compose(ctrl, n, past, incumbent)
             assert np.abs(w - w_loop).max() <= 1e-12 * np.abs(w_loop).max()
@@ -242,8 +250,8 @@ def _stepwise_rollout(problem, truth, ctrl, noise_scale, seed):
 
 @pytest.mark.parametrize("mode", ["blending", "switching"])
 def test_rollout_matches_a_stepwise_noise_reference(routes, mode):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps, mode=mode)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps, mode=mode)
     for seed in (0, 7, 31):
         ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=1.5, seed=seed)
         path, commands, active = _stepwise_rollout(sc.problem, sc.truth, ctrl,
@@ -263,45 +271,50 @@ def test_select_skeleton_tie_break_and_hysteresis():
 
 
 def test_controller_pairing_is_validated(routes):
-    sc, pols, comps = routes
-    with pytest.raises(ValueError):
-        build_controller([pols[0]], [comps[1]])
+    sc, elims, comps = routes
+    with pytest.raises(ValueError, match="elimination of 'via-near' paired with "
+                                         "component 'via-far'"):
+        build_controller([elims[0]], [comps[1]])
+    shorter = dataclasses.replace(comps[1], x_star=comps[1].x_star[1:])
+    with pytest.raises(ValueError, match=r"one horizon and dimension, got \(N, d\) "
+                                         r"\[\(39, 2\), \(40, 2\)\]"):
+        build_controller(elims, [comps[0], shorter])
     with pytest.raises(ValueError):
         build_controller([], [])
     with pytest.raises(ValueError):
-        build_controller(pols, comps[:1])
+        build_controller(elims, comps[:1])
     with pytest.raises(ValueError):
-        build_controller(pols, comps, mode="voting")
+        build_controller(elims, comps, mode="voting")
     for hysteresis in (-0.1, float("nan")):
         with pytest.raises(ValueError):
-            build_controller(pols, comps, hysteresis=hysteresis)
+            build_controller(elims, comps, hysteresis=hysteresis)
 
 
 # --- closed loop ------------------------------------------------------------
 
 
 def test_noiseless_rollout_reproduces_the_planned_path(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols[:1], comps[:1])
+    sc, elims, comps = routes
+    ctrl = build_controller(elims[:1], comps[:1])
     ro = rollout(sc.problem, sc.skeleton("via-near"), ctrl, noise_scale=0.0,
                  seed=0)
-    assert np.abs(ro.path - pols[0].x_ref).max() < 1e-8
+    assert np.abs(ro.path - comps[0].x_star).max() < 1e-8
     assert (ro.active == 0).all()
 
 
 def test_noiseless_modes_coincide_on_the_dominant_plan(routes):
-    sc, pols, comps = routes
+    sc, elims, comps = routes
     for mode in ("blending", "switching"):
-        ctrl = build_controller(pols, comps, mode=mode)
+        ctrl = build_controller(elims, comps, mode=mode)
         ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0)
-        assert np.abs(ro.path - pols[0].x_ref).max() < 1e-8
+        assert np.abs(ro.path - comps[0].x_star).max() < 1e-8
 
 
 def test_switch_count_is_non_increasing_in_hysteresis(routes):
-    sc, pols, comps = routes
+    sc, elims, comps = routes
     totals = []
     for h in (0.0, 0.05, 0.2):
-        ctrl = build_controller(pols, comps, mode="switching", hysteresis=h)
+        ctrl = build_controller(elims, comps, mode="switching", hysteresis=h)
         count = 0
         for seed in range(10):
             ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=2.0,
@@ -313,8 +326,8 @@ def test_switch_count_is_non_increasing_in_hysteresis(routes):
 
 
 def test_rollout_is_bit_identical_for_a_fixed_seed(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps, mode="switching")
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps, mode="switching")
     a = rollout(sc.problem, sc.truth, ctrl, noise_scale=1.5, seed=21)
     b = rollout(sc.problem, sc.truth, ctrl, noise_scale=1.5, seed=21)
     assert np.array_equal(a.path, b.path)
@@ -326,8 +339,8 @@ def test_rollout_is_bit_identical_for_a_fixed_seed(routes):
 
 
 def test_disturbances_and_target_metric_are_applied(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     bump = np.array([0.3, -0.2])
     coords, values = sc.target_coords, sc.target_values
     ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0,
@@ -338,6 +351,19 @@ def test_disturbances_and_target_metric_are_applied(routes):
     assert np.abs(ro.path[4] - (quiet.commands[4] + bump)).max() < 1e-12
     assert np.isfinite(ro.final_error)
     assert np.isnan(quiet.final_error)
+
+
+def test_impulses_at_one_step_add_up(routes):
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
+
+    def path(*disturbances):
+        return rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0,
+                       disturbances=disturbances).path
+
+    both = path((10, [0.3, 0.0]), (10, [0.0, 0.3]))
+    assert np.array_equal(both, path((10, [0.3, 0.3])))
+    assert not np.array_equal(both, path((10, [0.0, 0.3])))
 
 
 @pytest.mark.parametrize("step, vector, message", [
@@ -352,8 +378,8 @@ def test_disturbances_and_target_metric_are_applied(routes):
 ], ids=["short-vector", "step-zero", "step-past-horizon", "step-99", "fractional-step",
         "bool-step", "nan-entry", "nested-vector"])
 def test_bad_disturbances_are_named(routes, step, vector, message):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     assert sc.problem.N == 40 and sc.problem.d == 2
     good = (np.int64(40), np.array([0.0, 0.1]))
     with pytest.raises(ValueError, match=message):
@@ -363,8 +389,8 @@ def test_bad_disturbances_are_named(routes, step, vector, message):
 
 @pytest.mark.parametrize("scale", [-1.0, -1e-12, float("nan"), float("inf")])
 def test_negative_or_nonfinite_noise_scale_is_rejected(routes, scale):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     with pytest.raises(ValueError, match="noise_scale"):
         rollout(sc.problem, sc.truth, ctrl, noise_scale=scale, seed=0)
 
@@ -372,8 +398,8 @@ def test_negative_or_nonfinite_noise_scale_is_rejected(routes, scale):
 def test_nonfinite_weights_abort_at_their_step(routes):
     # The past at step 6 holds the overflowing x_5, so the cost-to-go
     # overflows there; no numpy warning escapes on the way.
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     with pytest.raises(RolloutError, match=r"step 6: skeleton weights are not "
                                            r"finite; .* by up to 1\.000e\+307"):
         rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0,
@@ -383,8 +409,8 @@ def test_nonfinite_weights_abort_at_their_step(routes):
 def test_online_queries_raise_at_nonfinite_weights_without_warnings(routes):
     # Called outside rollout, an overflowing past raises the rollout's
     # error; any numpy warning on the way would escape as an exception.
-    sc, pols, comps = routes
-    ctrl = build_controller(pols, comps)
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
     past = np.array([[0.0, 0.0], [1e307, 0.0]])
     for query in (online_weights, compose):
         with warnings.catch_warnings():
@@ -395,8 +421,8 @@ def test_online_queries_raise_at_nonfinite_weights_without_warnings(routes):
 
 
 def test_projection_failure_aborts_with_the_step(routes):
-    sc, pols, comps = routes
-    ctrl = build_controller(pols[:1], comps[:1])
+    sc, elims, comps = routes
+    ctrl = build_controller(elims[:1], comps[:1])
     # An inconsistent equality (zero Jacobian, nonzero value) cannot be
     # projected onto; the rollout must abort at its first step.
     stuck = AffineFeature(np.zeros((1, 2)), np.array([1.0]), window=1,
@@ -469,21 +495,17 @@ def test_projection_mixes_feature_windows_at_one_step(push):
         assert np.abs(f.eval(xs)[0]).max() <= 1e-9
 
 
-def test_rms_final_error_on_raw_paths_and_rollouts(routes):
-    sc, pols, comps = routes
-    values = np.array([1.0, 2.0])
-    hit = np.zeros((4, 2))
-    hit[-1] = values
-    miss = hit.copy()
-    miss[-1, 0] += 0.3
-    assert rms_final_error([hit], [0, 1], values) == 0.0
-    assert rms_final_error([miss], [0, 1], values) == pytest.approx(0.3)
-    assert rms_final_error([hit, miss], [0, 1], values) == pytest.approx(
-        0.3 / np.sqrt(2.0))
-    ctrl = build_controller(pols[:1], comps[:1])
-    ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0, seed=0)
-    direct = np.linalg.norm(ro.path[-1] - sc.target_values)
-    assert rms_final_error([ro], [0, 1], sc.target_values) == pytest.approx(
-        direct)
-    with pytest.raises(ValueError):
-        rms_final_error([], [0, 1], values)
+def test_rollout_refuses_a_controller_planned_for_another_shape(routes, elbow):
+    sc, elims, comps = routes
+    long = build_scenario(ScenarioParams(name="tworoute", N=160))
+    long_comps = [build_component(long.problem, sk, solve(long.problem, sk))
+                  for sk in long.skeletons]
+    long_ctrl = build_controller([c.elimination for c in long_comps], long_comps)
+    cases = ((long_ctrl, sc.problem, "N=160, d=2", "N=40, d=2"),
+             (build_controller(elims, comps), long.problem, "N=40, d=2", "N=160, d=2"),
+             (_bundle_controller(elbow), sc.problem, "N=40, d=4", "N=40, d=2"))
+    for ctrl, problem, planned, given in cases:
+        truth = long.truth if problem is long.problem else sc.truth
+        with pytest.raises(ValueError, match=f"controller planned for {planned} "
+                                             f"cannot run a problem with {given}"):
+            rollout(problem, truth, ctrl, noise_scale=0.0, seed=0)

@@ -1,16 +1,18 @@
-"""Per-step value recursion: quadratization, backward pass, policy queries."""
+"""Per-step value recursion: quadratization, the backward pass and the
+policy in its full-cost slice."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from slgp.execution import build_controller
 from slgp.features import AccelerationPenalty, coordinate_target
-from slgp.kodp import (PolicyError, backward_pass, cost_to_go, quadratize,
-                       read_policy, step_policy)
+from slgp.kodp import PolicyError, backward_pass, quadratize
+from slgp.laplace import build_component
 from slgp.problem import (PathProblem, assemble, cost_value, free_skeleton,
                           step_constraints)
-from slgp.selftest import _dense_qp_oracle, _roll_policy  # noqa: PLC2701
+from slgp.selftest import _dense_qp_oracle, _optimal_cost, _roll_policy  # noqa: PLC2701
 from slgp.solver import SolverConfig, solve
 
 from path_windows import window
@@ -39,6 +41,15 @@ def _window_delta(delta, n, d):
         if m >= 1:
             w[k * d:(k + 1) * d] = delta[m - 1]
     return w
+
+
+def _policy(elim):
+    """Gain, feedforward and cost-to-go terms of the full-cost slice."""
+    law, V = elim.law[:, 0], elim.V[:, 0]
+    two_d = V.shape[-1] - 1
+    return {"K": law[..., :two_d], "u_ff": law[..., two_d],
+            "V": V[:, :two_d, :two_d], "v": V[:, :two_d, two_d],
+            "v_bar": 0.5 * V[:, two_d, two_d]}
 
 
 def _with_rows(expansion, step, rows):
@@ -156,9 +167,9 @@ def test_costless_policy_raises_naming_the_last_step():
 
 def test_feedforward_vanishes_at_the_expansion_point():
     exp, _, _ = _expansion(_lq())
-    policy = backward_pass(exp)
-    assert np.abs(policy.u_ff).max() < 1e-6
-    xs = _roll_policy(policy, np.zeros(2 * policy.d))
+    elim = backward_pass(exp)
+    assert np.abs(_policy(elim)["u_ff"]).max() < 1e-6
+    xs = _roll_policy(elim, np.zeros(2 * exp.d))
     assert np.abs(xs).max() < 1e-6
 
 
@@ -169,15 +180,14 @@ def test_rolled_policy_matches_the_dense_kkt_oracle(tworoute):
     sk = tworoute.scenario.skeleton("via-near")
     sol = tworoute.solution("via-near")
     exp = quadratize(problem, sk, sol)
-    policy = backward_pass(exp)
+    elim = backward_pass(exp)
     rng = np.random.default_rng(11)
     for _ in range(5):
         dp = rng.normal(scale=0.05, size=2 * problem.d)
         z, cost = _dense_qp_oracle(exp, dp)
-        xs = _roll_policy(policy, dp)
+        xs = _roll_policy(elim, dp)
         assert np.abs(xs - z).max() < 1e-8
-        assert cost_to_go(policy, 1, dp) == pytest.approx(cost, rel=1e-8,
-                                                          abs=1e-10)
+        assert _optimal_cost(elim, dp) == pytest.approx(cost, rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ["elbow", "tworoute", "push"])
@@ -191,10 +201,10 @@ def test_policy_keeps_the_switch_constraint_satisfied(name, request):
     checked = 0
     for sk in bundle.scenario.skeletons:
         exp = quadratize(problem, sk, bundle.solution(sk.id))
-        policy = backward_pass(exp)
+        elim = backward_pass(exp)
         for _ in range(3):
             dp = rng.normal(scale=0.1, size=2 * d)
-            path = np.concatenate([dp, _roll_policy(policy, dp).ravel()])
+            path = np.concatenate([dp, _roll_policy(elim, dp).ravel()])
             for n, rows in enumerate(exp.rows, start=1):
                 if rows.shape[0]:
                     window = path[(n - 1) * d:(n + 2) * d]
@@ -207,11 +217,11 @@ def test_gains_are_invariant_under_uniform_cost_scaling():
     exp, _, _ = _expansion(_lq())
     c = 3.7
     scaled = dataclasses.replace(exp, grams=c * exp.grams)
-    p1, p2 = backward_pass(exp), backward_pass(scaled)
-    assert np.abs(p2.K - p1.K).max() < 1e-8
-    assert np.abs(p2.u_ff - p1.u_ff).max() < 1e-8
-    assert np.abs(p2.V - c * p1.V).max() < 1e-6
-    assert np.abs(p2.v_bar - c * p1.v_bar).max() < 1e-8
+    p1, p2 = _policy(backward_pass(exp)), _policy(backward_pass(scaled))
+    assert np.abs(p2["K"] - p1["K"]).max() < 1e-8
+    assert np.abs(p2["u_ff"] - p1["u_ff"]).max() < 1e-8
+    assert np.abs(p2["V"] - c * p1["V"]).max() < 1e-6
+    assert np.abs(p2["v_bar"] - c * p1["v_bar"]).max() < 1e-8
 
 
 def test_duplicated_constraint_rows_are_filtered(tworoute):
@@ -223,9 +233,8 @@ def test_duplicated_constraint_rows_are_filtered(tworoute):
                                                   for rows in exp.rows))
     clean, noisy = backward_pass(exp), backward_pass(doubled)
     assert any("dependent" in note for _, note in noisy.notes)
-    assert np.isfinite(noisy.V).all() and np.isfinite(noisy.u_ff).all()
-    assert np.abs(noisy.K - clean.K).max() < 1e-8
-    assert np.abs(noisy.u_ff - clean.u_ff).max() < 1e-8
+    assert np.isfinite(noisy.V).all() and np.isfinite(noisy.law).all()
+    assert np.abs(noisy.law - clean.law).max() < 1e-8
 
 
 def test_near_dependent_constraint_column_is_dropped_and_noted():
@@ -244,8 +253,7 @@ def test_near_dependent_constraint_column_is_dropped_and_noted():
     noisy = backward_pass(_with_rows(exp, step, np.vstack([rows, near])))
     assert clean.notes == ()
     assert noisy.notes == ((step, "dropped 1 dependent constraint rows"),)
-    assert np.abs(noisy.K - clean.K).max() < 1e-8
-    assert np.abs(noisy.u_ff - clean.u_ff).max() < 1e-8
+    assert np.abs(noisy.law - clean.law).max() < 1e-8
 
 
 def test_rows_differing_only_in_the_past_are_carried_back():
@@ -257,71 +265,71 @@ def test_rows_differing_only_in_the_past_are_carried_back():
     rows = rng.normal(size=(2, 6))
     rows[1, 4:] = rows[0, 4:]
     pinned = _with_rows(exp, 4, rows)
-    policy = backward_pass(pinned)
-    assert policy.notes == ((4, "carried 1 constraint rows to step 3"),)
+    elim = backward_pass(pinned)
+    assert elim.notes == ((4, "carried 1 constraint rows to step 3"),)
     for _ in range(5):
         dp = rng.normal(scale=0.1, size=4)
         z, cost = _dense_qp_oracle(pinned, dp)
-        assert np.abs(_roll_policy(policy, dp) - z).max() < 1e-8
-        assert cost_to_go(policy, 1, dp) == pytest.approx(cost, rel=1e-8, abs=1e-10)
+        assert np.abs(_roll_policy(elim, dp) - z).max() < 1e-8
+        assert _optimal_cost(elim, dp) == pytest.approx(cost, rel=1e-8, abs=1e-10)
+
+
+CONTROLLER_TABLES = ("past_ref", "V", "v", "offset", "gain", "command")
 
 
 @pytest.mark.parametrize("name", ["elbow", "tworoute", "push"])
 def test_component_policy_equals_the_backward_pass(name, request):
+    # The benchmark builds the controller from backward_pass of each kept
+    # skeleton's expansion, slgp simulate from the components' own
+    # eliminations: both give one controller, bit for bit.
     bundle = request.getfixturevalue(name)
     problem = bundle.scenario.problem
-    for sk in bundle.scenario.skeletons:
-        comp = bundle.component(sk.id)
-        policy = read_policy(comp.elimination, comp.skeleton_id, comp.x_star,
-                             comp.prefix)
-        reference = backward_pass(quadratize(problem, sk, bundle.solution(sk.id)))
-        for attr in ("K", "u_ff", "V", "v", "v_bar", "x_ref", "prefix"):
-            assert np.array_equal(getattr(policy, attr), getattr(reference, attr)), \
-                (sk.id, attr)
-        assert policy.notes == reference.notes
+    kept = [sk for sk in bundle.scenario.skeletons
+            if bundle.component(sk.id) is not None]
+    comps = [bundle.component(sk.id) for sk in kept]
+    passes = [backward_pass(quadratize(problem, sk, bundle.solution(sk.id)))
+              for sk in kept]
+    bench = build_controller(passes, comps)
+    cli = build_controller([c.elimination for c in comps], comps)
+    for table in CONTROLLER_TABLES:
+        assert np.array_equal(getattr(bench, table), getattr(cli, table)), table
+    for sk, elim, comp in zip(kept, passes, comps):
+        assert elim.notes == comp.elimination.notes, sk.id
 
 
 def test_push_single_finger_policy_drops_its_dependent_row(push):
     problem = push.scenario.problem
     sk = push.scenario.skeleton("single-finger")
-    policy = backward_pass(quadratize(problem, sk, push.solution("single-finger")))
-    assert policy.notes == ((16, "dropped 1 dependent constraint rows"),)
-    assert np.isfinite(policy.V).all() and np.isfinite(policy.K).all()
+    elim = backward_pass(quadratize(problem, sk, push.solution("single-finger")))
+    assert elim.notes == ((16, "dropped 1 dependent constraint rows"),)
+    assert np.isfinite(elim.V).all() and np.isfinite(elim.law).all()
 
 
-# --- policy queries --------------------------------------------------------
+# --- the policy in the controller ---------------------------------------------
 
 
 def test_value_constants_are_the_zero_deviation_cost_to_go():
+    # On an affine problem expanded at its optimum, a past on the
+    # reference leaves the rest of the plan optimal: the value constant
+    # v_bar_n is the cost of steps n..N along the plan.
     exp, _, _ = _expansion(_lq())
-    policy = backward_pass(exp)
-    zero = np.zeros(2 * policy.d)
-    for n in range(1, policy.N + 1):
-        assert cost_to_go(policy, n, zero) == pytest.approx(
-            policy.v_bar[n - 1], abs=1e-12)
-    assert cost_to_go(policy, policy.N + 1, np.ones(2 * policy.d)) == 0.0
-
-
-def test_policy_query_validation():
-    exp, _, _ = _expansion(_lq())
-    policy = backward_pass(exp)
-    with pytest.raises(ValueError):
-        step_policy(policy, 0, np.zeros(4))
-    with pytest.raises(ValueError):
-        step_policy(policy, policy.N + 1, np.zeros(4))
-    with pytest.raises(ValueError):
-        step_policy(policy, 1, np.zeros(3))
-    with pytest.raises(ValueError):
-        cost_to_go(policy, policy.N + 2, np.zeros(4))
+    v_bar = _policy(backward_pass(exp))["v_bar"]
+    step_costs = 0.5 * exp.grams[:, 0, -1, -1]
+    tail = np.cumsum(step_costs[::-1])[::-1]
+    assert v_bar == pytest.approx(tail, rel=1e-10, abs=1e-12)
+    assert _optimal_cost(backward_pass(exp), np.zeros(2 * exp.d)) == pytest.approx(
+        tail[0], rel=1e-10, abs=1e-12)
 
 
 def test_reference_lookups_substitute_the_prefix():
     problem = _lq(N=5, d=2)
-    exp, sol, _ = _expansion(problem)
-    policy = backward_pass(exp)
-    assert policy.N == 5
-    assert np.array_equal(policy.reference(3), sol.x_star[2])
-    assert np.array_equal(policy.past_reference(1), problem.prefix)
-    past2 = policy.past_reference(2)
-    assert np.array_equal(past2[0], problem.prefix[1])
-    assert np.array_equal(past2[1], sol.x_star[0])
+    _, sol, skeleton = _expansion(problem)
+    comp = build_component(problem, skeleton, sol)
+    ctrl = build_controller([comp.elimination], [comp])
+    assert ctrl.past_ref.shape == (5, 1, 4)
+    law = comp.elimination.law[:, 0]
+    assert np.array_equal(ctrl.command[2, 0], sol.x_star[2] + law[2, :, -1])
+    assert np.array_equal(ctrl.past_ref[0, 0], problem.prefix.ravel())
+    assert np.array_equal(ctrl.past_ref[1, 0],
+                          np.concatenate([problem.prefix[1], sol.x_star[0]]))
+    assert np.array_equal(ctrl.past_ref[3, 0], sol.x_star[1:3].ravel())
