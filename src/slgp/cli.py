@@ -7,7 +7,9 @@ stream is seeded explicitly.
 Each command checks every argument before it plans, so a bad argument
 exits with a message before any skeleton is solved or any output
 directory is created.  It then plans once, into one record per skeleton,
-and writes every artifact from those records.
+and writes every artifact from those records.  `simulate` writes each
+seed's rollout records as soon as the seed finishes, so its memory does
+not grow with the record count.
 
 Skeletons (plan) and seeds (simulate) run one after another on one
 thread.  The solves and rollouts are mostly Python code holding the global
@@ -272,7 +274,7 @@ def cmd_plan(args) -> int:
     return 0 if all(sol.converged for _, sol, _, _ in records) else 1
 
 
-def _parse_seeds(expr: str) -> list[int]:
+def _parse_seeds(expr: str) -> range:
     expr = expr.strip()
     lo, dots, hi = expr.partition("..")
     try:
@@ -284,7 +286,7 @@ def _parse_seeds(expr: str) -> list[int]:
         raise SystemExit(f"empty --seeds range '{expr}'")
     if a < 0:
         raise SystemExit(f"--seeds must be >= 0, got {a}")
-    return list(range(a, b + 1))
+    return range(a, b + 1)
 
 
 def _parse_disturb(exprs, problem) -> list[tuple[int, np.ndarray]]:
@@ -339,46 +341,47 @@ def cmd_simulate(args) -> int:
         truth = scenario.skeleton(kept[int(np.argmax(mixture.weights))].skeleton_id)
 
     ids = [c.skeleton_id for c in kept]
-    steps, rows, weight_rows = [], [], []
     errors, deviations, switch_counts = [], [], []
-    for seed in seeds:
-        try:
-            ro = rollout(scenario.problem, truth, controller, noise_scale=noise,
-                         disturbances=disturbances, seed=seed)
-        except RolloutError as exc:
-            steps.append({"seed": seed, "aborted": True, "reason": str(exc)})
-            rows.append((seed, 1, "", "", "", ""))
-            continue
-        err = scenario.final_error(ro.path[-1])
-        # Distance to the nearest executed plan; identical remaining value
-        # functions can tie the weights, so the last active label alone does
-        # not identify which reference the path tracked.
-        deviation = min(float(np.linalg.norm(ro.path[-1] - c.x_star[-1]))
-                        for c in kept)
-        errors.append(err)
-        deviations.append(deviation)
-        switches = int(np.sum(ro.active[1:] != ro.active[:-1]))
-        switch_counts.append(switches)
-        for n in range(scenario.problem.N):
-            active = ids[int(ro.active[n])]
-            steps.append({"seed": seed, "n": n + 1, "x": ro.path[n].tolist(),
-                          "command": ro.commands[n].tolist(),
-                          "weights": [float(v) for v in ro.weights[n]],
-                          "active": active})
-            weight_rows.append((seed, n + 1, active,
-                                *(repr(float(v)) for v in ro.weights[n])))
-        rows.append((seed, 0, repr(err), repr(deviation),
-                     repr(ro.total_cost), switches))
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with (open(out / "rollouts.jsonl", "w", encoding="utf-8", newline="\n") as jsonl,
+          open(out / "summary.csv", "w", encoding="utf-8", newline="") as summary_file,
+          open(out / "weights.csv", "w", encoding="utf-8", newline="") as weights_file):
+        summary = csv.writer(summary_file, lineterminator="\n")
+        weight_rows = csv.writer(weights_file, lineterminator="\n")
+        summary.writerow(("seed", "aborted", "finalError", "planDeviation", "totalCost",
+                          "switchCount"))
+        weight_rows.writerow(("seed", "step", "active", *(f"w_{sid}" for sid in ids)))
+        for seed in seeds:
+            try:
+                ro = rollout(scenario.problem, truth, controller, noise_scale=noise,
+                             disturbances=disturbances, seed=seed)
+            except RolloutError as exc:
+                jsonl.write(encode({"seed": seed, "aborted": True, "reason": str(exc)})
+                            + "\n")
+                summary.writerow((seed, 1, "", "", "", ""))
+                continue
+            err = scenario.final_error(ro.path[-1])
+            # Distance to the nearest executed plan; identical remaining value
+            # functions can tie the weights, so the last active label alone does
+            # not identify which reference the path tracked.
+            deviation = min(float(np.linalg.norm(ro.path[-1] - c.x_star[-1]))
+                            for c in kept)
+            errors.append(err)
+            deviations.append(deviation)
+            switches = int(np.sum(ro.active[1:] != ro.active[:-1]))
+            switch_counts.append(switches)
+            active = [ids[i] for i in ro.active.tolist()]
+            weights = ro.weights.tolist()
+            per_step = zip(ro.path.tolist(), ro.commands.tolist(), weights, active)
+            jsonl.write("".join(
+                encode({"seed": seed, "n": n, "x": x, "command": cmd, "weights": w,
+                        "active": a}) + "\n"
+                for n, (x, cmd, w, a) in enumerate(per_step, 1)))
+            weight_rows.writerows((seed, n, a, *map(repr, w))
+                                  for n, (a, w) in enumerate(zip(active, weights), 1))
+            summary.writerow((seed, 0, repr(err), repr(deviation), repr(ro.total_cost),
+                              switches))
     aborted = len(seeds) - len(errors)
-
-    _write_text(out / "rollouts.jsonl",
-                "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in steps))
-    _write_csv(out / "summary.csv",
-               ("seed", "aborted", "finalError", "planDeviation", "totalCost",
-                "switchCount"), rows)
-    _write_csv(out / "weights.csv",
-               ("seed", "step", "active", *(f"w_{sid}" for sid in ids)),
-               weight_rows)
 
     lines = [f"scenario: {scenario.name}  controller: {args.controller}  "
              f"hysteresis: {hysteresis:g}  noise: {noise:g}",

@@ -21,9 +21,15 @@ precomputed log entropy ratio of its conditional future distribution:
 A command is the absolute next configuration: each policy applies its
 feedback deviation to its own reference path, and the controller either
 blends the commands by weight or switches to the best skeleton (with
-optional hysteresis).  Rollouts inject Brownian-scale noise into actuated
-coordinates and project the realized configuration back onto the active
-equality manifold of the executing skeleton.
+optional hysteresis).  A step reads row n-1 of the controller's tables,
+with 0.5 V and the negated offsets computed once per rollout (halving is
+exact, so away from overflow and underflow (0.5 V) dp has the bits of
+0.5 (V dp)), and the past pair as a view of the flat realized path;
+online_weights and compose run the same step after checking n and the
+past.  Rollouts inject Brownian-scale noise into actuated coordinates and
+project the realized configuration back onto the equality manifold of the
+truth skeleton, only at the steps where it has equality rows, which the
+problem's memoized row layout lists.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplace import future_log_ratios
-from .problem import (FeatureEvalError, PathProblem, Skeleton, assemble,
+from .problem import (FeatureEvalError, PathProblem, Skeleton, _layout, assemble,
                       cost_value, step_constraints, step_equalities)
 
 Array = np.ndarray
@@ -144,36 +150,18 @@ def build_controller(eliminations, components, mode: str = SWITCHING,
         mode=mode, hysteresis=hysteresis)
 
 
-def online_weights(controller: CompositeController, n: int, past: Array) -> Array:
-    """Normalized skeleton weights at step n given the observed past pair;
-    weights that are not finite raise RolloutError naming the step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _control(controller, n, past, None)[0]
+def _rows(controller: CompositeController, select=slice(None)):
+    """Per step in select, the row of every step table, with the
+    step-independent scalings applied once over the selection: 0.5 V and
+    the negated offsets."""
+    c = controller
+    return zip(c.past_ref[select], 0.5 * c.V[select], c.v[select], -c.offset[select],
+               c.gain[select], c.command[select])
 
 
-def select_skeleton(weights: Array, incumbent: int | None, hysteresis: float) -> int:
-    """Argmax with first-index tie-break; a positive hysteresis keeps the
-    incumbent unless the challenger beats it by that margin."""
-    best = int(np.argmax(weights))
-    if incumbent is None or hysteresis == 0.0:
-        return best
-    if best != incumbent and weights[best] > weights[incumbent] + hysteresis:
-        return best
-    return incumbent
-
-
-def _control(controller: CompositeController, n: int, past: Array,
-             incumbent: int | None) -> tuple[Array, int, Array]:
-    """One controller step: the weights, the chosen skeleton and the
-    command, from one deviation of the observed past pair from every
-    skeleton's reference pair.  In blending mode the chosen skeleton is
-    the heaviest one and the command blends all of them.
-
-    Weights that are not finite raise RolloutError naming the step; they
-    are all NaN then, since a nonfinite largest logit puts a NaN in the
-    sum.  Callers quiet numpy's overflow warnings, which the error
-    replaces.
-    """
+def _query(controller: CompositeController, n: int, past: Array, incumbent: int | None):
+    """_step at step n after checking n and the past pair's shape; numpy's
+    overflow warnings are quieted, since the weights check replaces them."""
     N, _, two_d = controller.past_ref.shape
     if not 1 <= n <= N:
         raise ValueError(f"step {n} outside horizon [1, {N}]")
@@ -181,20 +169,55 @@ def _control(controller: CompositeController, n: int, past: Array,
     if past.shape != (2, two_d // 2):
         raise ValueError(f"past at step {n} must have shape (2, {two_d // 2}), "
                          f"got {past.shape}")
-    dp = past.reshape(two_d) - controller.past_ref[n - 1]
-    Vdp = np.matmul(controller.V[n - 1], dp[:, :, None])[:, :, 0]
-    logits = -np.einsum("ki,ki->k", dp, 0.5 * Vdp + controller.v[n - 1])
-    logits -= controller.offset[n - 1]
+    row, = _rows(controller, slice(n - 1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step(controller, row, n, past.reshape(two_d), incumbent)
+
+
+def online_weights(controller: CompositeController, n: int, past: Array) -> Array:
+    """Normalized skeleton weights at step n given the observed past pair;
+    weights that are not finite raise RolloutError naming the step."""
+    return _query(controller, n, past, None)[0]
+
+
+def select_skeleton(weights: Array, incumbent: int | None, hysteresis: float) -> int:
+    """Argmax with first-index tie-break; a positive hysteresis keeps the
+    incumbent unless the challenger beats it by that margin."""
+    best = int(weights.argmax())
+    if incumbent is None or hysteresis == 0.0:
+        return best
+    if best != incumbent and weights[best] > weights[incumbent] + hysteresis:
+        return best
+    return incumbent
+
+
+def _step(controller: CompositeController, row, n: int, past: Array,
+          incumbent: int | None) -> tuple[Array, int, Array]:
+    """One controller step, unchecked: the weights, the chosen skeleton
+    and the command, from one deviation of the flat observed past pair
+    (x_{n-2}, x_{n-1}) from every skeleton's reference pair.  row is
+    step n's entry of _rows.  In blending mode the chosen skeleton is the
+    heaviest one and the command blends all of them.
+
+    Weights that are not finite raise RolloutError naming the step; they
+    are all NaN then, since a nonfinite largest logit puts a NaN in the
+    sum.  Callers quiet numpy's overflow warnings, which the error
+    replaces.
+    """
+    past_ref, half_V, v, neg_offset, gain, command = row
+    dp = past - past_ref
+    column = dp[:, :, None]
+    logits = neg_offset - np.einsum("ki,ki->k", dp,
+                                    np.matmul(half_V, column)[:, :, 0] + v)
     logits -= logits.max()
-    weights = np.exp(logits)
+    weights = np.exp(logits, out=logits)
     weights /= weights.sum()
     if math.isnan(weights[0]):
         raise RolloutError(n, f"skeleton weights are not finite; the past deviates "
                               f"from a reference by up to {np.abs(dp).max():.3e}")
-    commands = (controller.command[n - 1]
-                + np.matmul(controller.gain[n - 1], dp[:, :, None])[:, :, 0])
+    commands = command + np.matmul(gain, column)[:, :, 0]
     if controller.mode == BLENDING:
-        return weights, int(np.argmax(weights)), weights @ commands
+        return weights, int(weights.argmax()), weights @ commands
     chosen = select_skeleton(weights, incumbent, controller.hysteresis)
     return weights, chosen, commands[chosen]
 
@@ -203,8 +226,7 @@ def compose(controller: CompositeController, n: int, past: Array,
             incumbent: int | None = None) -> Array:
     """Next-configuration command at step n for the observed past pair;
     weights that are not finite raise RolloutError naming the step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _control(controller, n, past, incumbent)[2]
+    return _query(controller, n, past, incumbent)[2]
 
 
 @dataclass(frozen=True)
@@ -242,12 +264,13 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
 
     Noise per step is zero-mean with per-axis std sigma * noise_scale *
     dt^{3/2}, injected only into actuated coordinates; disturbances are
-    (step, vector) impulses, and the impulses at one step add up.  After
-    each realized step the configuration is projected onto the executing
-    skeleton's active equality rows.  target, when given, is (coords,
+    (step, vector) impulses, and the impulses at one step add up.  At each
+    step where the truth skeleton has equality rows, the realized
+    configuration is projected onto them.  target, when given, is (coords,
     values) for the final-error metric.  A controller planned for another
     horizon or dimension, a negative or nonfinite noise_scale, and a
-    disturbance that check_disturbance rejects, raise ValueError.  Skeleton
+    disturbance that check_disturbance rejects, raise ValueError, and a
+    structurally invalid truth skeleton raises SkeletonError.  Skeleton
     weights that are not finite, a stalled projection, or a feature that
     fails to evaluate in the projection or on the realized path raise
     RolloutError naming the step.
@@ -269,33 +292,38 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
         bumps[step] = bumps[step] + vec if step in bumps else vec
     std = problem.sigma * noise_scale * problem.dt**1.5
 
-    # The realized path behind the prefix; the past pair at step n is the
-    # view padded[n-1:n+1].
-    padded = np.zeros((N + 2, d))
+    # The realized path behind the prefix, flat, so that the past pair at
+    # step n is the view flat[(n-1) d:(n+1) d] of (x_{n-2}, x_{n-1}).  Each
+    # row of path holds its step's noise until the command is added to it.
+    flat = np.zeros((N + 2) * d)
+    padded = flat.reshape(N + 2, d)
     padded[:2] = problem.prefix
     path = padded[2:]
+    # One draw gives the same per-step stream as N draws of d normals.
+    if noise_scale > 0.0:
+        path[:] = rng.standard_normal((N, d)) * std
+        path[:, ~problem.actuated] = 0.0
     commands = np.zeros((N, d))
     weights = np.zeros((N, K))
     active = np.zeros(N, dtype=int)
-    # One draw gives the same per-step stream as N draws of d normals.
-    noise = np.zeros((N, d))
-    if noise_scale > 0.0:
-        noise = rng.standard_normal((N, d)) * std
-        noise[:, ~problem.actuated] = 0.0
     incumbent: int | None = None
+    layout = _layout(problem, truth_skeleton)
+    projected = set(layout.steps[layout.kinds[1]].tolist())
 
     # No overflow warnings: the weights and feature checks name each by step.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, N + 1):
-                weights[n - 1], incumbent, cmd = _control(controller, n,
-                                                          padded[n - 1:n + 1], incumbent)
+            for n, (row, x) in enumerate(zip(_rows(controller), path), 1):
+                weights[n - 1], incumbent, cmd = _step(controller, row, n,
+                                                       flat[(n - 1) * d:(n + 1) * d],
+                                                       incumbent)
                 active[n - 1] = incumbent
                 commands[n - 1] = cmd
-                path[n - 1] = cmd + noise[n - 1]
+                x += cmd
                 if n in bumps:
-                    path[n - 1] += bumps[n]
-                _project_equalities(problem, truth_skeleton, n, padded)
+                    x += bumps[n]
+                if n in projected:
+                    _project_equalities(problem, truth_skeleton, n, padded)
             stack = assemble(problem, truth_skeleton, path)
     except FeatureEvalError as exc:
         raise RolloutError(exc.step, str(exc)) from exc

@@ -4,11 +4,12 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from slgp.cli import main
+from slgp.cli import _parse_seeds, main
 from slgp.execution import rollout
 from slgp.laplace import SingularComponentError, build_component, eliminate
 from slgp.problem import assemble
@@ -304,6 +305,39 @@ def test_negative_seeds_are_refused_before_planning(tmp_path, monkeypatch, seeds
               "--out", str(tmp_path / "x")])
     assert str(info.value.code) == f"--seeds must be >= 0, got {first}"
     assert not (tmp_path / "x").exists()
+
+
+def test_a_huge_seed_range_is_parsed_without_allocating_it():
+    # simulate only iterates the seeds, reads their ends and counts them,
+    # so a range serves; a list of 1e11 ints would end in a MemoryError.
+    tracemalloc.start()
+    try:
+        seeds = _parse_seeds("0..100000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seeds == range(100000000001)
+    assert (seeds[0], seeds[-1], len(seeds)) == (0, 100000000000, 100000000001)
+    assert peak < 10_000
+
+
+def test_a_stopped_simulate_keeps_the_seeds_finished_so_far(tmp_path, monkeypatch):
+    def stop_at_seed_2(*args, seed, **kwargs):
+        if seed == 2:
+            raise KeyboardInterrupt
+        return rollout(*args, seed=seed, **kwargs)
+
+    full = tmp_path / "full"
+    assert main(["simulate", "--scenario", "tworoute", "--seeds", "0..1",
+                 "--out", str(full)]) == 0
+    monkeypatch.setattr("slgp.cli.rollout", stop_at_seed_2)
+    stopped = tmp_path / "stopped"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--scenario", "tworoute", "--seeds", "0..5",
+              "--out", str(stopped)])
+    for name in ("rollouts.jsonl", "summary.csv", "weights.csv"):
+        assert (stopped / name).read_bytes() == (full / name).read_bytes()
+    assert not (stopped / "report.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])

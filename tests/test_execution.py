@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import slgp.execution
 from slgp.execution import (BLENDING, CompositeController, RolloutError,
                             _project_equalities, build_controller, compose,
                             online_weights, rollout, select_skeleton)
@@ -225,11 +226,12 @@ def test_stacked_tables_match_the_per_policy_queries(name, request):
 
 
 def _stepwise_rollout(problem, truth, ctrl, noise_scale, seed):
-    """Rollout that draws the noise one step at a time and stacks the past."""
+    """Rollout that draws the noise one step at a time, stacks the past and
+    calls the checked online queries and the projection at every step."""
     rng = np.random.default_rng(seed)
     std = problem.sigma * noise_scale * problem.dt**1.5
     past = np.asarray(problem.prefix, dtype=float).copy()
-    path, commands, active = [], [], []
+    path, commands, weights, active = [], [], [], []
     incumbent = None
     for n in range(1, problem.N + 1):
         w = online_weights(ctrl, n, past)
@@ -243,22 +245,86 @@ def _stepwise_rollout(problem, truth, ctrl, noise_scale, seed):
         x = padded[n + 1]
         path.append(x)
         commands.append(cmd)
+        weights.append(w)
         active.append(incumbent)
         past = np.vstack([past[1], x])
-    return np.array(path), np.array(commands), np.array(active)
+    return np.array(path), np.array(commands), np.array(weights), np.array(active)
 
 
-@pytest.mark.parametrize("mode", ["blending", "switching"])
-def test_rollout_matches_a_stepwise_noise_reference(routes, mode):
-    sc, elims, comps = routes
-    ctrl = build_controller(elims, comps, mode=mode)
+# (fixture, mode, hysteresis, truth skeleton id); None takes the
+# scenario's designated truth.
+STEPWISE_CASES = {
+    "blending": ("routes", "blending", 0.0, None),
+    "switching": ("routes", "switching", 0.0, None),
+    "via-near": ("routes", "blending", 0.0, "via-near"),
+    "elbow-hysteresis": ("elbow", "switching", 0.05, "fix-both"),
+}
+
+
+@pytest.mark.parametrize("case", list(STEPWISE_CASES))
+def test_rollout_matches_a_stepwise_noise_reference(case, request):
+    # The rollout's unchecked step, its hoisted tables and its projection
+    # at the equality steps alone give the bits of the checked per-step
+    # queries with a projection call at every step.
+    fixture, mode, hysteresis, truth_id = STEPWISE_CASES[case]
+    if fixture == "routes":
+        scenario, elims, comps = request.getfixturevalue("routes")
+    else:
+        bundle = request.getfixturevalue(fixture)
+        scenario, comps = bundle.scenario, _kept_components(bundle)
+        elims = [c.elimination for c in comps]
+    ctrl = build_controller(elims, comps, mode=mode, hysteresis=hysteresis)
+    problem = scenario.problem
+    truth = scenario.skeleton(truth_id) if truth_id else scenario.truth
     for seed in (0, 7, 31):
-        ro = rollout(sc.problem, sc.truth, ctrl, noise_scale=1.5, seed=seed)
-        path, commands, active = _stepwise_rollout(sc.problem, sc.truth, ctrl,
-                                                   1.5, seed)
-        assert np.abs(ro.path - path).max() <= 1e-12 * np.abs(path).max()
-        assert np.abs(ro.commands - commands).max() <= 1e-12 * np.abs(commands).max()
+        ro = rollout(problem, truth, ctrl, noise_scale=1.5, seed=seed)
+        path, commands, weights, active = _stepwise_rollout(problem, truth, ctrl,
+                                                            1.5, seed)
+        assert np.array_equal(ro.path, path)
+        assert np.array_equal(ro.commands, commands)
+        assert np.array_equal(ro.weights, weights)
         assert np.array_equal(ro.active, active)
+
+
+def _projected_steps(monkeypatch, problem, truth, ctrl):
+    """The steps at which rollout calls _project_equalities; the recording
+    rollout's path must equal the unpatched one's."""
+    project, steps = _project_equalities, []
+
+    def record(problem, skeleton, n, padded):
+        steps.append(n)
+        return project(problem, skeleton, n, padded)
+
+    monkeypatch.setattr(slgp.execution, "_project_equalities", record)
+    recorded = rollout(problem, truth, ctrl, noise_scale=1.0, seed=5)
+    monkeypatch.undo()
+    assert np.array_equal(recorded.path,
+                          rollout(problem, truth, ctrl, noise_scale=1.0, seed=5).path)
+    return steps
+
+
+def test_rollout_projects_only_at_the_truth_equality_steps(routes, push, elbow,
+                                                           monkeypatch):
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
+    assert sc.truth.id == "unconstrained"
+    assert _projected_steps(monkeypatch, sc.problem, sc.truth, ctrl) == []
+    assert _projected_steps(monkeypatch, sc.problem, sc.skeleton("via-near"),
+                            ctrl) == [_mid_step(sc)]
+    # Both windows of two-finger hold equality rows: the box rests during
+    # the approach and touches both fingers during the contact.
+    truth = push.scenario.skeleton("two-finger")
+    approach, contact = truth.modes
+    assert approach.eq and contact.eq and contact.window[1] == push.scenario.problem.N
+    assert _projected_steps(monkeypatch, push.scenario.problem, truth,
+                            _bundle_controller(push)) == list(range(1, contact.window[1] + 1))
+    # fix-both has equality rows in its contact window alone.
+    truth = elbow.scenario.skeleton("fix-both")
+    free, contact = truth.modes
+    assert not free.eq and contact.eq
+    assert _projected_steps(monkeypatch, elbow.scenario.problem, truth,
+                            _bundle_controller(elbow)) == list(range(contact.window[0],
+                                                                     contact.window[1] + 1))
 
 
 def test_select_skeleton_tie_break_and_hysteresis():
