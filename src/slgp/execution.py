@@ -28,8 +28,9 @@ exact, so away from overflow and underflow (0.5 V) dp has the bits of
 online_weights and compose run the same step after checking n and the
 past.  Rollouts inject Brownian-scale noise into actuated coordinates and
 project the realized configuration back onto the equality manifold of the
-truth skeleton, only at the steps where it has equality rows, which the
-problem's memoized row layout lists.
+truth skeleton at the steps, and with the rows, that the problem's
+memoized row layout lists, cutting rank at RANK_TOL as laplace.eliminate
+does.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplace import future_log_ratios
-from .problem import (FeatureEvalError, PathProblem, Skeleton, _layout, assemble,
-                      cost_value, step_constraints, step_equalities)
+from .problem import (RANK_TOL, FeatureEvalError, PathProblem, Skeleton, _layout,
+                      assemble, cost_value, step_equalities)
 
 Array = np.ndarray
 
@@ -242,15 +243,16 @@ class Rollout:
 def _project_equalities(problem: PathProblem, skeleton: Skeleton, n: int,
                         padded: Array) -> None:
     """Newton projection of x_n, row n+1 of the prefix-padded path, onto
-    the step's active equality manifold, in place."""
-    eq, _ = step_constraints(skeleton, n)
-    if not eq:
+    the step's equality rows in the row layout, in place; singular values
+    below RANK_TOL times the largest count as zero."""
+    eq = _layout(problem, skeleton).equalities.get(n)
+    if eq is None:
         return
     for _ in range(_PROJECT_MAX_ITER):
         h, J = step_equalities(eq, n, padded)
         if np.abs(h).max() <= _PROJECT_TOL:
             return
-        dx, *_ = np.linalg.lstsq(J, -h, rcond=None)
+        dx, *_ = np.linalg.lstsq(J, -h, rcond=RANK_TOL)
         padded[n + 1] += dx
     raise RolloutError(n, f"equality projection stalled, residual {np.abs(h).max():.3e}, "
                           f"last step norm {np.abs(dx).max():.3e}")
@@ -307,8 +309,7 @@ def rollout(problem: PathProblem, truth_skeleton: Skeleton,
     weights = np.zeros((N, K))
     active = np.zeros(N, dtype=int)
     incumbent: int | None = None
-    layout = _layout(problem, truth_skeleton)
-    projected = set(layout.steps[layout.kinds[1]].tolist())
+    projected = _layout(problem, truth_skeleton).equalities
 
     # No overflow warnings: the weights and feature checks name each by step.
     try:

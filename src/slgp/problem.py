@@ -6,6 +6,14 @@ resting start).  A skeleton decorates the horizon with an ordered list of
 modes whose windows partition [1, N] and with switches between
 consecutive modes; modes and switches contribute equality and inequality
 features on windows of at most three consecutive configurations.
+
+One row layout per (problem, skeleton) decides which rows apply at each
+step (_layout).  It lists each item once, in canonical order: the costs
+over steps 1..N, the terminal costs at step N, each mode's equality and
+inequality features over its window and each switch's at its step; one
+numpy pass places their rows.  assemble fills those rows at a path, and
+the rollout projection reads each step's equality rows from the layout
+and cuts their rank at RANK_TOL.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from .features import EFFORT, Array
 # Relative rank tolerance for active constraint rows: a direction whose
 # singular value falls below RANK_TOL times the largest counts as
 # dependent.  Used by the block recursion (laplace.eliminate) that serves
-# both the Laplace weights and the feedback policies.
+# both the Laplace weights and the feedback policies, and by the rollout's
+# equality projection (execution._project_equalities).
 RANK_TOL = 1e-8
 
 
@@ -165,26 +174,6 @@ class PathProblem:
         return {**self.__dict__, "_layouts": {}}
 
 
-def step_constraints(skeleton: Skeleton, n: int):
-    """Equality and inequality features active at step n, in canonical order.
-
-    Order: modes in declared order (windows partition, so at most one is
-    active), then switches with at_step == n; feature declaration order
-    within each.  Every Jacobian row consumer relies on this order.
-    """
-    eq: list[tuple[str, object]] = []
-    ineq: list[tuple[str, object]] = []
-    for mode in skeleton.modes:
-        if mode.window[0] <= n <= mode.window[1]:
-            eq.extend((mode.symbol, f) for f in mode.eq)
-            ineq.extend((mode.symbol, f) for f in mode.ineq)
-    for sw in skeleton.switches:
-        if sw.at_step == n:
-            eq.extend((sw.symbol, f) for f in sw.eq)
-            ineq.extend((sw.symbol, f) for f in sw.ineq)
-    return eq, ineq
-
-
 @dataclass(frozen=True)
 class FeatureStack:
     """All cost and constraint rows at one path, in one row table.
@@ -192,8 +181,8 @@ class FeatureStack:
     kinds slices the table into the cost, equality and inequality rows,
     in that order; within a kind the rows come step by step, and within a
     step in the order of the problem's costs (terminal costs last) or of
-    step_constraints.  values holds each row's value and blocks its
-    Jacobian over the window (x_{n-2}, x_{n-1}, x_n) of its step n,
+    its mode, then its switches.  values holds each row's value and blocks
+    its Jacobian over the window (x_{n-2}, x_{n-1}, x_n) of its step n,
     zero-padded on the left for features on one or two configurations.
     steps, index ((step, label) per row), kinds and effort_mask (the
     effort cost rows) depend on the (problem, skeleton) alone and are
@@ -296,36 +285,45 @@ def _frozen(values, dtype=int) -> Array:
 
 
 class _Rows:
-    """The row layout of one (problem, skeleton) from the (step, label,
-    feature) items of each kind: per feature object and label, the steps
-    where it applies, the first row it fills at each and all its rows;
-    each row's (step, label) and step, the kind slices and the effort mask.
-    Every stack of the pair shares it, so its arrays are read-only.
+    """The row layout from items (kind, label, feature, first step, last
+    step) listed kind by kind in canonical order: rows come kind by kind,
+    step by step, then in item order.  Kept: per item its feature, label,
+    steps, first row at each and all rows; each row's (step, label) and
+    step; the kind slices, the effort mask, and per step with equality
+    rows its (feature, label) pairs.  Its arrays are shared, read-only.
     """
 
-    def __init__(self, kinds):
-        groups: dict = {}
-        index: list[tuple[int, str]] = []
-        effort: list[bool] = []
-        bounds = []
-        for kind, items in enumerate(kinds):
-            start = len(index)
-            for n, label, feat in items:
-                # Keyed by kind too, so that each group's steps ascend.
-                _, _, at, first = groups.setdefault((kind, id(feat), label),
-                                                    (feat, label, [], []))
-                at.append(n)
-                first.append(len(index))
-                index.extend([(n, label)] * feat.size)
-                effort.extend([kind == 0 and getattr(feat, "group", None) == EFFORT]
-                              * feat.size)
-            bounds.append(slice(start, len(index)))
-        self.groups = [(feat, label, _frozen(at), _frozen(first),
-                        _frozen((np.array(first)[:, None] + np.arange(feat.size)).ravel()))
-                       for feat, label, at, first in groups.values()]
-        self.index, self.kinds = tuple(index), tuple(bounds)
-        self.steps = _frozen([n for n, _ in index])
+    def __init__(self, N: int, items):
+        kind, size, lo, hi = np.array([(k, f.size, a, b) for k, _, f, a, b in items],
+                                      dtype=int).reshape(-1, 4).T
+        n = np.arange(1, N + 1)
+        active = (lo[:, None] <= n) & (n <= hi[:, None])
+        # Rows per item and step, summed per (kind, step).  An item's first
+        # row at a step: the first row of its (kind, step), then the rows of
+        # the earlier items there, less those of the earlier kinds.
+        fill = active * size[:, None]
+        per = np.zeros((3, N), dtype=int)
+        np.add.at(per, kind, fill)
+        start = (np.cumsum(per) - per.ravel()).reshape(3, N) - (np.cumsum(per, axis=0) - per)
+        first = start[kind] + np.cumsum(fill, axis=0) - fill
+        labels = np.empty(int(per.sum()), dtype=object)
+        effort = np.zeros(labels.size, dtype=bool)
+        self.groups = []
+        for (k, label, feat, *_), on, at_first in zip(items, active, first):
+            at, firsts = n[on], at_first[on]
+            rows = (firsts[:, None] + np.arange(feat.size)).ravel()
+            labels[rows] = label
+            effort[rows] = k == 0 and getattr(feat, "group", None) == EFFORT
+            self.groups.append((feat, label, _frozen(at), _frozen(firsts), _frozen(rows)))
+        ends = np.cumsum([0, *per.sum(axis=1)]).tolist()
+        self.kinds = tuple(map(slice, ends[:-1], ends[1:]))
+        self.steps = _frozen(np.repeat(np.tile(n, 3), per.ravel()))
+        self.index = tuple(zip(self.steps.tolist(), labels.tolist()))
         self.effort_mask = _frozen(effort, dtype=bool)
+        pairs = [(feat, label) for k, label, feat, *_ in items if k == 1]
+        self.equalities = {m: tuple(p for p, on in zip(pairs, col) if on)
+                           for m, col in enumerate((fill[kind == 1] > 0).T.tolist(), 1)
+                           if any(col)}
 
     def evaluate(self, xp: Array):
         """Values and (rows, 3d) Jacobian blocks in table order, and the
@@ -353,14 +351,12 @@ def _label(feat) -> str:
 
 def _layout(problem: PathProblem, skeleton: Skeleton) -> _Rows:
     """The row table of (problem, skeleton), built on first use and kept
-    on the problem.
-
-    It depends on the problem and the skeleton alone, never on the path.
-    The memo is keyed by the id of the skeleton object and holds the
-    skeleton weakly: the entry leaves the memo when the skeleton dies, so
-    skeletons made per call do not pile up, and an entry whose reference
-    is not this skeleton (its id reused) is rebuilt.  An invalid skeleton
-    raises SkeletonError and is not kept.
+    on the problem; its items are the module docstring's, modes and
+    switches in declared order, and a constraint row is labelled
+    owner:feature.  The memo is keyed by the id of the skeleton object and
+    holds it weakly: the entry leaves when the skeleton dies, and one
+    whose reference is not this skeleton (its id reused) is rebuilt.  An
+    invalid skeleton raises SkeletonError and is not kept.
     """
     entry = problem._layouts.get(id(skeleton))
     if entry is not None and entry[0]() is skeleton:
@@ -368,13 +364,15 @@ def _layout(problem: PathProblem, skeleton: Skeleton) -> _Rows:
     structural = skeleton_structure_violations(skeleton, problem.N)
     if structural:
         raise SkeletonError("; ".join(v.message for v in structural))
-    kinds = ([], [], [])
-    for n in range(1, problem.N + 1):
-        feats = problem.costs if n < problem.N else (*problem.costs, *problem.terminal_costs)
-        kinds[0].extend((n, _label(feat), feat) for feat in feats)
-        for rows, owned in zip(kinds[1:], step_constraints(skeleton, n)):
-            rows.extend((n, f"{owner}:{_label(feat)}", feat) for owner, feat in owned)
-    table = _Rows(kinds)
+    N = problem.N
+    items = [(0, _label(f), f, 1, N) for f in problem.costs]
+    items += [(0, _label(f), f, N, N) for f in problem.terminal_costs]
+    owners = ([(m, *m.window) for m in skeleton.modes]
+              + [(sw, sw.at_step, sw.at_step) for sw in skeleton.switches])
+    for kind, attr in ((1, "eq"), (2, "ineq")):
+        items += [(kind, f"{owner.symbol}:{_label(f)}", f, lo, hi)
+                  for owner, lo, hi in owners for f in getattr(owner, attr)]
+    table = _Rows(N, items)
     memo, key = problem._layouts, id(skeleton)
     memo[key] = (weakref.ref(skeleton, lambda _: memo.pop(key, None)), table)
     return table
@@ -383,14 +381,13 @@ def _layout(problem: PathProblem, skeleton: Skeleton) -> _Rows:
 def step_equalities(eq, n: int, xp: Array) -> tuple[Array, Array]:
     """Values and Jacobians with respect to x_n of step n's equality rows.
 
-    eq is the nonempty list of (owner, feature) pairs that step_constraints
-    gives for step n, and the rows come in its canonical order; xp is the
-    path with the two prefix rows in front, read up to x_n.  Checked and
-    labelled as in assemble.
+    eq is the nonempty tuple of (feature, label) pairs that the row layout
+    lists for step n (_Rows.equalities), and the rows come in its order;
+    xp is the path with the two prefix rows in front, read up to x_n.
+    Checked and labelled as in assemble.
     """
     steps, d = np.array([n]), xp.shape[1]
-    values, jacs = zip(*(_eval_group(feat, f"{owner}:{_label(feat)}", xp, steps)
-                         for owner, feat in eq))
+    values, jacs = zip(*(_eval_group(feat, label, xp, steps) for feat, label in eq))
     # Features of different windows may share a step: keep the x_n columns
     # of each group before joining them.
     return (np.concatenate(values, axis=1)[0],

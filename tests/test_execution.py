@@ -13,10 +13,12 @@ from slgp.execution import (BLENDING, CompositeController, RolloutError,
 from slgp.features import AffineFeature, FiniteDifference
 from slgp.kodp import backward_pass, quadratize
 from slgp.laplace import build_component, future_log_ratios, mixture_weights
-from slgp.problem import (Mode, Skeleton, Switch, step_constraints,
-                          step_equalities)
+from slgp.problem import (FeatureEvalError, Mode, Skeleton, Switch, _layout,
+                          assemble, step_equalities)
 from slgp.scenarios import ContactPointTouch, ScenarioParams, build_scenario
 from slgp.solver import SolverConfig, solve
+
+from path_windows import step_constraints
 
 
 @pytest.fixture(scope="module")
@@ -549,16 +551,68 @@ def test_projection_mixes_feature_windows_at_one_step(push):
                   modes=(Mode("approach", (1, s - 1), eq=(rest,)),
                          Mode("hold", (s, N), eq=(rest,))),
                   switches=(Switch("touch", s, eq=(touch,)),))
-    eq, _ = step_constraints(sk, s)
+    eq = _layout(problem, sk).equalities[s]
+    assert eq == tuple((f, f"{owner}:{f.name}") for owner, f in step_constraints(sk, s)[0])
     padded = np.tile(problem.prefix[0], (N + 2, 1))
     padded[s + 1] += np.random.default_rng(3).normal(scale=0.05, size=d)
     h, J = step_equalities(eq, s, padded)
-    windows = [padded[s + 2 - f.window:s + 2] for _, f in eq]
-    assert np.array_equal(h, np.concatenate([f.eval(xs)[0] for (_, f), xs in zip(eq, windows)]))
-    assert np.array_equal(J, np.vstack([f.eval(xs)[1][:, -d:] for (_, f), xs in zip(eq, windows)]))
+    windows = [padded[s + 2 - f.window:s + 2] for f, _ in eq]
+    assert np.array_equal(h, np.concatenate([f.eval(xs)[0] for (f, _), xs in zip(eq, windows)]))
+    assert np.array_equal(J, np.vstack([f.eval(xs)[1][:, -d:] for (f, _), xs in zip(eq, windows)]))
     _project_equalities(problem, sk, s, padded)
-    for (_, f), xs in zip(eq, [padded[s + 2 - f.window:s + 2] for _, f in eq]):
+    for (f, _), xs in zip(eq, [padded[s + 2 - f.window:s + 2] for f, _ in eq]):
         assert np.abs(f.eval(xs)[0]).max() <= 1e-9
+
+
+def _switch_rows_at(problem, s, *rows):
+    """A two-mode skeleton whose switch at step s holds the given rows."""
+    return Skeleton(id="switch-rows",
+                    modes=(Mode("a", (1, s - 1)), Mode("b", (s, problem.N))),
+                    switches=(Switch("s", s, eq=rows),))
+
+
+def test_projection_cuts_rank_at_rank_tol(routes):
+    sc, elims, comps = routes
+    ctrl = build_controller(elims, comps)
+    # Two rows at step 3 whose Jacobians differ by 1e-10, with residuals 0
+    # and 1e-6 where the controller puts x_3: only a step of 1e4 along the
+    # second coordinate would meet both.  Below RANK_TOL they count as one
+    # row, so the projection meets their mean and stalls.
+    x3 = rollout(sc.problem, sc.truth, ctrl, noise_scale=0.0).path[2]
+    first = AffineFeature(np.array([[1.0, 0.0]]), -x3[:1], window=1, name="first")
+    near = AffineFeature(np.array([[1.0, 1e-10]]),
+                         np.array([1e-6 - x3[0] - 1e-10 * x3[1]]), window=1, name="near")
+    truth = _switch_rows_at(sc.problem, 3, first, near)
+    with pytest.raises(RolloutError) as info:
+        rollout(sc.problem, truth, ctrl, noise_scale=0.0)
+    assert info.value.step == 3
+    assert str(info.value).startswith("rollout aborted at step 3: equality projection "
+                                      "stalled, residual 5.000e-07, ")
+
+
+class _Window:
+    """A one-row feature declaring a window the evaluator does not take."""
+
+    size, name = 1, "wide"
+
+    def __init__(self, window):
+        self.window = window
+
+    def eval(self, xs):
+        raise AssertionError("a bad window must be refused before eval")
+
+
+@pytest.mark.parametrize("width", [0, 4])
+def test_a_bad_feature_window_is_named(routes, width):
+    sc, elims, comps = routes
+    truth = _switch_rows_at(sc.problem, 3, _Window(width))
+    message = f"feature 's:wide' at step 3: window {width} is not 1, 2 or 3"
+    with pytest.raises(FeatureEvalError) as info:
+        assemble(sc.problem, truth, comps[0].x_star)
+    assert (info.value.step, info.value.label, str(info.value)) == (3, "s:wide", message)
+    with pytest.raises(RolloutError) as info:
+        rollout(sc.problem, truth, build_controller(elims, comps), noise_scale=0.0)
+    assert (info.value.step, str(info.value)) == (3, f"rollout aborted at step 3: {message}")
 
 
 def test_rollout_refuses_a_controller_planned_for_another_shape(routes, elbow):

@@ -10,12 +10,11 @@ from slgp.execution import build_controller
 from slgp.features import AccelerationPenalty, coordinate_target
 from slgp.kodp import PolicyError, backward_pass, quadratize
 from slgp.laplace import build_component
-from slgp.problem import (PathProblem, assemble, cost_value, free_skeleton,
-                          step_constraints)
+from slgp.problem import PathProblem, assemble, cost_value, free_skeleton
 from slgp.selftest import _dense_qp_oracle, _optimal_cost, _roll_policy  # noqa: PLC2701
 from slgp.solver import SolverConfig, solve
 
-from path_windows import window
+from path_windows import step_constraints, window
 
 TIGHT = SolverConfig(tol_step=1e-12, hessian_reg=1e-12)
 

@@ -10,11 +10,12 @@ import pytest
 from slgp.features import EFFORT, AccelerationPenalty, AffineFeature, coordinate_target
 from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                           SkeletonError, Switch, assemble, constraint_violation, cost_value,
-                          free_skeleton, skeleton_structure_violations,
-                          step_constraints, validate_skeleton)
+                          _layout, free_skeleton, skeleton_structure_violations,
+                          validate_skeleton)
+from slgp.scenarios import ScenarioParams, build_scenario
 from slgp.selftest import dense_jacobian
 
-from path_windows import window
+from path_windows import step_constraints, window
 
 
 def _toy_problem(N=6, d=2):
@@ -82,17 +83,22 @@ def test_allowed_transition_validates_clean():
     assert validate_skeleton(sk, {("walk", "hop"): ("slide",)}, 8) == []
 
 
-def test_step_constraints_canonical_order():
+def test_layout_canonical_order():
     eq_a = AffineFeature(np.eye(1), np.zeros(1), window=1, name="mode-row")
     eq_b = AffineFeature(np.eye(1), np.zeros(1), window=1, name="switch-row")
+    problem = _toy_problem(d=1)
     sk = Skeleton(id="t",
                   modes=(Mode("a", (1, 3)), Mode("b", (4, 6), eq=(eq_a,))),
                   switches=(Switch("s", 4, eq=(eq_b,)),))
-    eq, ineq = step_constraints(sk, 4)
-    assert [(owner, f.name) for owner, f in eq] == [("b", "mode-row"),
-                                                    ("s", "switch-row")]
-    assert ineq == []
-    assert step_constraints(sk, 3) == ([], [])
+    stack = assemble(problem, sk, np.zeros((6, 1)))
+    # Step 3 has no rows; step 4 has the mode's row, then the switch's.
+    assert stack.index[stack.kinds[1]] == ((4, "b:mode-row"), (4, "s:switch-row"),
+                                           (5, "b:mode-row"), (6, "b:mode-row"))
+    assert stack.ineq.size == 0
+    table = _layout(problem, sk)
+    assert table.equalities[4] == ((eq_a, "b:mode-row"), (eq_b, "s:switch-row"))
+    assert 3 not in table.equalities
+    assert table.equalities[5] == ((eq_a, "b:mode-row"),)
 
 
 def test_free_skeleton_assembles_no_constraint_rows():
@@ -205,12 +211,48 @@ def _dense(rows, N, d):
     return J[:, 2 * d:]
 
 
-@pytest.mark.parametrize("name", ["elbow", "push", "tworoute"])
-def test_batched_stack_matches_the_per_step_oracle(name, request):
-    scenario = request.getfixturevalue(name).scenario
-    problem = scenario.problem
+def _shared_feature_problem():
+    """One feature object serving two modes, and a switch whose rows share
+    its step with a mode's rows."""
+    problem = _toy_problem(N=7)
+    shared = AffineFeature(np.array([[1.0, -1.0]]), np.array([0.2]), window=1,
+                           name="shared")
+    touch = AffineFeature(np.array([[0.5, 0.0, 0.0, 1.0]]), np.zeros(1), window=2,
+                          name="touch")
+    cap = AffineFeature(np.array([[1.0, 0.0]]), np.array([-0.4]), window=1,
+                        name="cap")
+    sk = Skeleton(id="shared",
+                  modes=(Mode("a", (1, 3), eq=(shared,), ineq=(cap,)),
+                         Mode("b", (4, 7), eq=(shared, touch), ineq=(cap,))),
+                  switches=(Switch("s", 4, eq=(touch,), ineq=(cap,)),))
+    return problem, (sk,)
+
+
+def _scenario_case(name, N=None):
+    def case(request):
+        scenario = (request.getfixturevalue(name).scenario if N is None
+                    else build_scenario(ScenarioParams(name=name, N=N)))
+        return scenario.problem, scenario.skeletons
+    return case
+
+
+ORACLE_CASES = {
+    "elbow": _scenario_case("elbow"),
+    "push": _scenario_case("push"),
+    "tworoute": _scenario_case("tworoute"),
+    "elbow-N4": _scenario_case("elbow", 4),
+    "push-N4": _scenario_case("push", 4),
+    "tworoute-N4": _scenario_case("tworoute", 4),
+    "tworoute-N160": _scenario_case("tworoute", 160),
+    "shared-feature": lambda request: _shared_feature_problem(),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_batched_stack_matches_the_per_step_oracle(case, request):
+    problem, skeletons = ORACLE_CASES[case](request)
     rng = np.random.default_rng(41)
-    for skeleton in scenario.skeletons:
+    for skeleton in skeletons:
         for _ in range(2):
             x = (np.tile(problem.prefix[1], (problem.N, 1))
                  + rng.normal(scale=0.3, size=(problem.N, problem.d)))
@@ -231,6 +273,13 @@ def test_batched_stack_matches_the_per_step_oracle(name, request):
             assert np.array_equal(stack.effort_mask,
                                   [e for kind in ("cost", "eq", "ineq")
                                    for *_, e in oracle[kind]])
+        # The projection's per-step pairs are the step's equality rows.
+        walked = {}
+        for n in range(1, problem.N + 1):
+            eq, _ = step_constraints(skeleton, n)
+            if eq:
+                walked[n] = tuple((f, f"{owner}:{f.name}") for owner, f in eq)
+        assert _layout(problem, skeleton).equalities == walked
 
 
 BUNDLED_SKELETONS = [("elbow", "free"), ("elbow", "fix-joint-1"),
