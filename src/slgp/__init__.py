@@ -11,13 +11,12 @@ from .features import (EFFORT, TASK, AccelerationPenalty, AffineFeature,
                        coordinate_target)
 from .problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                       SkeletonError, Switch, Violation, assemble,
-                      constraint_violation, cost_value, free_skeleton,
-                      validate_skeleton)
+                      constraint_violation, cost_value, free_skeleton)
 from .solver import NlpSolution, SolverConfig, SolverError, kkt_residuals, solve
 from .laplace import (LaplaceComponent, PathMixture, SingularComponentError,
-                      build_component, build_mixture, future_log_ratios,
-                      mixture_weights, multimodal_cost, nullspace_basis,
-                      sample_paths)
+                      build_component, build_components, build_mixture,
+                      future_log_ratios, mixture_weights, multimodal_cost,
+                      nullspace_basis, sample_paths)
 from .kodp import PolicyError, backward_pass, quadratize
 from .execution import (CompositeController, Rollout, RolloutError,
                         build_controller, compose, online_weights, rollout,
@@ -31,11 +30,12 @@ __all__ = [
     "FiniteDifference", "check_jacobian", "coordinate_target",
     "FeatureEvalError", "Mode", "PathProblem", "Skeleton", "SkeletonError",
     "Switch", "Violation", "assemble", "constraint_violation", "cost_value",
-    "free_skeleton", "validate_skeleton",
+    "free_skeleton",
     "NlpSolution", "SolverConfig", "SolverError", "kkt_residuals", "solve",
     "LaplaceComponent", "PathMixture", "SingularComponentError",
-    "build_component", "build_mixture", "future_log_ratios",
-    "mixture_weights", "multimodal_cost", "nullspace_basis", "sample_paths",
+    "build_component", "build_components", "build_mixture",
+    "future_log_ratios", "mixture_weights", "multimodal_cost",
+    "nullspace_basis", "sample_paths",
     "PolicyError", "backward_pass", "quadratize",
     "CompositeController", "Rollout", "RolloutError", "build_controller",
     "compose", "online_weights", "rollout", "select_skeleton",

@@ -6,10 +6,11 @@ stream is seeded explicitly.
 
 Each command checks every argument before it plans, so a bad argument
 exits with a message before any skeleton is solved or any output
-directory is created.  It then plans once, into one record per skeleton,
-and writes every artifact from those records.  `simulate` writes each
-seed's rollout records as soon as the seed finishes, so its memory does
-not grow with the record count.
+directory is created.  It then plans once: it solves every skeleton, then
+builds the Laplace components of the converged ones in one elimination
+pass, into one record per skeleton, and writes every artifact from those
+records.  `simulate` writes each seed's rollout records as soon as the
+seed finishes, so its memory does not grow with the record count.
 
 Skeletons (plan) and seeds (simulate) run one after another on one
 thread.  The solves and rollouts are mostly Python code holding the global
@@ -31,9 +32,8 @@ import numpy as np
 
 from .execution import (BLENDING, SWITCHING, RolloutError, build_controller,
                         check_disturbance, rollout)
-from .laplace import (UNNORMALIZED, SingularComponentError, build_component,
+from .laplace import (UNNORMALIZED, SingularComponentError, build_components,
                       build_mixture)
-from .problem import validate_skeleton
 from .scenarios import Scenario, ScenarioParams, build_scenario
 from .selftest import ALL_SUITES, run_suites
 from .solver import SolverConfig, solve
@@ -166,8 +166,8 @@ def _kkt_dict(kkt) -> dict:
 
 def _plan_scenario(command: str, scenario: Scenario, solver_cfg: SolverConfig,
                    out: Path, collect_trace: bool = False):
-    """Check every skeleton, create out, solve each skeleton and build its
-    Laplace component.
+    """Create out, solve every skeleton, then build the Laplace components
+    of the converged ones in one elimination pass.
 
     Returns one (skeleton, solution, component, drop reason) record per
     skeleton, in skeleton order.  A skeleton without a component has None
@@ -176,29 +176,26 @@ def _plan_scenario(command: str, scenario: Scenario, solver_cfg: SolverConfig,
     singular pivot.  Running out of memory exits naming the command and
     the horizon.
     """
-    for sk in scenario.skeletons:
-        bad = validate_skeleton(sk, scenario.successors, scenario.problem.N)
-        if bad:
-            raise SystemExit(f"skeleton '{sk.id}' invalid: "
-                             + "; ".join(v.message for v in bad))
     out.mkdir(parents=True, exist_ok=True)
-    records = []
     try:
-        for sk in scenario.skeletons:
-            sol = solve(scenario.problem, sk, config=solver_cfg,
-                        collect_trace=collect_trace)
-            comp, reason = None, None
-            if not sol.converged:
-                reason = f"solver status {sol.status}"
-            else:
-                try:
-                    comp = build_component(scenario.problem, sk, sol)
-                except SingularComponentError as exc:
-                    reason = str(exc)
-            records.append((sk, sol, comp, reason))
+        solved = [(sk, solve(scenario.problem, sk, config=solver_cfg,
+                             collect_trace=collect_trace))
+                  for sk in scenario.skeletons]
+        built = iter(build_components(scenario.problem,
+                                      [(sk, sol) for sk, sol in solved if sol.converged]))
     except MemoryError as exc:
         raise SystemExit(f"{command}: out of memory on scenario {scenario.name} "
                          f"(N={scenario.params.N}, d={scenario.problem.d}): {exc}") from None
+    records = []
+    for sk, sol in solved:
+        if not sol.converged:
+            records.append((sk, sol, None, f"solver status {sol.status}"))
+            continue
+        comp = next(built)
+        if isinstance(comp, SingularComponentError):
+            records.append((sk, sol, None, str(comp)))
+        else:
+            records.append((sk, sol, comp, None))
     return records
 
 

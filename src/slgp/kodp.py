@@ -7,8 +7,8 @@ execution.build_controller stacks it straight from each component's
 Elimination.  This module remains because perfbench/run.py and
 perfbench/spans.py call quadratize, backward_pass and PolicyError by
 these names: backward_pass eliminates the full cost of an expansion
-alone, and gives the same slice 0 as the component's two-distribution
-elimination.
+alone, as a batch of one, and gives the same slice 0 as the component's
+two-distribution elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def backward_pass(expansion: Expansion) -> Elimination:
 
     A singular pivot raises PolicyError naming the skeleton and the step.
     """
-    try:
-        return eliminate(expansion, count=1)
-    except SingularComponentError as exc:
-        raise PolicyError(str(exc)) from exc
+    elimination, = eliminate([expansion], count=1)
+    if isinstance(elimination, SingularComponentError):
+        raise PolicyError(str(elimination)) from elimination
+    return elimination

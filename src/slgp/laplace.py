@@ -38,6 +38,10 @@ so the pivot terms for k >= n are exactly those of the future n..N with
 the past held fixed: log_ratio is the sum of all the terms and the future
 log ratios are their suffix sums.
 
+One pass of eliminate weighs all kept skeletons of a problem: their
+distributions are stacked on one batch axis.  A step where a skeleton has
+no rows (Z_k = I, T_k = 0) is taken by slicing its block of the batch,
+and only the skeletons with rows at a step are split, each on its own.
 Each skeleton is eliminated once, and its LaplaceComponent keeps the
 per-step products for three readers, which only slice and multiply: the
 weights (the half log-determinants), the sampler's forward ancestral
@@ -202,102 +206,192 @@ class Elimination:
     notes: tuple
 
 
-def eliminate(expansion: Expansion, count: int = len(DISTRIBUTIONS)) -> Elimination:
-    """Run the block recursion over the first count distributions.
+def eliminate(expansions, count: int = len(DISTRIBUTIONS)) -> list:
+    """Run the block recursion over the first count distributions of every
+    expansion in one pass.
 
-    A pivot whose smallest eigenvalue is at most _EIG_FLOOR times its mean
-    eigenvalue raises SingularComponentError naming the skeleton and the
-    step.
+    The expansions are the skeletons of one problem: they share N, d and
+    the prefix, and their K x count distributions are stacked on one batch
+    axis.  At a step where a skeleton has no rows, Z_k = I and T_k = 0, so
+    S_k only selects p from the window: its (G S)_x and new V are taken out
+    of G, not multiplied, and the pivots of all such skeletons are
+    factored together.  Each skeleton with rows at the step, its own or
+    carried ones, runs its SVD, carried rows, notes and pivot on its own,
+    since r_k differs between skeletons.
+
+    Returns one entry per expansion, in order: its Elimination, or the
+    SingularComponentError of its first pivot whose smallest eigenvalue is
+    at most _EIG_FLOOR times its mean eigenvalue, naming the skeleton and
+    the step.  That skeleton leaves the batch; the others go on.
     """
-    grams = expansion.grams[:, :count]
-    N, d = len(expansion.rows), expansion.d
-    two_d = 2 * d
-    carried: list[list[Array]] = [[] for _ in range(N + 1)]
-    scale = np.zeros(N + 1)
-    notes: list[tuple[int, str]] = []
+    if count not in range(1, len(DISTRIBUTIONS) + 1):
+        raise ValueError(f"count must be 1 or {len(DISTRIBUTIONS)}, got {count!r}")
+    expansions = tuple(expansions)
+    if not expansions:
+        return []
+    first = expansions[0]
+    N, d = len(first.rows), first.d
+    for other in expansions[1:]:
+        if ((len(other.rows), other.d) != (N, d)
+                or not np.array_equal(other.prefix, first.prefix)):
+            raise ValueError(f"expansions of skeletons '{first.skeleton_id}' and "
+                             f"'{other.skeleton_id}' differ in N, d or the prefix")
+    K, two_d, width = len(expansions), 2 * d, 3 * d + 1
+    x = slice(two_d, 3 * d)
+    # The window columns of the past p = (x_{k-2}, x_{k-1}, 1), and the
+    # entries of the window's Gram that S^T G S selects at T_k = 0.
+    past = np.r_[0:two_d, 3 * d]
+    past_gram = (past[:, None] * width + past).ravel()
+    eye = np.eye(d)
+    grams = np.stack([e.grams[:, :count] for e in expansions], axis=1)
+    carried = [[[] for _ in range(N + 1)] for _ in range(K)]
+    scale = np.zeros((K, N + 1))
+    notes: list[list[tuple[int, str]]] = [[] for _ in range(K)]
+    errors: dict[int, SingularComponentError] = {}
 
-    law = np.zeros((N, count, d, two_d + 1))
-    roots = [None] * N
-    half_logdet = np.zeros((N, count))
-    values = np.zeros((N, count, two_d + 1, two_d + 1))
-    S = np.zeros((3 * d + 1, two_d + 1))
+    def singular(i: int, k: int, lam: Array) -> bool:
+        """Record skeleton i's error if one of its pivots (rows of lam) is singular."""
+        low = lam[:, 0] <= _EIG_FLOOR * (lam.sum(axis=1) / lam.shape[1])
+        if not low.any():
+            return False
+        which = int(np.argmax(low))
+        errors[i] = SingularComponentError(
+            f"{_PIVOTS[which]} of skeleton '{expansions[i].skeleton_id}' at step {k}",
+            float(lam[which, 0]))
+        return True
+
+    def fold(at, dest, Z: Array, lam: Array, Q: Array) -> Array:
+        """Fold the factored pivots Q diag(lam) Q^T of batch positions at
+        (skeletons dest) into the step's law, V and half log-determinants;
+        returns root."""
+        root = Z @ Q / np.sqrt(lam)[..., None, :]
+        C = root.swapaxes(-1, -2) @ GS_x[at]
+        law[dest, k - 1] -= root @ C
+        V[at] -= C.swapaxes(-1, -2) @ C
+        half_logdet[dest, k - 1] = 0.5 * np.log(lam).sum(axis=-1)
+        return root
+
+    law = np.zeros((K, N, count, d, two_d + 1))
+    roots = [[None] * N for _ in range(K)]
+    half_logdet = np.zeros((K, N, count))
+    values = np.zeros((K, N, count, two_d + 1, two_d + 1))
+    S = np.zeros((width, two_d + 1))
     S[:two_d, :two_d] = np.eye(two_d)
     S[-1, -1] = 1.0
-    V = np.zeros((count, two_d + 1, two_d + 1))
+    # Batch position j holds skeleton alive[j]; out selects their output
+    # rows, all of them until a skeleton leaves the batch.
+    alive, out = list(range(K)), slice(None)
+    V = np.zeros((K, count, two_d + 1, two_d + 1))
     for k in range(N, 0, -1):
-        Z, Tk = np.eye(d), np.zeros((d, two_d))
-        R = np.vstack([expansion.rows[k - 1], *carried[k]])
-        if R.size:
-            past, M = R[:, :two_d], R[:, two_d:]
-            U, s, vt = np.linalg.svd(M)
-            ref = max(s[0], scale[k])
-            rank = int(np.sum(s > RANK_TOL * ref))
-            Z = vt[rank:].T
-            Tk = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ past)
-            dropped = 0
-            for row in U[:, rank:].T @ past:
-                # A combination free of x_k that still constrains the past:
-                # a row of step k-1 over (x_{k-3}, x_{k-2}, x_{k-1}).
-                if k > 1 and np.abs(row).max() > RANK_TOL * ref:
-                    carried[k - 1].append(np.concatenate([np.zeros(d), row]))
-                    scale[k - 1] = max(scale[k - 1], ref)
-                else:
-                    dropped += 1
-            if carried[k - 1]:
-                notes.append((k, f"carried {len(carried[k - 1])} constraint rows "
-                                 f"to step {k - 1}"))
-            if dropped:
-                notes.append((k, f"dropped {dropped} dependent constraint rows"))
         # The window's Gram with the later steps folded into the
         # (x_{k-1}, x_k, 1) block; with x_k = T_k p + Z_k y the cost is
         # 1/2 p^T S^T G S p + y^T Z^T (G S)_x p + 1/2 y^T pivot y, and
-        # eliminating y subtracts C^T C.
-        S[two_d:3 * d, :two_d] = Tk
+        # eliminating y subtracts C^T C.  At T_k = 0, S only selects p.
         G = grams[k - 1].copy()
-        G[:, d:, d:] += V
-        GS = G @ S
-        V = S.T @ GS
-        E = G[:, two_d:3 * d, two_d:3 * d]
-        pivot = Z.T @ E @ Z
-        lam, Q = np.linalg.eigh(0.5 * (pivot + pivot.transpose(0, 2, 1)))
-        if Z.shape[1]:
-            for label, low, bound in zip(_PIVOTS, lam[:, 0],
-                                         _EIG_FLOOR * lam.mean(axis=1)):
-                if low <= bound:
-                    raise SingularComponentError(
-                        f"{label} of skeleton '{expansion.skeleton_id}' at step {k}",
-                        float(low))
-        root = Z @ Q / np.sqrt(lam)[:, None, :]
-        C = root.transpose(0, 2, 1) @ GS[:, two_d:3 * d]
-        law[k - 1, :, :, :two_d] = Tk
-        law[k - 1] -= root @ C
-        V -= C.transpose(0, 2, 1) @ C
-        V = 0.5 * (V + V.transpose(0, 2, 1))
-        values[k - 1], roots[k - 1] = V, root
-        half_logdet[k - 1] = 0.5 * np.log(lam).sum(axis=1)
-    return Elimination(skeleton_id=expansion.skeleton_id, law=law, root=tuple(roots),
-                       half_logdet=half_logdet, V=values, notes=tuple(notes))
+        G[:, :, d:, d:] += V
+        GS_x = G[:, :, x].take(past, axis=3)
+        V = G.reshape(len(alive), count, -1).take(past_gram, axis=2).reshape(V.shape)
+        free = []
+        for j, i in enumerate(alive):
+            if not (len(expansions[i].rows[k - 1]) or carried[i][k]):
+                free.append(j)
+                continue
+            R = np.vstack([expansions[i].rows[k - 1], *carried[i][k]])
+            U, s, vt = np.linalg.svd(R[:, two_d:])
+            ref = max(s[0], scale[i, k])
+            rank = int(np.sum(s > RANK_TOL * ref))
+            Z = vt[rank:].T
+            Tk = -(vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ R[:, :two_d])
+            dropped = 0
+            for row in U[:, rank:].T @ R[:, :two_d]:
+                # A combination free of x_k that still constrains the past:
+                # a row of step k-1 over (x_{k-3}, x_{k-2}, x_{k-1}).
+                if k > 1 and np.abs(row).max() > RANK_TOL * ref:
+                    carried[i][k - 1].append(np.concatenate([np.zeros(d), row]))
+                    scale[i, k - 1] = max(scale[i, k - 1], ref)
+                else:
+                    dropped += 1
+            if carried[i][k - 1]:
+                notes[i].append((k, f"carried {len(carried[i][k - 1])} constraint rows "
+                                    f"to step {k - 1}"))
+            if dropped:
+                notes[i].append((k, f"dropped {dropped} dependent constraint rows"))
+            S[x, :two_d] = Tk
+            GS = G[j] @ S
+            V[j] = S.T @ GS
+            S[x, :two_d] = 0.0
+            GS_x[j] = GS[:, x]
+            pivot = Z.T @ G[j, :, x, x] @ Z
+            lam, Q = np.linalg.eigh(0.5 * (pivot + pivot.swapaxes(-1, -2)))
+            if Z.shape[1] and singular(i, k, lam):
+                continue
+            law[i, k - 1, :, :, :two_d] = Tk
+            roots[i][k - 1] = fold(j, i, Z, lam, Q)
+        if free:
+            # Z_k = I: each pivot is the x_k block of G.  root is still
+            # formed as the product Z_k Q, which equals Q but stores its
+            # -0.0 as +0.0, as the steps with rows do.
+            at = slice(None) if len(free) == len(alive) else np.array(free)
+            E = G[at, :, x, x]
+            lam, Q = np.linalg.eigh(0.5 * (E + E.swapaxes(-1, -2)))
+            if (lam[:, :, 0] <= _EIG_FLOOR * (lam.sum(axis=2) / d)).any():
+                ok = [not singular(alive[j], k, lam[n]) for n, j in enumerate(free)]
+                at, lam, Q = np.array(free)[ok], lam[ok], Q[ok]
+            dest = out if isinstance(at, slice) else np.array(alive)[at]
+            root = fold(at, dest, eye, lam, Q)
+            for i, r in zip(np.array(alive)[at].tolist(), root):
+                roots[i][k - 1] = r
+        V = 0.5 * (V + V.swapaxes(-1, -2))
+        values[out, k - 1] = V
+        if errors and len(errors) + len(alive) > K:
+            kept = [j for j, i in enumerate(alive) if i not in errors]
+            alive, V, grams = [alive[j] for j in kept], V[kept], grams[:k - 1, kept]
+            out = np.array(alive, dtype=int)
+            if not alive:
+                break
+    return [errors[i] if i in errors else
+            Elimination(skeleton_id=e.skeleton_id, law=law[i], root=tuple(roots[i]),
+                        half_logdet=half_logdet[i], V=values[i], notes=tuple(notes[i]))
+            for i, e in enumerate(expansions)]
+
+
+def build_components(problem: PathProblem, solved) -> list:
+    """Laplace components of converged (skeleton, solution) pairs of one
+    problem, by one eliminate over all of their expansions.
+
+    Returns one entry per pair, in order: its LaplaceComponent, or the
+    SingularComponentError naming the skeleton, the step and the smallest
+    eigenvalue of its singular pivot.
+    """
+    solved = tuple(solved)
+    for skeleton, solution in solved:
+        if not solution.converged:
+            raise ValueError(f"solution for '{skeleton.id}' is not converged "
+                             f"(status {solution.status})")
+    expansions = [quadratize(problem, skeleton, solution) for skeleton, solution in solved]
+    out = []
+    for (_, solution), expansion, elim in zip(solved, expansions, eliminate(expansions)):
+        if isinstance(elim, SingularComponentError):
+            out.append(elim)
+            continue
+        terms = elim.half_logdet[:, 1] - elim.half_logdet[:, 0]
+        out.append(LaplaceComponent(skeleton_id=expansion.skeleton_id,
+                                    x_star=expansion.x_ref, prefix=expansion.prefix,
+                                    rank=sum(root.shape[2] for root in elim.root),
+                                    f_star=solution.f_star,
+                                    log_ratio=float(_suffix_sums(terms)[0]),
+                                    terms=terms, elimination=elim))
+    return out
 
 
 def build_component(problem: PathProblem, skeleton: Skeleton,
                     solution: NlpSolution) -> LaplaceComponent:
-    """Laplace component at a converged solution, by eliminate.
-
-    A singular pivot of either Hessian raises SingularComponentError
-    naming the skeleton and the step.
-    """
-    if not solution.converged:
-        raise ValueError(f"solution for '{skeleton.id}' is not converged "
-                         f"(status {solution.status})")
-    expansion = quadratize(problem, skeleton, solution)
-    elim = eliminate(expansion)
-    terms = elim.half_logdet[:, 1] - elim.half_logdet[:, 0]
-    return LaplaceComponent(skeleton_id=skeleton.id, x_star=expansion.x_ref,
-                            prefix=expansion.prefix,
-                            rank=sum(root.shape[2] for root in elim.root),
-                            f_star=solution.f_star,
-                            log_ratio=float(_suffix_sums(terms)[0]), terms=terms,
-                            elimination=elim)
+    """build_components of one pair: its component, or its
+    SingularComponentError raised."""
+    component, = build_components(problem, [(skeleton, solution)])
+    if isinstance(component, SingularComponentError):
+        raise component
+    return component
 
 
 def mixture_weights(f_star, log_ratio) -> Array:

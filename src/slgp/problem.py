@@ -80,7 +80,7 @@ class Violation:
 
 
 def skeleton_structure_violations(skeleton: Skeleton, n_steps: int) -> list[Violation]:
-    """Window partition and switch-count checks, no successor table needed."""
+    """Window partition and switch-count checks."""
     out: list[Violation] = []
     prev_end = 0
     for mode in skeleton.modes:
@@ -103,25 +103,6 @@ def skeleton_structure_violations(skeleton: Skeleton, n_steps: int) -> list[Viol
     for sw in skeleton.switches:
         if not 1 <= sw.at_step <= n_steps:
             out.append(Violation("switches", f"switch '{sw.symbol}' at step {sw.at_step} leaves [1, {n_steps}]"))
-    return out
-
-
-def validate_skeleton(skeleton: Skeleton, successors, n_steps: int) -> list[Violation]:
-    """Full skeleton validation against a successor table.
-
-    successors maps (mode symbol, switch symbol) to a collection of legal
-    next-mode symbols.  Returns a list of violations; empty means valid.
-    Never raises.
-    """
-    out = skeleton_structure_violations(skeleton, n_steps)
-    if len(skeleton.switches) == max(len(skeleton.modes) - 1, 0):
-        for i, sw in enumerate(skeleton.switches):
-            prev = skeleton.modes[i].symbol
-            nxt = skeleton.modes[i + 1].symbol
-            allowed = successors.get((prev, sw.symbol), ())
-            if nxt not in allowed:
-                out.append(Violation("transition",
-                                     f"'{prev}' --{sw.symbol}--> '{nxt}' not in successor table"))
     return out
 
 

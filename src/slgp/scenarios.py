@@ -107,7 +107,6 @@ class Scenario:
     name: str
     problem: PathProblem
     skeletons: tuple[Skeleton, ...]
-    successors: dict
     target_coords: Array | None
     target_values: Array | None
     final_error: Callable[[Array], float]
@@ -231,18 +230,14 @@ def build_elbow(params: ScenarioParams) -> Scenario:
         contact_skeleton((2,), "fix-joint-2"),
         contact_skeleton((1, 2), "fix-both"),
     )
-    successors = {("free", "touch-1"): ("contact-1",),
-                  ("free", "touch-2"): ("contact-2",),
-                  ("free", "touch-12"): ("contact-12",)}
 
     def final_error(x_final: Array) -> float:
         tip = arm_joint_positions(x_final, lengths)[-1]
         return float(np.linalg.norm(tip - target))
 
     return Scenario(name="elbow", problem=problem, skeletons=skeletons,
-                    successors=successors, target_coords=None,
-                    target_values=None, final_error=final_error,
-                    truth=None, params=params)
+                    target_coords=None, target_values=None,
+                    final_error=final_error, truth=None, params=params)
 
 
 # --- quasi-static push ----------------------------------------------------
@@ -369,16 +364,13 @@ def build_push(params: ScenarioParams) -> Scenario:
 
     skeletons = (push_skeleton((1,), "single-finger"),
                  push_skeleton((1, 2), "two-finger"))
-    successors = {("approach", "touch-1"): ("push-1",),
-                  ("approach", "touch-12"): ("push-12",)}
 
     def final_error(x_final: Array) -> float:
         return float(np.linalg.norm(x_final[box_coords] - box_target))
 
     return Scenario(name="push", problem=problem, skeletons=skeletons,
-                    successors=successors, target_coords=box_coords,
-                    target_values=box_target, final_error=final_error,
-                    truth=None, params=params)
+                    target_coords=box_coords, target_values=box_target,
+                    final_error=final_error, truth=None, params=params)
 
 
 # --- two candidate routes -------------------------------------------------
@@ -412,15 +404,13 @@ def build_tworoute(params: ScenarioParams) -> Scenario:
 
     skeletons = (route(params.waypoint_near, "near"),
                  route(params.waypoint_far, "far"))
-    successors = {("travel", "via-near"): ("arrive",),
-                  ("travel", "via-far"): ("arrive",)}
 
     def final_error(x_final: Array) -> float:
         return float(np.linalg.norm(x_final - target))
 
     return Scenario(name="tworoute", problem=problem, skeletons=skeletons,
-                    successors=successors, target_coords=np.array([0, 1]),
-                    target_values=target, final_error=final_error,
+                    target_coords=np.array([0, 1]), target_values=target,
+                    final_error=final_error,
                     truth=free_skeleton(N, skeleton_id="unconstrained"),
                     params=params)
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from .execution import build_controller, rollout
 from .features import check_jacobian, coordinate_target, AccelerationPenalty
-from .laplace import (Elimination, Expansion, ancestral_paths, build_component,
-                      build_mixture, eliminate, future_log_ratios, mixture_weights,
-                      multimodal_cost, nullspace_basis, sample_paths)
+from .laplace import (Elimination, Expansion, SingularComponentError, ancestral_paths,
+                      build_component, build_components, build_mixture, eliminate,
+                      future_log_ratios, mixture_weights, multimodal_cost,
+                      nullspace_basis, sample_paths)
 from .problem import PathProblem, assemble, free_skeleton
 from .scenarios import ScenarioParams, build_scenario
 from .solver import SolverConfig, solve
@@ -51,7 +52,7 @@ def suite_table_arithmetic() -> tuple[bool, str]:
 def _quadratic_expansion(hess, grad, const, rows, skeleton_id: str) -> Expansion:
     """Expansion of the per-step quadratics 1/2 w^T hess w + grad^T w + const
     over the windows w, with the active rows.  Only the full-cost Gram is
-    filled: the effort slot stays zero, which eliminate(count=1) never
+    filled: the effort slot stays zero, which _full_cost_elimination never
     reads."""
     N, width = len(hess), np.shape(hess)[1]
     grams = np.zeros((N, 2, width + 1, width + 1))
@@ -61,6 +62,14 @@ def _quadratic_expansion(hess, grad, const, rows, skeleton_id: str) -> Expansion
     d = width // 3
     return Expansion(skeleton_id=skeleton_id, x_ref=np.zeros((N, d)),
                      prefix=np.zeros((2, d)), grams=grams, rows=tuple(rows))
+
+
+def _full_cost_elimination(expansion: Expansion) -> Elimination:
+    """eliminate over the full cost of one expansion; a singular pivot raises."""
+    elim, = eliminate([expansion], count=1)
+    if isinstance(elim, SingularComponentError):
+        raise elim
+    return elim
 
 
 # --- the policy in the full-cost slice ----------------------------------------
@@ -145,8 +154,8 @@ def suite_riccati_equivalence(instances: int = 10) -> tuple[bool, str]:
             hess[n, 2 * d:, 2 * d:] = R[n] + Q[n]
         grad = np.zeros((N, 3 * d))
         grad[:, 2 * d:] = g
-        elim = eliminate(_quadratic_expansion(
-            hess, grad, consts, [np.zeros((0, 3 * d))] * N, "lq"), count=1)
+        elim = _full_cost_elimination(_quadratic_expansion(
+            hess, grad, consts, [np.zeros((0, 3 * d))] * N, "lq"))
 
         oracle = _lq_oracle(A, R, Q, g, consts)
         for n in range(N):
@@ -225,7 +234,7 @@ def suite_dense_qp(instances: int = 10, deviations: int = 20) -> tuple[bool, str
             grad.append(rng.standard_normal(3 * d))
             const.append(float(rng.standard_normal()))
         expansion = _quadratic_expansion(hess, grad, const, rows, "qp")
-        elim = eliminate(expansion, count=1)
+        elim = _full_cost_elimination(expansion)
         for _ in range(deviations):
             dp = 0.3 * rng.standard_normal(2 * d)
             z_ref, cost_ref = _dense_qp_oracle(expansion, dp)
@@ -482,8 +491,10 @@ def suite_determinism() -> tuple[bool, str]:
         sols = [solve(scenario.problem, sk) for sk in scenario.skeletons]
         if not all(s.converged for s in sols):
             raise RuntimeError("tworoute solve did not converge")
-        comps = [build_component(scenario.problem, sk, s)
-                 for sk, s in zip(scenario.skeletons, sols)]
+        comps = build_components(scenario.problem, zip(scenario.skeletons, sols))
+        for comp in comps:
+            if isinstance(comp, SingularComponentError):
+                raise RuntimeError(str(comp))
         blob = json.dumps(build_mixture(comps).to_dict(), sort_keys=True)
         ctrl = build_controller([c.elimination for c in comps], comps)
         ro = rollout(scenario.problem, scenario.truth, ctrl, noise_scale=1.0,

@@ -11,7 +11,7 @@ import pytest
 
 from slgp.cli import _parse_seeds, main
 from slgp.execution import rollout
-from slgp.laplace import SingularComponentError, build_component, eliminate
+from slgp.laplace import SingularComponentError, build_components, eliminate
 from slgp.problem import assemble
 
 PLAN_WEIGHTS_HEADER = ["skeletonId", "status", "fStar", "logRatio",
@@ -235,18 +235,20 @@ def test_simulate_runs_every_bundled_scenario(tmp_path, name):
 
 def test_simulate_eliminates_each_kept_skeleton_once(tmp_path, monkeypatch):
     # The policies are read off the components' eliminations, so no
-    # skeleton is eliminated again for its policy.
+    # skeleton is eliminated again for its policy, and one pass eliminates
+    # all of them.
     calls = []
 
-    def counting(expansion, *args, **kwargs):
-        calls.append(expansion.skeleton_id)
-        return eliminate(expansion, *args, **kwargs)
+    def counting(expansions, *args, **kwargs):
+        calls.append([e.skeleton_id for e in expansions])
+        return eliminate(expansions, *args, **kwargs)
 
     for module in ("slgp.laplace", "slgp.kodp"):
         monkeypatch.setattr(f"{module}.eliminate", counting)
     assert main(["simulate", "--scenario", "tworoute", "--seeds", "0",
                  "--out", str(tmp_path / "once")]) == 0
-    assert sorted(calls) == ["via-far", "via-near"]
+    assert len(calls) == 1
+    assert sorted(sid for batch in calls for sid in batch) == ["via-far", "via-near"]
 
 
 def _unplanned(*args, **kwargs):
@@ -517,10 +519,11 @@ def test_singular_pivot_is_named_at_plan_time(tmp_path, monkeypatch, capsys):
 
 def test_simulate_names_every_drop_when_no_skeleton_is_kept(tmp_path,
                                                             monkeypatch, capsys):
-    def singular(problem, skeleton, solution):
-        raise SingularComponentError(f"toy pivot of '{skeleton.id}'", -1.0)
+    def singular(problem, solved):
+        return [SingularComponentError(f"toy pivot of '{skeleton.id}'", -1.0)
+                for skeleton, _ in solved]
 
-    monkeypatch.setattr("slgp.cli.build_component", singular)
+    monkeypatch.setattr("slgp.cli.build_components", singular)
     code = main(["simulate", "--scenario", "tworoute", "--out",
                  str(tmp_path / "sim"), "--seeds", "0"])
     assert code == 2
@@ -556,12 +559,12 @@ def test_long_tworoute_horizon_keeps_both_skeletons(tmp_path):
 
 def test_singular_component_is_reported_as_the_drop_reason(tmp_path, monkeypatch):
     # The far route converges, but its component is declared singular.
-    def singular_far(problem, skeleton, solution):
-        if skeleton.id == "via-far":
-            raise SingularComponentError("projected Hessian (via-far)", -2.5e-13)
-        return build_component(problem, skeleton, solution)
+    def singular_far(problem, solved):
+        return [SingularComponentError("projected Hessian (via-far)", -2.5e-13)
+                if skeleton.id == "via-far" else built
+                for (skeleton, _), built in zip(solved, build_components(problem, solved))]
 
-    monkeypatch.setattr("slgp.cli.build_component", singular_far)
+    monkeypatch.setattr("slgp.cli.build_components", singular_far)
     code, out = _plan(tmp_path, "tworoute")
     assert code == 0
     reason = ("projected Hessian (via-far) is numerically singular "

@@ -7,9 +7,9 @@ import pytest
 
 from slgp.features import (EFFORT, AccelerationPenalty, AffineFeature,
                            coordinate_target)
-from slgp.laplace import (SingularComponentError, build_component,
-                          build_mixture, future_log_ratios, mixture_weights,
-                          multimodal_cost, nullspace_basis, sample_paths)
+from slgp.laplace import (SingularComponentError, build_component, build_components,
+                          build_mixture, eliminate, future_log_ratios, mixture_weights,
+                          multimodal_cost, nullspace_basis, quadratize, sample_paths)
 from slgp.problem import Mode, PathProblem, Skeleton, Switch, assemble, free_skeleton
 from slgp.scenarios import ScenarioParams, build_scenario
 from slgp.selftest import (dense_covariance, dense_laplace_terms,
@@ -142,6 +142,108 @@ def test_taskless_direction_makes_the_component_singular():
     with pytest.raises(SingularComponentError,
                        match="effort Hessian pivot of skeleton 'free' at step 3"):
         build_component(problem, skeleton, sol)
+
+
+# --- one elimination pass over all skeletons ---------------------------------
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_elimination(got, want):
+    assert got.skeleton_id == want.skeleton_id and got.notes == want.notes
+    for name in ("law", "half_logdet", "V"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert len(got.root) == len(want.root)
+    assert all(_same_bits(a, b) for a, b in zip(got.root, want.root))
+
+
+_EXPANSIONS = {}
+
+
+def _expansions(name, N):
+    """The expansions of a bundled scenario's converged skeletons, solved
+    once per module."""
+    if (name, N) not in _EXPANSIONS:
+        scenario = build_scenario(ScenarioParams(name=name, N=N))
+        solved = [(sk, solve(scenario.problem, sk)) for sk in scenario.skeletons]
+        _EXPANSIONS[name, N] = [quadratize(scenario.problem, sk, sol)
+                                for sk, sol in solved if sol.converged]
+    return _EXPANSIONS[name, N]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("N", [40, 160])
+@pytest.mark.parametrize("name", ["elbow", "push", "tworoute"])
+def test_one_pass_equals_the_skeletons_eliminated_alone(name, N, count):
+    expansions = _expansions(name, N)
+    assert len(expansions) > 1
+    batched = eliminate(expansions, count)
+    assert len(batched) == len(expansions)
+    for expansion, got in zip(expansions, batched):
+        alone, = eliminate([expansion], count)
+        _assert_same_elimination(got, alone)
+        assert got.law.shape[1] == count
+
+
+@pytest.mark.parametrize("bundle, order, victim", [
+    ("tworoute", ["via-near", "via-far"], "via-far"),
+    ("tworoute", ["via-far", "via-near"], "via-far"),
+    # Step N has rows: the singular pivot is met on a skeleton's own.
+    ("push", ["single-finger", "two-finger"], "two-finger"),
+    # The free arm leaves while the contact skeletons have rows at step N.
+    ("elbow", ["free", "fix-joint-1", "fix-joint-2", "fix-both"], "free"),
+    # A skeleton with rows leaves first: the free arm moves to the front of
+    # the batch, and the contact skeletons still have rows at its steps.
+    ("elbow", ["fix-both", "free", "fix-joint-1", "fix-joint-2"], "fix-both"),
+])
+def test_a_singular_skeleton_leaves_the_batch_alone(bundle, order, victim, request,
+                                                    monkeypatch):
+    # Leave only the victim's step-N effort rows out: its effort Hessian
+    # pivot at step N is singular, and the other skeletons must not notice.
+    bundle = request.getfixturevalue(bundle)
+    problem = bundle.scenario.problem
+    solved = [(bundle.scenario.skeleton(sid), bundle.solution(sid)) for sid in order]
+    clean = dict(zip(order, build_components(problem, solved)))
+
+    def victim_last_step_without_effort(problem, skeleton, x):
+        stack = assemble(problem, skeleton, x)
+        if skeleton.id != victim:
+            return stack
+        return dataclasses.replace(
+            stack, effort_mask=stack.effort_mask & (stack.steps != problem.N))
+
+    monkeypatch.setattr("slgp.laplace.assemble", victim_last_step_without_effort)
+    built = dict(zip(order, build_components(problem, solved)))
+    assert isinstance(built[victim], SingularComponentError)
+    with pytest.raises(SingularComponentError) as alone:
+        build_component(problem, *solved[order.index(victim)])
+    assert str(built[victim]) == str(alone.value) == (
+        f"effort Hessian pivot of skeleton '{victim}' at step {problem.N} is "
+        "numerically singular (smallest eigenvalue 0.000e+00)")
+    for sid in order:
+        if sid != victim:
+            _assert_same_elimination(built[sid].elimination, clean[sid].elimination)
+            assert (built[sid].log_ratio, built[sid].rank) == (clean[sid].log_ratio,
+                                                               clean[sid].rank)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_eliminate_names_a_bad_count(tworoute, count):
+    expansion = _expansions("tworoute", 40)[0]
+    with pytest.raises(ValueError, match=f"count must be 1 or 2, got {count}"):
+        eliminate([expansion], count)
+
+
+def test_eliminate_refuses_expansions_of_different_problems():
+    near, far = _expansions("tworoute", 40)
+    for other in (dataclasses.replace(far, grams=far.grams[1:], rows=far.rows[1:]),
+                  dataclasses.replace(far, x_ref=np.zeros((far.x_ref.shape[0], 3))),
+                  dataclasses.replace(far, prefix=far.prefix + 1.0)):
+        with pytest.raises(ValueError, match="'via-near' and 'via-far' differ in N, d "
+                                             "or the prefix"):
+            eliminate([near, other])
 
 
 # --- log entropy ratio ------------------------------------------------------

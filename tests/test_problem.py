@@ -10,8 +10,7 @@ import pytest
 from slgp.features import EFFORT, AccelerationPenalty, AffineFeature, coordinate_target
 from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                           SkeletonError, Switch, assemble, constraint_violation, cost_value,
-                          _layout, free_skeleton, skeleton_structure_violations,
-                          validate_skeleton)
+                          _layout, free_skeleton, skeleton_structure_violations)
 from slgp.scenarios import ScenarioParams, build_scenario
 from slgp.selftest import dense_jacobian
 
@@ -45,7 +44,6 @@ def test_prefix_is_frozen():
 def test_single_mode_skeleton_validates_clean():
     sk = free_skeleton(8)
     assert skeleton_structure_violations(sk, 8) == []
-    assert validate_skeleton(sk, {}, 8) == []
 
 
 def test_overlapping_windows_are_flagged():
@@ -66,21 +64,6 @@ def test_switch_count_mismatch_is_flagged():
     sk = Skeleton(id="bad", modes=(Mode("a", (1, 4)), Mode("b", (5, 8))))
     kinds = [v.kind for v in skeleton_structure_violations(sk, 8)]
     assert "switches" in kinds
-
-
-def test_missing_transition_names_both_modes():
-    sk = Skeleton(id="t", modes=(Mode("walk", (1, 4)), Mode("slide", (5, 8))),
-                  switches=(Switch("hop", 5),))
-    table = {("walk", "hop"): ("run",)}
-    violations = validate_skeleton(sk, table, 8)
-    assert [v.kind for v in violations] == ["transition"]
-    assert "walk" in violations[0].message and "slide" in violations[0].message
-
-
-def test_allowed_transition_validates_clean():
-    sk = Skeleton(id="t", modes=(Mode("walk", (1, 4)), Mode("slide", (5, 8))),
-                  switches=(Switch("hop", 5),))
-    assert validate_skeleton(sk, {("walk", "hop"): ("slide",)}, 8) == []
 
 
 def test_layout_canonical_order():

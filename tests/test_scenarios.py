@@ -7,7 +7,7 @@ from slgp.execution import build_controller, rollout
 from slgp.features import check_jacobian
 from slgp.kodp import backward_pass, quadratize
 from slgp.laplace import build_component, mixture_weights, sample_paths
-from slgp.problem import assemble, validate_skeleton
+from slgp.problem import assemble, skeleton_structure_violations
 from slgp.scenarios import (ScenarioParams, arm_joint_positions,
                             build_scenario)
 from slgp.selftest import dense_jacobian
@@ -61,11 +61,22 @@ def test_push_geometry_is_validated():
         build_scenario(ScenarioParams(name="push", box_start=(0.5, 0.0, 0.4)))
 
 
+# The legal (mode, switch) -> next mode transitions of each bundled scenario.
+SUCCESSORS = {
+    "elbow": {("free", "touch-1"): "contact-1", ("free", "touch-2"): "contact-2",
+              ("free", "touch-12"): "contact-12"},
+    "push": {("approach", "touch-1"): "push-1", ("approach", "touch-12"): "push-12"},
+    "tworoute": {("travel", "via-near"): "arrive", ("travel", "via-far"): "arrive"},
+}
+
+
 def test_every_bundled_skeleton_validates(elbow, push, tworoute):
     for bundle in (elbow, push, tworoute):
         sc = bundle.scenario
         for sk in sc.skeletons:
-            assert validate_skeleton(sk, sc.successors, sc.problem.N) == []
+            assert skeleton_structure_violations(sk, sc.problem.N) == []
+            for before, switch, after in zip(sk.modes, sk.switches, sk.modes[1:]):
+                assert SUCCESSORS[sc.name][before.symbol, switch.symbol] == after.symbol
         with pytest.raises(KeyError):
             sc.skeleton("missing")
 
