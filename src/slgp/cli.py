@@ -58,13 +58,17 @@ def _parse_set(expr: str) -> tuple[str, object]:
 
 
 def _assign(cfg: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    """Set the dotted key after dropping its setting's earlier key, in either
+    spelling, so the value given last comes last and _config keeps it."""
+    *path, key = dotted.split(".")
     node = cfg
-    for part in parts[:-1]:
+    for part in path:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise SystemExit(f"--set path '{dotted}' crosses a non-section key")
-    node[parts[-1]] = value
+    for same in [k for k in node if _camel(k) == _camel(key)]:
+        del node[same]
+    node[key] = value
 
 
 def _load_config(args) -> dict:
@@ -309,6 +313,9 @@ def cmd_simulate(args) -> int:
     scenario = _scenario(args, cfg)
     solver_cfg = _config(cfg, "solver")
     hysteresis = _nonnegative("--hysteresis", args.hysteresis)
+    if hysteresis > 0 and args.controller == BLENDING:
+        raise SystemExit(f"--hysteresis {hysteresis!r} has no effect with "
+                         f"--controller {BLENDING}; it is a switching margin")
     noise = _nonnegative("--noise", args.noise)
     seeds = _parse_seeds(args.seeds)
     disturbances = _parse_disturb(args.disturb, scenario.problem)

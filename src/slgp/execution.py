@@ -21,7 +21,7 @@ precomputed log entropy ratio of its conditional future distribution:
 A command is the absolute next configuration: each policy applies its
 feedback deviation to its own reference path, and the controller either
 blends the commands by weight or switches to the best skeleton (with
-optional hysteresis).  A step reads row n-1 of the controller's tables,
+optional hysteresis, which blending refuses).  A step reads row n-1 of the controller's tables,
 with 0.5 V and the negated offsets computed once per rollout (halving is
 exact, so away from overflow and underflow (0.5 V) dp has the bits of
 0.5 (V dp)), and the past pair as a view of the flat realized path;
@@ -85,6 +85,9 @@ class CompositeController:
             raise ValueError(f"unknown mode '{self.mode}'")
         if not self.hysteresis >= 0.0:
             raise ValueError(f"hysteresis must be nonnegative, got {self.hysteresis!r}")
+        if self.hysteresis > 0.0 and self.mode == BLENDING:
+            raise ValueError(f"hysteresis {self.hysteresis!r} has no effect in mode "
+                             f"'{BLENDING}'; it is a switching margin")
         shape = np.shape(self.past_ref)
         if len(shape) != 3 or shape[2] % 2:
             raise ValueError(f"past_ref must have shape (N, K, 2d), got {shape}")

@@ -42,21 +42,22 @@ def _constant(jac: Array, xs: Array) -> Array:
 
 class FiniteDifference:
     """Rows scale * sum_k stencil[k] x_{n-w+1+k}[coords] on a window of
-    w = len(stencil) configurations, oldest first; constant Jacobian.  With
-    scale 1 they also serve as equality rows, such as an object at rest;
-    the group tag matters only where the rows are costs."""
+    w = len(stencil) configurations, oldest first; constant Jacobian.  The
+    scale is one number or one per coordinate.  With scale 1 they also
+    serve as equality rows, such as an object at rest; the group tag
+    matters only where the rows are costs."""
 
     group = EFFORT
 
-    def __init__(self, dim: int, stencil, scale: float,
+    def __init__(self, dim: int, stencil, scale,
                  coords: Array | None = None, name: str = "difference"):
         self.dim = int(dim)
         self.coords = (np.arange(self.dim) if coords is None
                        else np.asarray(coords, dtype=int))
         self.stencil = tuple(float(c) for c in stencil)
-        self.scale = float(scale)
         self.window = len(self.stencil)
         self.size = len(self.coords)
+        self.scale = np.broadcast_to(np.asarray(scale, dtype=float), (self.size,))
         self.name = name
         self._jac = np.zeros((self.size, self.window * self.dim))
         rows = np.arange(self.size)
@@ -68,7 +69,7 @@ class FiniteDifference:
         r = self.stencil[-1] * xs[..., self.window - 1, :]
         for k in range(self.window - 2, -1, -1):
             r = r + self.stencil[k] * xs[..., k, :]
-        return (self.scale * r)[..., self.coords], _constant(self._jac, xs)
+        return self.scale * r[..., self.coords], _constant(self._jac, xs)
 
 
 def _effort_scale(dt: float, sigma: float, power: float) -> float:
@@ -93,13 +94,14 @@ def AccelerationPenalty(dim: int, dt: float, sigma: float,
                             coords, name)
 
 
-def DriftPenalty(dim: int, dt: float, sigma: float, coords: Array | None = None,
+def DriftPenalty(dim: int, dt: float, sigma, coords: Array | None = None,
                  name: str = "drift") -> FiniteDifference:
     """Effort rows (x_n - x_{n-1}) / (sigma dt^{1/2}), the passive density of
     quasi-static object coordinates: "stay where you are" is the most
-    likely uncontrolled motion."""
-    return FiniteDifference(dim, (-1.0, 1.0), _effort_scale(dt, sigma, 0.5),
-                            coords, name)
+    likely uncontrolled motion.  sigma is one number or one per coordinate."""
+    sigmas = np.broadcast_to(sigma, (dim if coords is None else len(coords),))
+    return FiniteDifference(dim, (-1.0, 1.0), [_effort_scale(dt, float(s), 0.5)
+                                               for s in sigmas], coords, name)
 
 
 class AffineFeature:

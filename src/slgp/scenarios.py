@@ -1,15 +1,16 @@
 """Planar benchmark scenarios: elbow reach, quasi-static push, two routes.
 
 Each builder returns a Scenario bundling one PathProblem, the candidate
-skeletons with their successor table, the target description, and the
-parameters used.  All three use double-integrator robot coordinates
-(acceleration effort rows); the push scenario adds uncontrolled object
-coordinates whose passive density is a weak drift penalty and whose
-motion is governed by contact equality rows.
+skeletons, the target description, and the parameters used.  All three
+use double-integrator robot coordinates (acceleration effort rows); the
+push scenario adds uncontrolled object coordinates whose passive density
+is a weak drift penalty and whose motion is governed by contact equality
+rows.
 
-Each relation is one feature class.  ``ArmTipHeight`` is the signed y of
-link tips: on the table as equalities, above it as inequalities.
-``ContactFacePlane`` projects the ``ContactPointTouch`` offset onto the
+Each relation is one feature class, stated once per mode or switch for
+all its tips or fingers.  ``ArmTips`` is scaled link-tip coordinates: the
+reach, the table clearance and the joints held on the table.
+``ContactFacePlane`` projects each ``ContactPointTouch`` offset onto the
 face normal, and the box's rest rows are a ``FiniteDifference``.
 """
 
@@ -21,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .features import (AccelerationPenalty, AffineFeature, Array, DriftPenalty,
-                       FiniteDifference, coordinate_target)
+from .features import (TASK, AccelerationPenalty, AffineFeature, Array,
+                       DriftPenalty, FiniteDifference, coordinate_target)
 from .problem import Mode, PathProblem, Skeleton, Switch, free_skeleton
 
 
@@ -151,41 +152,26 @@ def arm_joint_jacobians(theta: Array, lengths) -> tuple[Array, Array]:
     return pts, offset[..., ::-1, :] * (np.array([[-1.0], [1.0]]) * np.tri(K)[:, None, :])
 
 
-class ArmPointTarget:
-    """Task rows sqrt(w) * (tip position - target)."""
+class ArmTips:
+    """Rows scale * (p[tips, axes] - offset): coordinate axes[i] of link tip
+    tips[i] (0-based), all from one pass over the kinematic chain."""
 
     window = 1
-    size = 2
-    group = "task"
+    group = TASK
 
-    def __init__(self, lengths, target, weight: float, name: str = "reach"):
+    def __init__(self, lengths, tips, axes, scale: float, name: str, offset=0.0):
         self.lengths = tuple(lengths)
-        self.target = np.asarray(target, dtype=float)
-        self.w = np.sqrt(weight)
-        self.name = name
-
-    def eval(self, xs: Array):
-        pts, jac = arm_joint_jacobians(xs[..., 0, :], self.lengths)
-        return self.w * (pts[..., -1, :] - self.target), self.w * jac[..., -1, :, :]
-
-
-class ArmTipHeight:
-    """Rows sign * y of the given link tips (1-based): sign +1 as equality
-    rows holds tips on the table at y = 0, sign -1 as inequality rows
-    -y <= 0 keeps them above it."""
-
-    window = 1
-
-    def __init__(self, joints, lengths, sign: float, name: str):
-        self.tips = [int(j) - 1 for j in joints]
-        self.lengths = tuple(lengths)
-        self.sign = float(sign)
+        self.tips = np.asarray(tips, dtype=int)
+        self.axes = np.asarray(axes, dtype=int)
+        self.scale = float(scale)
+        self.offset = np.asarray(offset, dtype=float)
         self.size = len(self.tips)
         self.name = name
 
     def eval(self, xs: Array):
         pts, jac = arm_joint_jacobians(xs[..., 0, :], self.lengths)
-        return self.sign * pts[..., self.tips, 1], self.sign * jac[..., self.tips, 1, :]
+        return (self.scale * (pts[..., self.tips, self.axes] - self.offset),
+                self.scale * jac[..., self.tips, self.axes, :])
 
 
 def build_elbow(params: ScenarioParams) -> Scenario:
@@ -204,23 +190,27 @@ def build_elbow(params: ScenarioParams) -> Scenario:
         N=N, d=d, dt=dt, sigma=params.sigma,
         prefix=np.stack([theta0, theta0]),
         costs=(AccelerationPenalty(d, dt, params.sigma),),
-        terminal_costs=(ArmPointTarget(lengths, target, params.arm_target_weight),))
+        terminal_costs=(ArmTips(lengths, (d - 1, d - 1), (0, 1),
+                                np.sqrt(params.arm_target_weight), "reach",
+                                offset=target),))
 
     contact_start = max(2, int(round(params.contact_fraction * N)))
-    all_joints = tuple(range(1, d + 1))
+
+    def heights(joints, sign: float, name: str) -> tuple[ArmTips]:
+        """Rows sign * y of the given link tips (1-based)."""
+        return (ArmTips(lengths, [j - 1 for j in joints], [1] * len(joints), sign, name),)
 
     def clearance(exclude=()):
-        joints = tuple(j for j in all_joints if j not in exclude)
-        return (ArmTipHeight(joints, lengths, -1.0, "table-clearance"),)
+        return heights([j for j in range(1, d + 1) if j not in exclude], -1.0,
+                       "table-clearance")
 
     def contact_skeleton(fixed: tuple[int, ...], skeleton_id: str) -> Skeleton:
-        eq = tuple(ArmTipHeight((j,), lengths, 1.0, f"joint{j}-on-table")
-                   for j in fixed)
         tag = "".join(str(j) for j in fixed)
         return Skeleton(
             id=skeleton_id,
             modes=(Mode("free", (1, contact_start - 1), ineq=clearance()),
-                   Mode(f"contact-{tag}", (contact_start, N), eq=eq,
+                   Mode(f"contact-{tag}", (contact_start, N),
+                        eq=heights(fixed, 1.0, f"joint{tag}-on-table"),
                         ineq=clearance(exclude=fixed))),
             switches=(Switch(f"touch-{tag}", contact_start),))
 
@@ -251,56 +241,57 @@ def _rot(theta: Array) -> tuple[Array, Array]:
 
 
 class ContactPointTouch:
-    """Two equality rows pinning the finger to a box-frame point."""
+    """Two equality rows per finger pinning it to its box-frame point; pins
+    lists each finger as (its first coordinate, that point)."""
 
     window = 1
-    size = 2
 
-    def __init__(self, finger0: int, box0: int, contact: Array, dim: int,
-                 name: str = "touch"):
-        self.finger0 = finger0
+    def __init__(self, pins, box0: int, dim: int, name: str = "touch"):
+        self.fingers0 = [int(f0) for f0, _ in pins]
+        self.contacts = np.array([point for _, point in pins], dtype=float)
         self.box0 = box0
-        self.contact = np.asarray(contact, dtype=float)
         self.dim = dim
+        self.size = 2 * len(self.fingers0)
         self.name = name
 
     def _pin(self, xs: Array):
-        """The offset of the finger from the contact point, its Jacobian, and
-        the box rotation R with dR/dtheta."""
-        x = xs[..., 0, :]
-        R, dR = _rot(x[..., self.box0 + 2])
-        rel = (x[..., self.finger0:self.finger0 + 2] - x[..., self.box0:self.box0 + 2]
-               - R @ self.contact)
-        jac = np.zeros(x.shape[:-1] + (2, self.dim))
-        jac[..., :, self.finger0:self.finger0 + 2] = np.eye(2)
-        jac[..., :, self.box0:self.box0 + 2] = -np.eye(2)
-        jac[..., :, self.box0 + 2] = -(dR @ self.contact)
+        """Each finger's offset from its contact point (..., F, 2), their
+        Jacobians (..., F, 2, dim), and the box rotation R with dR/dtheta."""
+        x, box = xs[..., 0, :], self.box0
+        R, dR = _rot(x[..., box + 2])
+        rel = (x[..., np.add.outer(self.fingers0, np.arange(2))] - x[..., None, box:box + 2]
+               - np.stack([R @ c for c in self.contacts], axis=-2))
+        jac = np.zeros(rel.shape + (self.dim,))
+        for f, (f0, c) in enumerate(zip(self.fingers0, self.contacts)):
+            jac[..., f, :, f0:f0 + 2] = np.eye(2)
+            jac[..., f, :, box:box + 2] = -np.eye(2)
+            jac[..., f, :, box + 2] = -(dR @ c)
         return rel, jac, R, dR
 
     def eval(self, xs: Array):
         rel, jac, _, _ = self._pin(xs)
-        return rel, jac
+        return (rel.reshape(rel.shape[:-2] + (self.size,)),
+                jac.reshape(jac.shape[:-3] + (self.size, self.dim)))
 
 
 class ContactFacePlane(ContactPointTouch):
-    """Single equality row: the touch offset projected onto the box face
-    normal, so the face plane through the contact point stays under the
-    finger while it slides tangentially."""
+    """One equality row per finger: its touch offset projected onto the
+    box face normal, so the face plane through the contact point stays
+    under the finger while it slides tangentially."""
 
-    size = 1
-
-    def __init__(self, finger0: int, box0: int, contact: Array, normal: Array,
-                 dim: int, name: str = "face-contact"):
-        super().__init__(finger0, box0, contact, dim, name)
+    def __init__(self, pins, box0: int, normal: Array, dim: int,
+                 name: str = "face-contact"):
+        super().__init__(pins, box0, dim, name)
         self.normal = np.asarray(normal, dtype=float)
+        self.size = len(self.fingers0)
 
     def eval(self, xs: Array):
         rel, jac, R, dR = self._pin(xs)
-        n = R @ self.normal
-        face = np.sum(n[..., :, None] * jac, axis=-2, keepdims=True)
+        n = (R @ self.normal)[..., None, :]
+        face = np.sum(n[..., :, None] * jac, axis=-2)
         # The normal turns with the box too.
-        face[..., 0, self.box0 + 2] += np.sum((dR @ self.normal) * rel, axis=-1)
-        return np.sum(n * rel, axis=-1)[..., None], face
+        face[..., self.box0 + 2] += np.sum((dR @ self.normal)[..., None, :] * rel, axis=-1)
+        return np.sum(n * rel, axis=-1), face
 
 
 def build_push(params: ScenarioParams) -> Scenario:
@@ -335,10 +326,9 @@ def build_push(params: ScenarioParams) -> Scenario:
                # A pose left alone persists, but rotation is far more
                # diffuse than translation: pushing at a point barely
                # determines the spin.
-               DriftPenalty(d, dt, params.sigma_object, coords=box_coords[:2],
-                            name="object-drift"),
-               DriftPenalty(d, dt, params.sigma_object_rot, coords=box_coords[2:],
-                            name="object-drift-rot")),
+               DriftPenalty(d, dt, (params.sigma_object, params.sigma_object,
+                                    params.sigma_object_rot),
+                            coords=box_coords, name="object-drift")),
         terminal_costs=(coordinate_target(d, box_coords, box_target,
                                           params.box_target_weight, name="box-target"),),
         actuated=actuated)
@@ -347,23 +337,20 @@ def build_push(params: ScenarioParams) -> Scenario:
     normal = np.array([1.0, 0.0])  # inward normal of the left face
     rest = FiniteDifference(d, (-1.0, 1.0), 1.0, coords=box_coords, name="box-at-rest")
 
-    def push_skeleton(fingers: tuple[int, ...], skeleton_id: str) -> Skeleton:
-        contacts = {1: np.array([-half, 0.0]) if len(fingers) == 1
-                    else np.array([-half, a]),
-                    2: np.array([-half, -a])}
-        eq_touch = tuple(ContactPointTouch(2 * (f - 1), box0, contacts[f], d,
-                                           name=f"touch-{f}") for f in fingers)
-        eq_push = tuple(ContactFacePlane(2 * (f - 1), box0, contacts[f], normal, d,
-                                         name=f"face-{f}") for f in fingers)
-        tag = "".join(str(f) for f in fingers)
+    def push_skeleton(points, skeleton_id: str) -> Skeleton:
+        """Finger i + 1 pushes at points[i], in the box frame."""
+        pins = [(2 * i, point) for i, point in enumerate(points)]
+        tag = "".join(str(i + 1) for i in range(len(points)))
+        touch = ContactPointTouch(pins, box0, d, name=f"touch-{tag}")
+        face = ContactFacePlane(pins, box0, normal, d, name=f"face-{tag}")
         return Skeleton(
             id=skeleton_id,
             modes=(Mode("approach", (1, touch_step - 1), eq=(rest,)),
-                   Mode(f"push-{tag}", (touch_step, N), eq=eq_push)),
-            switches=(Switch(f"touch-{tag}", touch_step, eq=eq_touch),))
+                   Mode(f"push-{tag}", (touch_step, N), eq=(face,))),
+            switches=(Switch(f"touch-{tag}", touch_step, eq=(touch,)),))
 
-    skeletons = (push_skeleton((1,), "single-finger"),
-                 push_skeleton((1, 2), "two-finger"))
+    skeletons = (push_skeleton([(-half, 0.0)], "single-finger"),
+                 push_skeleton([(-half, a), (-half, -a)], "two-finger"))
 
     def final_error(x_final: Array) -> float:
         return float(np.linalg.norm(x_final[box_coords] - box_target))

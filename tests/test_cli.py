@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from slgp.cli import _parse_seeds, main
+from slgp.cli import _config, _load_config, _parse_seeds, build_parser, main
 from slgp.execution import rollout
 from slgp.laplace import SingularComponentError, build_components, eliminate
 from slgp.problem import assemble
@@ -365,12 +365,15 @@ SOLVER_KEYS = "choose from maxOuter, tolStep, tolConstraint, hessianReg"
      "--hysteresis must be a finite number >= 0, got -1.0"),
     ("tworoute", ["--hysteresis", "nan"],
      "--hysteresis must be a finite number >= 0, got nan"),
+    ("tworoute", ["--controller", "blending", "--hysteresis", "0.05"],
+     "--hysteresis 0.05 has no effect with --controller blending; "
+     "it is a switching margin"),
     ("tworoute", ["--set", "execution.noiseScale=0.5"], UNKNOWN_EXECUTION),
     ("tworoute", ["--set", "execution.noise_scale=abc"], UNKNOWN_EXECUTION),
     ("tworoute", ["--set", "execution.priorMode=bogus"], UNKNOWN_EXECUTION),
 ], ids=["disturb-nan", "noise-negative", "noise-nan", "hysteresis-negative",
-        "hysteresis-nan", "noise-scale-text", "noise-scale-snake-text",
-        "prior-mode-unknown"])
+        "hysteresis-nan", "hysteresis-with-blending", "noise-scale-text",
+        "noise-scale-snake-text", "prior-mode-unknown"])
 def test_bad_execution_inputs_are_named(tmp_path, scenario, extra, message):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "x"),
@@ -533,6 +536,25 @@ def test_simulate_names_every_drop_when_no_skeleton_is_kept(tmp_path,
         assert (f"dropped {sid}: toy pivot of '{sid}' is numerically singular "
                 "(smallest eigenvalue -1.000e+00)") in err
     assert "converged" not in err
+
+
+@pytest.mark.parametrize("settings, max_outer", [
+    (("solver.max_outer=1", "solver.maxOuter=1", "solver.max_outer=30"), 30),
+    (("solver.maxOuter=30", "solver.max_outer=1"), 1),
+    (("scenario.N=20", "scenario.N=24"), None),
+], ids=["snake-last", "snake-after-camel", "same-spelling"])
+def test_the_last_set_of_a_setting_wins_in_either_spelling(tmp_path, settings, max_outer):
+    args = [arg for setting in settings for arg in ("--set", setting)]
+    cfg = _load_config(build_parser().parse_args(["plan", *args]))
+    if max_outer is None:
+        assert cfg == {"scenario": {"N": 24}}
+        return
+    assert _config(cfg, "solver").max_outer == max_outer
+    code, out = _plan(tmp_path, "tworoute", *args)
+    statuses = {json.loads((out / f"solution-{sid}.json").read_text())["status"]
+                for sid in ("via-near", "via-far")}
+    assert (code, statuses) == ((0, {"converged"}) if max_outer == 30
+                                else (1, {"max-iterations"}))
 
 
 def test_simulate_says_when_no_skeleton_converged(tmp_path, capsys):

@@ -358,6 +358,20 @@ def test_controller_pairing_is_validated(routes):
             build_controller(elims, comps, hysteresis=hysteresis)
 
 
+def test_blending_refuses_a_positive_hysteresis(routes):
+    # Blending never switches, so a switching margin would be ignored.
+    sc, elims, comps = routes
+    refused = "^hysteresis 0.05 has no effect in mode 'blending'; it is a switching margin$"
+    with pytest.raises(ValueError, match=refused):
+        build_controller(elims, comps, mode=BLENDING, hysteresis=0.05)
+    blending = build_controller(elims, comps, mode=BLENDING, hysteresis=0.0)
+    with pytest.raises(ValueError, match=refused):
+        dataclasses.replace(blending, hysteresis=0.05)
+    switching = build_controller(elims, comps, mode="switching", hysteresis=0.05)
+    with pytest.raises(ValueError, match=refused):
+        dataclasses.replace(switching, mode=BLENDING)
+
+
 # --- closed loop ------------------------------------------------------------
 
 
@@ -523,20 +537,20 @@ def test_nonfinite_contact_feature_aborts_the_rollout_with_step_and_label(push):
     truth = push.scenario.skeleton("two-finger")
     approach, contact = truth.modes
     assert contact.symbol == "push-12"
-    # Poison face-1 once the box passes halfway from its position at step
+    # Poison face-12 once the box passes halfway from its position at step
     # k - 1 of the clean rollout to that at step k; before step k the clean
     # box never gets that far.
     k = contact.window[0] + 15
     box_x = rollout(problem, truth, ctrl, noise_scale=0.0).path[:, 4]
     assert box_x[k - 2] < box_x[k - 1] and box_x[:k - 1].max() == box_x[k - 2]
     face = _NanBeyond(contact.eq[0], 4, 0.5 * (box_x[k - 2] + box_x[k - 1]))
-    assert face.name == "face-1"
+    assert face.name == "face-12"
     poisoned = dataclasses.replace(truth, modes=(
         approach, dataclasses.replace(contact, eq=(face, *contact.eq[1:]))))
     with pytest.raises(RolloutError) as info:
         rollout(problem, poisoned, ctrl, noise_scale=0.0)
     assert info.value.step == k
-    assert (f"rollout aborted at step {k}: feature 'push-12:face-1' at step {k}: "
+    assert (f"rollout aborted at step {k}: feature 'push-12:face-12' at step {k}: "
             "nonfinite value or Jacobian") == str(info.value)
 
 
@@ -544,7 +558,7 @@ def test_projection_mixes_feature_windows_at_one_step(push):
     problem = push.scenario.problem
     N, d = problem.N, problem.d
     rest = FiniteDifference(d, (-1.0, 1.0), 1.0, coords=[4, 5, 6])
-    touch = ContactPointTouch(0, 4, np.array([-0.1, 0.0]), d)
+    touch = ContactPointTouch([(0, (-0.1, 0.0))], 4, d)
     assert (rest.window, touch.window) == (2, 1)
     s = 5
     sk = Skeleton(id="rest-touch",

@@ -100,9 +100,9 @@ def test_batched_evaluation_matches_each_window():
     d = 7
     feats = (AccelerationPenalty(d, dt=0.2, sigma=0.4, coords=[2, 0]),
              DriftPenalty(d, dt=0.2, sigma=0.5, coords=[1]),
-             # The push scenario's rest rows and face row.
+             # The push scenario's rest rows and two-finger face rows.
              FiniteDifference(d, (-1.0, 1.0), 1.0, coords=[4, 5, 6]),
-             ContactFacePlane(0, 4, np.array([-0.1, 0.06]), np.array([1.0, 0.0]), d),
+             ContactFacePlane([(0, (-0.1, 0.06)), (2, (-0.1, -0.06))], 4, [1.0, 0.0], d),
              AffineFeature(rng.normal(size=(2, 2 * d)), rng.normal(size=2), window=2))
     for feat in feats:
         xs = rng.normal(size=(5, feat.window, d))
@@ -130,6 +130,27 @@ def test_drift_penalty_residual_and_jacobian():
     assert r == pytest.approx([1.0 / (0.5 * 0.5)])
     rng = np.random.default_rng(23)
     assert check_jacobian(feat, rng.normal(size=(2, 2))) < 1e-6
+
+
+def test_drift_penalty_takes_a_sigma_per_coordinate():
+    # The push box drifts with one sigma for translation and one for
+    # rotation: one feature, the rows of the two in coordinate order.
+    rng = np.random.default_rng(31)
+    both = DriftPenalty(7, dt=0.125, sigma=(0.3, 0.3, 3.0), coords=[4, 5, 6])
+    parts = (DriftPenalty(7, dt=0.125, sigma=0.3, coords=[4, 5]),
+             DriftPenalty(7, dt=0.125, sigma=3.0, coords=[6]))
+    xs = rng.normal(size=(5, 2, 7))
+    values, jacs = both.eval(xs)
+    assert np.array_equal(values, np.concatenate([p.eval(xs)[0] for p in parts], axis=-1))
+    assert np.array_equal(jacs, np.concatenate([p.eval(xs)[1] for p in parts], axis=-2))
+    assert np.allclose(values, (xs[:, 1, 4:] - xs[:, 0, 4:])
+                       / (np.array([0.3, 0.3, 3.0]) * 0.125**0.5))
+    for window in xs:
+        assert check_jacobian(both, window) < 1e-6
+    with pytest.raises(ValueError, match="dt and sigma must be positive"):
+        DriftPenalty(7, dt=0.125, sigma=(0.3, 0.0, 3.0), coords=[4, 5, 6])
+    with pytest.raises(ValueError):
+        DriftPenalty(7, dt=0.125, sigma=(0.3, 3.0), coords=[4, 5, 6])
 
 
 def test_affine_feature_shapes_are_validated():

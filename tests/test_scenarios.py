@@ -7,9 +7,9 @@ from slgp.execution import build_controller, rollout
 from slgp.features import check_jacobian
 from slgp.kodp import backward_pass, quadratize
 from slgp.laplace import build_component, mixture_weights, sample_paths
-from slgp.problem import assemble, skeleton_structure_violations
-from slgp.scenarios import (ScenarioParams, arm_joint_positions,
-                            build_scenario)
+from slgp.problem import _layout, assemble, skeleton_structure_violations
+from slgp.scenarios import (ArmTips, ContactFacePlane, ContactPointTouch,
+                            ScenarioParams, arm_joint_positions, build_scenario)
 from slgp.selftest import dense_jacobian
 from slgp.solver import solve
 
@@ -70,6 +70,34 @@ SUCCESSORS = {
 }
 
 
+def test_each_mode_and_switch_states_a_relation_once():
+    # One feature per class in each of eq and ineq: a relation covers all
+    # the tips or fingers its owner holds.
+    for name in ("elbow", "push", "tworoute"):
+        for sk in build_scenario(ScenarioParams(name=name)).skeletons:
+            for owner in (*sk.modes, *sk.switches):
+                for feats in (owner.eq, owner.ineq):
+                    classes = [type(f) for f in feats]
+                    assert len(classes) == len(set(classes)), (sk.id, owner.symbol)
+
+
+def test_feature_groups_per_skeleton():
+    groups = {}
+    for name in ("elbow", "push", "tworoute"):
+        sc = build_scenario(ScenarioParams(name=name))
+        groups[name] = {sk.id: [label for _, label, *_ in _layout(sc.problem, sk).groups]
+                        for sk in sc.skeletons}
+    assert {name: [len(g) for g in by_id.values()] for name, by_id in groups.items()} == {
+        "elbow": [3, 5, 5, 5], "push": [6, 6], "tworoute": [3, 3]}
+    assert groups["elbow"]["fix-both"] == [
+        "accel", "reach", "contact-12:joint12-on-table", "free:table-clearance",
+        "contact-12:table-clearance"]
+    assert groups["push"]["two-finger"] == [
+        "accel", "object-drift", "box-target", "approach:box-at-rest",
+        "push-12:face-12", "touch-12:touch-12"]
+    assert groups["push"]["single-finger"][-2:] == ["push-1:face-1", "touch-1:touch-1"]
+
+
 def test_every_bundled_skeleton_validates(elbow, push, tworoute):
     for bundle in (elbow, push, tworoute):
         sc = bundle.scenario
@@ -94,6 +122,85 @@ def test_arm_forward_kinematics_on_straight_and_bent_poses():
     elbowed = arm_joint_positions(np.array([np.pi / 2, -np.pi / 2, 0, 0]),
                                   lengths)
     assert np.allclose(elbowed[1], [0.5, 0.5])
+
+
+def _chain_jacobian(theta, lengths):
+    """d tip_k / d theta_i = sum over links j in i..k of l_j (-sin phi_j,
+    cos phi_j), phi_j the summed angles; shape (K, 2, K)."""
+    phi = np.cumsum(theta)
+    K = len(theta)
+    jac = np.zeros((K, 2, K))
+    for k in range(K):
+        for i in range(k + 1):
+            for j in range(i, k + 1):
+                jac[k, :, i] += lengths[j] * np.array([-np.sin(phi[j]), np.cos(phi[j])])
+    return jac
+
+
+def test_arm_tips_match_the_reach_and_tip_height_formulas():
+    rng = np.random.default_rng(41)
+    lengths = (0.5, 0.4, 0.3, 0.2)
+    target = np.array([0.7, 0.3])
+    w = np.sqrt(1e3)
+    reach = ArmTips(lengths, (3, 3), (0, 1), w, "reach", offset=target)
+    clearance = ArmTips(lengths, (0, 2, 3), (1, 1, 1), -1.0, "table-clearance")
+    on_table = ArmTips(lengths, (0, 1), (1, 1), 1.0, "joint12-on-table")
+    xs = rng.uniform(-1.5, 1.5, (6, 1, 4))
+    (r, J), (c, Jc), (h, Jh) = reach.eval(xs), clearance.eval(xs), on_table.eval(xs)
+    pts = arm_joint_positions(xs[:, 0], lengths)
+    assert np.array_equal(r, w * (pts[:, -1] - target))
+    assert np.array_equal(c, -pts[:, [0, 2, 3], 1])
+    assert np.array_equal(h, pts[:, [0, 1], 1])
+    for theta, J, Jc, Jh in zip(xs[:, 0], J, Jc, Jh):
+        chain = _chain_jacobian(theta, lengths)
+        assert np.allclose(J, w * chain[-1], rtol=0, atol=1e-12)
+        assert np.allclose(Jc, -chain[[0, 2, 3], 1], rtol=0, atol=1e-13)
+        assert np.allclose(Jh, chain[[0, 1], 1], rtol=0, atol=1e-13)
+    for feat in (reach, clearance, on_table):
+        assert feat.size == feat.eval(xs)[0].shape[-1]
+        for window in xs:
+            assert check_jacobian(feat, window) < 1e-6
+
+
+def _finger_rows(x, f0, contact, normal):
+    """One finger's touch offset (M, 2) and face row (M,) at configurations
+    x (M, 7), with their Jacobians, by the per-finger formulas."""
+    c, s = np.cos(x[:, 6]), np.sin(x[:, 6])
+    R = np.stack([c, -s, s, c], -1).reshape(-1, 2, 2)
+    dR = np.stack([-s, -c, c, -s], -1).reshape(-1, 2, 2)
+    rel = x[:, f0:f0 + 2] - x[:, 4:6] - R @ contact
+    jac = np.zeros((len(x), 2, 7))
+    jac[:, :, f0:f0 + 2] = np.eye(2)
+    jac[:, :, 4:6] = -np.eye(2)
+    jac[:, :, 6] = -(dR @ contact)
+    n = R @ normal
+    face_jac = np.sum(n[:, :, None] * jac, axis=-2)
+    face_jac[:, 6] += np.sum((dR @ normal) * rel, axis=-1)
+    return rel, jac, np.sum(n * rel, axis=-1), face_jac
+
+
+def test_contact_features_join_the_per_finger_rows_bit_for_bit():
+    rng = np.random.default_rng(43)
+    sc = build_scenario(ScenarioParams(name="push"))
+    half, a = sc.params.box_half, sc.params.contact_offset
+    normal = np.array([1.0, 0.0])
+    xs = np.tile(sc.problem.prefix[1], (8, 1, 1)) + rng.normal(scale=0.3, size=(8, 1, 7))
+    for sid, points in (("two-finger", [(-half, a), (-half, -a)]),
+                        ("single-finger", [(-half, 0.0)])):
+        sk = sc.skeleton(sid)
+        (face,), (touch,) = sk.modes[1].eq, sk.switches[0].eq
+        assert isinstance(face, ContactFacePlane) and type(touch) is ContactPointTouch
+        rows = [_finger_rows(xs[:, 0], 2 * i, np.array(p), normal)
+                for i, p in enumerate(points)]
+        values, jacs = touch.eval(xs)
+        assert np.array_equal(values, np.concatenate([r[0] for r in rows], axis=1))
+        assert np.array_equal(jacs, np.concatenate([r[1] for r in rows], axis=1))
+        values, jacs = face.eval(xs)
+        assert np.array_equal(values, np.stack([r[2] for r in rows], axis=1))
+        assert np.array_equal(jacs, np.stack([r[3] for r in rows], axis=1))
+        for feat in (touch, face):
+            for window in xs:
+                assert check_jacobian(feat, window) < 1e-6
 
 
 def test_scenario_feature_jacobians_match_finite_differences(elbow, push):
