@@ -67,29 +67,35 @@ class FactorizationError(RuntimeError):
     """The banded Cholesky factorization hit a non-positive pivot."""
 
 
-def band_from_step_blocks(blocks: Array) -> Array:
+def band_index(N: int, d: int) -> Array:
+    """Where band_from_step_blocks moves each entry: a (2, L) array of flat
+    positions, in the blocks (N, 3d, 3d) and in the banded storage
+    (3d, N d), of the upper-triangle entries that couple no prefix
+    configuration, step by step."""
+    w, u = 3 * d, 3 * d - 1
+    a, b = np.triu_indices(w)
+    # Block n-1 starts at path row (n-3) d, where x_{n-2} sits.
+    row = (np.arange(N) * d)[:, None] + a - 2 * d
+    keep = row >= 0
+    source = (np.arange(N) * w * w)[:, None] + a * w + b
+    target = (u + a - b) * (N * d) + row + b - a
+    return np.stack([source[keep], target[keep]])
+
+
+def band_from_step_blocks(blocks: Array, index: Array | None = None) -> Array:
     """Upper banded storage, bandwidth 3d - 1, of the sum of per-step blocks.
 
     blocks[n-1] is a symmetric (3d, 3d) matrix over the window
     (x_{n-2}, x_{n-1}, x_n) of step n = 1..N.  Rows and columns of the
     prefix configurations x_{-1} and x_0 are dropped, so the result is the
-    (N d, N d) matrix over x_1..x_N, as an array of shape (3d, N d).
+    (N d, N d) matrix over x_1..x_N, as an array of shape (3d, N d).  Its
+    top-left corner, which LAPACK never reads, holds zeros.  index is
+    band_index(N, d), built here when not given.
     """
     N, w, _ = blocks.shape
-    d = w // 3
-    u = w - 1
-    a, b = np.triu_indices(w)
-    width = (N + 2) * d
-    # Band entries over the path with the prefix in front; block n-1 starts
-    # at column (n-1) d, where x_{n-2} sits.
-    flat = (u + a - b) * width + (np.arange(N) * d)[:, None] + b
-    ab = np.bincount(flat.ravel(), weights=blocks[:, a, b].ravel(),
-                     minlength=w * width).reshape(w, width)[:, 2 * d:]
-    # Entries in the top-left corner couple to a prefix row; LAPACK never
-    # reads them, and zeros keep the storage canonical.
-    cols = np.arange(min(u, N * d))
-    ab[:, :cols.size][np.add.outer(np.arange(w), cols) < u] = 0.0
-    return np.ascontiguousarray(ab)
+    source, target = band_index(N, w // 3) if index is None else index
+    return np.bincount(target, weights=blocks.reshape(-1)[source],
+                       minlength=w * N * (w // 3)).reshape(w, -1)
 
 
 def banded_cholesky_solve(ab: Array, rhs: Array) -> Array:

@@ -23,6 +23,15 @@ axes as an (..., window, d) array, and the result is the values
 evaluated on its own.  ``problem.assemble`` calls it once per feature
 over an (M, window, d) stack of all the steps where the feature applies,
 and checks the shapes and finiteness of what it returns.
+
+Features whose rows come out of one common computation may share it as a
+pass.  Such a feature holds the pass as ``shared``, whose own ``eval(xs)``
+runs on the same window stacks, and has ``take(out)``, which slices the
+feature's values and Jacobians out of what the pass returned, each window
+on its own; the feature's ``eval(xs)`` is ``take(shared.eval(xs))``.
+``problem.assemble`` runs each shared pass once per path over the union
+of the steps of the features that hold it (those of one window width),
+and puts each feature's slice through the same checks.
 """
 
 from __future__ import annotations

@@ -13,7 +13,15 @@ over steps 1..N, the terminal costs at step N, each mode's equality and
 inequality features over its window and each switch's at its step; one
 numpy pass places their rows.  assemble fills those rows at a path, and
 the rollout projection reads each step's equality rows from the layout
-and cuts their rank at RANK_TOL.
+and cuts their rank at RANK_TOL.  The layout also holds the index tables
+of the Gauss-Newton loop: each row's path columns and where the per-step
+Gram blocks land in the banded Hessian.
+
+Features may share one pass (see slgp.features): assemble runs each
+shared pass once per path, over the union of the steps of the features
+that hold it, and slices every feature's rows out of it.  When the pass
+raises, or a feature's slice fails its checks, that feature is evaluated
+on its own, so the error names the same step and label.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .banded import band_index
 from .features import EFFORT, Array
 
 # Relative rank tolerance for active constraint rows: a direction whose
@@ -165,9 +174,11 @@ class FeatureStack:
     its mode, then its switches.  values holds each row's value and blocks
     its Jacobian over the window (x_{n-2}, x_{n-1}, x_n) of its step n,
     zero-padded on the left for features on one or two configurations.
-    steps, index ((step, label) per row), kinds and effort_mask (the
-    effort cost rows) depend on the (problem, skeleton) alone and are
-    shared, read-only, by its stacks.  Columns of the prefix
+    steps, index ((step, label) per row), kinds, effort_mask (the effort
+    cost rows), columns (each block entry's column in the path with the
+    prefix in front, (rows, 3d)) and band (the banded Hessian's
+    band_index) depend on the (problem, skeleton) alone and are shared,
+    read-only, by its stacks.  Columns of the prefix
     configurations keep the feature's derivative; they are constants, so
     `transpose_dot` drops them and the step-by-step eliminations discard
     what lands on them.
@@ -181,6 +192,8 @@ class FeatureStack:
     index: tuple
     kinds: tuple
     effort_mask: Array
+    columns: Array
+    band: Array
 
     # Each kind's values, as views of the table.
     residuals = property(lambda self: self.values[self.kinds[0]])
@@ -191,10 +204,7 @@ class FeatureStack:
         """J^T cost + J_h^T eq + J_g^T ineq over the N*d path variables."""
         out = np.zeros((self.N + 2) * self.d)
         for rows, coeff in zip(self.kinds, (cost, eq, ineq)):
-            # Configuration m starts at column (m + 1) d of the path with
-            # the prefix in front.
-            cols = ((self.steps[rows] - 1) * self.d)[:, None] + np.arange(3 * self.d)
-            out += np.bincount(cols.ravel(),
+            out += np.bincount(self.columns[rows].ravel(),
                                weights=(self.blocks[rows] * coeff[:, None]).ravel(),
                                minlength=out.size)
         return out[2 * self.d:]
@@ -233,7 +243,7 @@ def _eval_group(feat, label: str, xp: Array, steps: Array):
     first step that fails: when eval raises, the one-step slices are
     evaluated in turn to find it.
     """
-    w, d, m = feat.window, xp.shape[1], len(steps)
+    w, m = feat.window, len(steps)
     first = int(steps[0])
     if w not in (1, 2, 3):
         raise FeatureEvalError(first, label, f"window {w} is not 1, 2 or 3")
@@ -248,9 +258,17 @@ def _eval_group(feat, label: str, xp: Array, steps: Array):
             _eval_group(feat, label, xp, steps[i:i + 1])
         raise FeatureEvalError(first, label, f"eval over steps {first}..{int(steps[-1])}: "
                                              f"{exc!r}") from exc
+    return _checked(feat, label, steps, xp.shape[1], values, jacs)
+
+
+def _checked(feat, label: str, steps: Array, d: int, values, jacs):
+    """values and jacs as float arrays, once their shapes fit the feature
+    at the steps and they are finite; else the FeatureEvalError of the
+    first step that is not."""
     values = np.asarray(values, dtype=float)
     jacs = np.asarray(jacs, dtype=float)
-    if values.shape != (m, feat.size) or jacs.shape != (m, feat.size, w * d):
+    m, first = len(steps), int(steps[0])
+    if values.shape != (m, feat.size) or jacs.shape != (m, feat.size, feat.window * d):
         raise FeatureEvalError(first, label, f"bad shapes {values.shape}, {jacs.shape}")
     finite = np.isfinite(values).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
     if not finite.all():
@@ -269,12 +287,13 @@ class _Rows:
     """The row layout from items (kind, label, feature, first step, last
     step) listed kind by kind in canonical order: rows come kind by kind,
     step by step, then in item order.  Kept: per item its feature, label,
-    steps, first row at each and all rows; each row's (step, label) and
-    step; the kind slices, the effort mask, and per step with equality
-    rows its (feature, label) pairs.  Its arrays are shared, read-only.
+    steps, first row at each and all rows; each row's (step, label), step
+    and path columns; the kind slices, the effort mask, the banded
+    Hessian's index, per step with equality rows its (feature, label)
+    pairs, and the shared passes.  Its arrays are shared, read-only.
     """
 
-    def __init__(self, N: int, items):
+    def __init__(self, N: int, d: int, items):
         kind, size, lo, hi = np.array([(k, f.size, a, b) for k, _, f, a, b in items],
                                       dtype=int).reshape(-1, 4).T
         n = np.arange(1, N + 1)
@@ -301,10 +320,31 @@ class _Rows:
         self.steps = _frozen(np.repeat(np.tile(n, 3), per.ravel()))
         self.index = tuple(zip(self.steps.tolist(), labels.tolist()))
         self.effort_mask = _frozen(effort, dtype=bool)
+        # Configuration m starts at column (m + 1) d of the path with the
+        # prefix in front, so a row of step n starts at column (n - 1) d.
+        self.columns = _frozen(((self.steps - 1) * d)[:, None] + np.arange(3 * d))
+        self.band = _frozen(band_index(N, d))
         pairs = [(feat, label) for k, label, feat, *_ in items if k == 1]
         self.equalities = {m: tuple(p for p, on in zip(pairs, col) if on)
                            for m, col in enumerate((fill[kind == 1] > 0).T.tolist(), 1)
                            if any(col)}
+        # Each shared pass once, on the window stack of the union of its
+        # features' steps; an item's steps are a run, and so are their
+        # places in the union.
+        members = {}
+        for g, (feat, _, at, *_) in enumerate(self.groups):
+            shared = getattr(feat, "shared", None)
+            if shared is not None and feat.window in (1, 2, 3):
+                members.setdefault((id(shared), feat.window), (shared, []))[1].append(g)
+        self.passes = []
+        for (_, w), (shared, groups) in members.items():
+            steps = [self.groups[g][2] for g in groups]
+            on = np.zeros(N + 1, dtype=bool)
+            on[np.concatenate(steps)] = True
+            union = np.flatnonzero(on)
+            starts = np.searchsorted(union, [at[0] for at in steps]).tolist()
+            runs = [(g, slice(a, a + len(at))) for g, a, at in zip(groups, starts, steps)]
+            self.passes.append((shared, _frozen(union[:, None] + np.arange(2 - w, 2)), runs))
 
     def evaluate(self, xp: Array):
         """Values and (rows, 3d) Jacobian blocks in table order, and the
@@ -312,10 +352,26 @@ class _Rows:
         width = 3 * xp.shape[1]
         values = np.zeros(len(self.index))
         blocks = np.zeros((len(self.index), width))
-        failures = []
-        for feat, label, at, first, rows in self.groups:
+        sliced = {}
+        for shared, windows, members in self.passes:
+            # A feature left out of sliced is evaluated on its own below,
+            # and its own eval names the step that fails.
             try:
-                vals, jacs = _eval_group(feat, label, xp, at)
+                out = shared.eval(xp[windows])
+            except Exception:  # noqa: BLE001
+                continue
+            for g, pos in members:
+                feat, label, at, *_ = self.groups[g]
+                try:
+                    vals, jacs = feat.take(out)
+                    sliced[g] = _checked(feat, label, at, xp.shape[1],
+                                         np.asarray(vals)[pos], np.asarray(jacs)[pos])
+                except Exception:  # noqa: BLE001
+                    pass
+        failures = []
+        for g, (feat, label, at, first, rows) in enumerate(self.groups):
+            try:
+                vals, jacs = sliced[g] if g in sliced else _eval_group(feat, label, xp, at)
             except FeatureEvalError as exc:
                 hit = np.flatnonzero(at == exc.step)
                 failures.append((exc.step, int(first[hit[0] if hit.size else 0]), exc))
@@ -353,7 +409,7 @@ def _layout(problem: PathProblem, skeleton: Skeleton) -> _Rows:
     for kind, attr in ((1, "eq"), (2, "ineq")):
         items += [(kind, f"{owner.symbol}:{_label(f)}", f, lo, hi)
                   for owner, lo, hi in owners for f in getattr(owner, attr)]
-    table = _Rows(N, items)
+    table = _Rows(N, problem.d, items)
     memo, key = problem._layouts, id(skeleton)
     memo[key] = (weakref.ref(skeleton, lambda _: memo.pop(key, None)), table)
     return table
@@ -379,10 +435,12 @@ def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack
     """Evaluate all cost and constraint features at a path into one table.
 
     Each feature object is evaluated once over all the steps where it
-    applies.  A failure raises the FeatureEvalError of the first row in
+    applies, and each shared pass once over all the steps of its
+    features.  A failure raises the FeatureEvalError of the first row in
     canonical step order that fails, as a step-by-step evaluation would.
-    The table's layout (steps, index, kinds and effort mask) is built once
-    per (problem, skeleton) and shared, read-only, by its stacks.
+    The table's layout (steps, index, kinds, effort mask and the index
+    tables) is built once per (problem, skeleton) and shared, read-only,
+    by its stacks.
     Deterministic: identical inputs produce bit-identical stacks.
     """
     table = _layout(problem, skeleton)
@@ -395,7 +453,8 @@ def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack
         raise min(failures, key=lambda f: f[:2])[2]
     return FeatureStack(N=problem.N, d=problem.d, values=values, blocks=blocks,
                         steps=table.steps, index=table.index, kinds=table.kinds,
-                        effort_mask=table.effort_mask)
+                        effort_mask=table.effort_mask, columns=table.columns,
+                        band=table.band)
 
 
 def cost_value(stack: FeatureStack) -> float:

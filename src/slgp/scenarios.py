@@ -12,10 +12,16 @@ all its tips or fingers.  ``ArmTips`` is scaled link-tip coordinates: the
 reach, the table clearance and the joints held on the table.
 ``ContactFacePlane`` projects each ``ContactPointTouch`` offset onto the
 face normal, and the box's rest rows are a ``FiniteDifference``.
+
+The elbow builds one ``ArmChain`` for its arm, and every ``ArmTips`` of
+the scenario holds it as its shared pass: ``assemble`` runs the chain
+once per path, over every step where an arm row applies, and each
+``ArmTips`` slices its rows out of it.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -148,30 +154,74 @@ def arm_joint_jacobians(theta: Array, lengths) -> tuple[Array, Array]:
     pivots[..., 1:, :] = pts[..., :-1, :]
     # offset[..., k, c, i] = coordinate c of p_k - p_{i-1}
     offset = pts[..., :, :, None] - np.swapaxes(pivots, -1, -2)[..., None, :, :]
-    K = pts.shape[-2]
-    return pts, offset[..., ::-1, :] * (np.array([[-1.0], [1.0]]) * np.tri(K)[:, None, :])
+    return pts, offset[..., ::-1, :] * _turn(pts.shape[-2])
+
+
+@functools.cache
+def _turn(K: int) -> Array:
+    """The sign of each turned offset coordinate, (-1, 1), on the lower
+    triangle i <= k, (K, 2, K); read-only."""
+    out = np.array([[-1.0], [1.0]]) * np.tri(K)[:, None, :]
+    out.setflags(write=False)
+    return out
+
+
+class ArmChain:
+    """One pass over a planar arm's kinematic chain: eval gives the tip
+    positions and their Jacobians (arm_joint_jacobians) at window stacks
+    (..., 1, K) of joint angles.  Every ArmTips of an arm holds the arm's
+    chain as its shared pass."""
+
+    def __init__(self, lengths):
+        self.lengths = tuple(lengths)
+
+    def eval(self, xs: Array) -> tuple[Array, Array]:
+        return arm_joint_jacobians(xs[..., 0, :], self.lengths)
 
 
 class ArmTips:
     """Rows scale * (p[tips, axes] - offset): coordinate axes[i] of link tip
-    tips[i] (0-based), all from one pass over the kinematic chain."""
+    tips[i] (0-based), sliced out of one pass over the kinematic chain.
+    arm is the ArmChain to share, or link lengths for a chain of its own;
+    the offset is one number or one per row."""
 
     window = 1
     group = TASK
 
-    def __init__(self, lengths, tips, axes, scale: float, name: str, offset=0.0):
-        self.lengths = tuple(lengths)
-        self.tips = np.asarray(tips, dtype=int)
-        self.axes = np.asarray(axes, dtype=int)
+    def __init__(self, arm, tips, axes, scale: float, name: str, offset=0.0):
+        self.shared = arm if isinstance(arm, ArmChain) else ArmChain(arm)
+        K = len(self.shared.lengths)
+        tips, axes = np.asarray(tips), np.asarray(axes)
+        offset = np.asarray(offset, dtype=float)
+        if tips.ndim != 1 or axes.shape != tips.shape:
+            raise ValueError(f"ArmTips '{name}': tips and axes must be two sequences "
+                             f"of one length, got shapes {tips.shape} and {axes.shape}")
+        if tips.size and not (np.issubdtype(tips.dtype, np.integer)
+                              and np.issubdtype(axes.dtype, np.integer)):
+            raise ValueError(f"ArmTips '{name}': tips and axes must be integers")
+        if ((tips < 0) | (tips >= K)).any():
+            raise ValueError(f"ArmTips '{name}': tips {tips.tolist()} must index "
+                             f"the chain's {K} link tips 0..{K - 1}")
+        if ((axes != 0) & (axes != 1)).any():
+            raise ValueError(f"ArmTips '{name}': axes {axes.tolist()} must be 0 (x) or 1 (y)")
+        if offset.ndim > 1 or offset.size not in (1, len(tips)):
+            raise ValueError(f"ArmTips '{name}': offset must be one number or "
+                             f"{len(tips)}, got shape {offset.shape}")
+        self.tips = tips.astype(int)
+        self.axes = axes.astype(int)
         self.scale = float(scale)
-        self.offset = np.asarray(offset, dtype=float)
+        self.offset = offset
         self.size = len(self.tips)
         self.name = name
 
-    def eval(self, xs: Array):
-        pts, jac = arm_joint_jacobians(xs[..., 0, :], self.lengths)
+    def take(self, chain: tuple[Array, Array]):
+        """This feature's values and Jacobians out of the chain's pass."""
+        pts, jac = chain
         return (self.scale * (pts[..., self.tips, self.axes] - self.offset),
                 self.scale * jac[..., self.tips, self.axes, :])
+
+    def eval(self, xs: Array):
+        return self.take(self.shared.eval(xs))
 
 
 def build_elbow(params: ScenarioParams) -> Scenario:
@@ -186,11 +236,12 @@ def build_elbow(params: ScenarioParams) -> Scenario:
     if theta0.shape != (d,):
         raise ValueError(f"start_angles must have length {d}")
     N, dt = params.N, params.dt
+    arm = ArmChain(lengths)
     problem = PathProblem(
         N=N, d=d, dt=dt, sigma=params.sigma,
         prefix=np.stack([theta0, theta0]),
         costs=(AccelerationPenalty(d, dt, params.sigma),),
-        terminal_costs=(ArmTips(lengths, (d - 1, d - 1), (0, 1),
+        terminal_costs=(ArmTips(arm, (d - 1, d - 1), (0, 1),
                                 np.sqrt(params.arm_target_weight), "reach",
                                 offset=target),))
 
@@ -198,7 +249,7 @@ def build_elbow(params: ScenarioParams) -> Scenario:
 
     def heights(joints, sign: float, name: str) -> tuple[ArmTips]:
         """Rows sign * y of the given link tips (1-based)."""
-        return (ArmTips(lengths, [j - 1 for j in joints], [1] * len(joints), sign, name),)
+        return (ArmTips(arm, [j - 1 for j in joints], [1] * len(joints), sign, name),)
 
     def clearance(exclude=()):
         return heights([j for j in range(1, d + 1) if j not in exclude], -1.0,

@@ -188,7 +188,7 @@ def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> Array:
     # an infinite band would give a NaN step.
     try:
         with np.errstate(over="raise"):
-            ab = band_from_step_blocks(stack.gram(select, weights))
+            ab = band_from_step_blocks(stack.gram(select, weights), stack.band)
     except FloatingPointError as exc:
         raise HessianOverflowError(f"Gauss-Newton Hessian: {exc}") from None
     ab[-1] += damping

@@ -265,6 +265,127 @@ def test_batched_stack_matches_the_per_step_oracle(case, request):
         assert _layout(problem, skeleton).equalities == walked
 
 
+def _items(problem, skeleton):
+    """(label, feature, steps) of every cost and constraint feature."""
+    N = problem.N
+    out = [(f.name, f, range(1, N + 1)) for f in problem.costs]
+    out += [(f.name, f, [N]) for f in problem.terminal_costs]
+    for owner in (*skeleton.modes, *skeleton.switches):
+        lo, hi = getattr(owner, "window", (getattr(owner, "at_step", 0),) * 2)
+        out += [(f"{owner.symbol}:{f.name}", f, range(lo, hi + 1))
+                for f in (*owner.eq, *owner.ineq)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["elbow", "push", "tworoute"])
+@pytest.mark.parametrize("N", [40, 13])
+def test_stack_rows_equal_each_features_own_eval_bit_for_bit(name, N):
+    """Shared passes included: each feature's rows are what its own eval
+    gives over all its steps at once."""
+    sc = build_scenario(ScenarioParams(name=name, N=N))
+    problem, d = sc.problem, sc.problem.d
+    rng = np.random.default_rng(53 + N)
+    for skeleton in sc.skeletons:
+        for _ in range(3):
+            x = (np.tile(problem.prefix[1], (N, 1))
+                 + rng.normal(scale=0.3, size=(N, d)))
+            stack = assemble(problem, skeleton, x)
+            rows = {}
+            for i, key in enumerate(stack.index):
+                rows.setdefault(key, []).append(i)
+            for label, feat, steps in _items(problem, skeleton):
+                w = feat.window
+                values, jacs = feat.eval(np.stack([window(problem, x, n, w) for n in steps]))
+                for n, value, jac in zip(steps, values, jacs):
+                    at = rows[n, label]
+                    assert np.array_equal(stack.values[at], value), (skeleton.id, n, label)
+                    assert np.array_equal(stack.blocks[at, 3 * d - w * d:], jac)
+                    assert not stack.blocks[at, :3 * d - w * d].any()
+
+
+class _RootPass:
+    """Square roots of a configuration's coordinates and their slopes, one
+    pass shared by _Root features; raises on a negative coordinate when
+    raising is set, else returns NaN there."""
+
+    def __init__(self, raising):
+        self.raising = raising
+        self.calls = 0
+
+    def eval(self, xs):
+        self.calls += 1
+        v = xs[..., 0, :]
+        if self.raising and (v < 0).any():
+            raise ValueError("negative")
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(v), 0.5 / np.sqrt(np.abs(v))
+
+
+class _Root:
+    """sqrt(x[coord]) sliced out of a shared _RootPass."""
+
+    window, size = 1, 1
+
+    def __init__(self, shared, coord, name):
+        self.shared, self.coord, self.name = shared, coord, name
+
+    def take(self, out):
+        root, slope = out
+        jac = np.zeros(root.shape[:-1] + (1, root.shape[-1]))
+        jac[..., 0, self.coord] = slope[..., self.coord]
+        return root[..., self.coord:self.coord + 1], jac
+
+    def eval(self, xs):
+        return self.take(self.shared.eval(xs))
+
+
+class _Alone:
+    """The same feature without its shared pass: assemble evaluates it on
+    its own."""
+
+    window, size = 1, 1
+
+    def __init__(self, feat):
+        self.feat, self.name = feat, feat.name
+
+    def eval(self, xs):
+        return self.feat.eval(xs)
+
+
+def _root_skeleton(raising, alone=False):
+    shared = _RootPass(raising)
+    first, second = _Root(shared, 0, "root0"), _Root(shared, 1, "root1")
+    if alone:
+        first, second = _Alone(first), _Alone(second)
+    sk = Skeleton(id="roots", modes=(Mode("a", (1, 3), eq=(first,)),
+                                     Mode("b", (4, 6), eq=(second,), ineq=(first,))),
+                  switches=(Switch("s", 4),))
+    return sk, shared
+
+
+@pytest.mark.parametrize("raising", [True, False], ids=["raising", "nonfinite"])
+def test_a_failing_shared_pass_names_the_step_each_feature_alone_names(raising):
+    problem = _toy_problem()
+    sk, shared = _root_skeleton(raising)
+    alone, _ = _root_skeleton(raising, alone=True)
+    x = np.ones((6, 2))
+    _stacks_equal(assemble(problem, sk, x), assemble(problem, alone, x))
+    assert shared.calls == 1
+    # A raising pass fails every feature at the step; a NaN only the
+    # feature that reads it.
+    for bad, expected in (((4, 1), (5, "b:root1")), ((1, 0), (2, "a:root0")),
+                          ((5, 0), (6, "b:root1" if raising else "b:root0"))):
+        x = np.ones((6, 2))
+        x[bad] = -1.0
+        with pytest.raises(FeatureEvalError) as err:
+            assemble(problem, sk, x)
+        with pytest.raises(FeatureEvalError) as own:
+            assemble(problem, alone, x)
+        assert (err.value.step, err.value.label) == (own.value.step, own.value.label)
+        assert (err.value.step, err.value.label) == expected
+        assert str(err.value) == str(own.value)
+
+
 BUNDLED_SKELETONS = [("elbow", "free"), ("elbow", "fix-joint-1"),
                      ("elbow", "fix-joint-2"), ("elbow", "fix-both"),
                      ("push", "single-finger"), ("push", "two-finger"),
@@ -450,7 +571,7 @@ def test_shared_layout_arrays_are_read_only(elbow):
     stack = assemble(problem, sk, x)
     fresh = assemble(dataclasses.replace(problem), sk, x)
     assert stack.eq.size and stack.ineq.size
-    for name in ("steps", "effort_mask"):
+    for name in ("steps", "effort_mask", "columns", "band"):
         with pytest.raises(ValueError):
             getattr(stack, name)[0] = 99
     _stacks_equal(assemble(problem, sk, x), fresh)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import slgp.scenarios
 from slgp.execution import build_controller, rollout
 from slgp.features import check_jacobian
 from slgp.kodp import backward_pass, quadratize
 from slgp.laplace import build_component, mixture_weights, sample_paths
 from slgp.problem import _layout, assemble, skeleton_structure_violations
-from slgp.scenarios import (ArmTips, ContactFacePlane, ContactPointTouch,
+from slgp.scenarios import (ArmChain, ArmTips, ContactFacePlane, ContactPointTouch,
                             ScenarioParams, arm_joint_positions, build_scenario)
 from slgp.selftest import dense_jacobian
 from slgp.solver import solve
@@ -160,6 +161,59 @@ def test_arm_tips_match_the_reach_and_tip_height_formulas():
         assert feat.size == feat.eval(xs)[0].shape[-1]
         for window in xs:
             assert check_jacobian(feat, window) < 1e-6
+
+
+@pytest.mark.parametrize("tips, axes, offset, needle", [
+    ((0,), (0, 1), 0.0, "one length"),
+    ((4,), (1,), 0.0, "link tips 0..3"),
+    ((-1,), (1,), 0.0, "link tips 0..3"),
+    ((0, 3), (1, 2), 0.0, "0 (x) or 1 (y)"),
+    ((0.5,), (1,), 0.0, "integers"),
+    ((0, 1), (1, 1), (1.0, 2.0, 3.0), "offset"),
+], ids=["axes-length", "tip-past-chain", "negative-tip", "axis-2", "float-tip",
+        "offset-length"])
+def test_malformed_arm_tips_are_refused_at_construction(tips, axes, offset, needle):
+    with pytest.raises(ValueError) as err:
+        ArmTips((0.5, 0.5, 0.5, 0.5), tips, axes, 1.0, "bad-tips", offset=offset)
+    assert "'bad-tips'" in str(err.value) and needle in str(err.value)
+
+
+def test_an_arm_tip_set_may_be_empty():
+    tips = ArmTips((0.5, 0.5), [], [], -1.0, "table-clearance")
+    values, jacs = tips.eval(np.zeros((3, 1, 2)))
+    assert tips.size == 0 and values.shape == (3, 0) and jacs.shape == (3, 0, 2)
+
+
+def _count_chain_passes(monkeypatch):
+    calls = []
+    passes = slgp.scenarios.arm_joint_jacobians
+
+    def counted(theta, lengths):
+        calls.append(theta.shape)
+        return passes(theta, lengths)
+    monkeypatch.setattr(slgp.scenarios, "arm_joint_jacobians", counted)
+    return calls
+
+
+def test_one_assemble_runs_the_arm_chain_once(monkeypatch):
+    sc = build_scenario(ScenarioParams(name="elbow"))
+    problem = sc.problem
+    arms = {id(f.shared) for f in problem.terminal_costs}
+    for sk in sc.skeletons:
+        for owner in (*sk.modes, *sk.switches):
+            arms.update(id(f.shared) for f in (*owner.eq, *owner.ineq))
+    assert len(arms) == 1 and isinstance(problem.terminal_costs[0].shared, ArmChain)
+    x = np.tile(problem.prefix[1], (problem.N, 1)) + 0.1
+    for sk in sc.skeletons:
+        assemble(problem, sk, x)  # builds the layout
+        calls = _count_chain_passes(monkeypatch)
+        assemble(problem, sk, x)
+        # One pass over every step: the clearance rows cover the horizon.
+        assert calls == [(problem.N, problem.d)], sk.id
+        monkeypatch.undo()
+    calls = _count_chain_passes(monkeypatch)
+    problem.terminal_costs[0].eval(np.zeros((5, 1, problem.d)))
+    assert calls == [(5, problem.d)]
 
 
 def _finger_rows(x, f0, contact, normal):
