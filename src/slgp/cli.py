@@ -32,8 +32,9 @@ import numpy as np
 
 from .execution import (BLENDING, SWITCHING, RolloutError, build_controller,
                         check_disturbance, rollout)
-from .laplace import (UNNORMALIZED, SingularComponentError, build_components,
+from .laplace import (UNNORMALIZED, LaplaceComponent, build_components,
                       build_mixture)
+from .problem import FeatureEvalError
 from .scenarios import Scenario, ScenarioParams, build_scenario
 from .selftest import ALL_SUITES, run_suites
 from .solver import SolverConfig, solve
@@ -177,14 +178,24 @@ def _plan_scenario(command: str, scenario: Scenario, solver_cfg: SolverConfig,
     skeleton, in skeleton order.  A skeleton without a component has None
     there and the reason: the solver status, or the SingularComponentError
     naming the skeleton, the step and the smallest eigenvalue of the
-    singular pivot.  Running out of memory exits naming the command and
-    the horizon.
+    singular pivot.  An out that cannot be created, a feature that fails
+    at a skeleton's start path, and running out of memory exit naming the
+    command and the path, the skeleton and feature, or the horizon.
     """
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        solved = [(sk, solve(scenario.problem, sk, config=solver_cfg,
-                             collect_trace=collect_trace))
-                  for sk in scenario.skeletons]
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"{command}: cannot create output directory '{out}': "
+                         f"{exc.strerror}") from None
+    solved = []
+    try:
+        for sk in scenario.skeletons:
+            try:
+                solved.append((sk, solve(scenario.problem, sk, config=solver_cfg,
+                                         collect_trace=collect_trace)))
+            except FeatureEvalError as exc:
+                raise SystemExit(f"{command}: skeleton '{sk.id}' cannot be solved from "
+                                 f"its start path: {exc}") from None
         built = iter(build_components(scenario.problem,
                                       [(sk, sol) for sk, sol in solved if sol.converged]))
     except MemoryError as exc:
@@ -192,14 +203,9 @@ def _plan_scenario(command: str, scenario: Scenario, solver_cfg: SolverConfig,
                          f"(N={scenario.params.N}, d={scenario.problem.d}): {exc}") from None
     records = []
     for sk, sol in solved:
-        if not sol.converged:
-            records.append((sk, sol, None, f"solver status {sol.status}"))
-            continue
-        comp = next(built)
-        if isinstance(comp, SingularComponentError):
-            records.append((sk, sol, None, str(comp)))
-        else:
-            records.append((sk, sol, comp, None))
+        comp = next(built) if sol.converged else f"solver status {sol.status}"
+        records.append((sk, sol, comp, None) if isinstance(comp, LaplaceComponent)
+                       else (sk, sol, None, str(comp)))
     return records
 
 

@@ -222,7 +222,8 @@ def eliminate(expansions, count: int = len(DISTRIBUTIONS)) -> list:
     Returns one entry per expansion, in order: its Elimination, or the
     SingularComponentError of its first pivot whose smallest eigenvalue is
     at most _EIG_FLOOR times its mean eigenvalue, naming the skeleton and
-    the step.  That skeleton leaves the batch; the others go on.
+    the step.  That skeleton keeps its place, its entry is its error, and
+    the later steps skip it; the others go on.
     """
     if count not in range(1, len(DISTRIBUTIONS) + 1):
         raise ValueError(f"count must be 1 or {len(DISTRIBUTIONS)}, got {count!r}")
@@ -260,15 +261,15 @@ def eliminate(expansions, count: int = len(DISTRIBUTIONS)) -> list:
             float(lam[which, 0]))
         return True
 
-    def fold(at, dest, Z: Array, lam: Array, Q: Array) -> Array:
-        """Fold the factored pivots Q diag(lam) Q^T of batch positions at
-        (skeletons dest) into the step's law, V and half log-determinants;
-        returns root."""
+    def fold(at, Z: Array, lam: Array, Q: Array) -> Array:
+        """Fold the factored pivots Q diag(lam) Q^T of the skeletons at (an
+        index or an index array) into the step's law, V and half
+        log-determinants; returns root."""
         root = Z @ Q / np.sqrt(lam)[..., None, :]
         C = root.swapaxes(-1, -2) @ GS_x[at]
-        law[dest, k - 1] -= root @ C
+        law[at, k - 1] -= root @ C
         V[at] -= C.swapaxes(-1, -2) @ C
-        half_logdet[dest, k - 1] = 0.5 * np.log(lam).sum(axis=-1)
+        half_logdet[at, k - 1] = 0.5 * np.log(lam).sum(axis=-1)
         return root
 
     law = np.zeros((K, N, count, d, two_d + 1))
@@ -278,9 +279,6 @@ def eliminate(expansions, count: int = len(DISTRIBUTIONS)) -> list:
     S = np.zeros((width, two_d + 1))
     S[:two_d, :two_d] = np.eye(two_d)
     S[-1, -1] = 1.0
-    # Batch position j holds skeleton alive[j]; out selects their output
-    # rows, all of them until a skeleton leaves the batch.
-    alive, out = list(range(K)), slice(None)
     V = np.zeros((K, count, two_d + 1, two_d + 1))
     for k in range(N, 0, -1):
         # The window's Gram with the later steps folded into the
@@ -290,11 +288,13 @@ def eliminate(expansions, count: int = len(DISTRIBUTIONS)) -> list:
         G = grams[k - 1].copy()
         G[:, :, d:, d:] += V
         GS_x = G[:, :, x].take(past, axis=3)
-        V = G.reshape(len(alive), count, -1).take(past_gram, axis=2).reshape(V.shape)
+        V = G.reshape(K, count, -1).take(past_gram, axis=2).reshape(V.shape)
         free = []
-        for j, i in enumerate(alive):
+        for i in range(K):
+            if i in errors:
+                continue
             if not (len(expansions[i].rows[k - 1]) or carried[i][k]):
-                free.append(j)
+                free.append(i)
                 continue
             R = np.vstack([expansions[i].rows[k - 1], *carried[i][k]])
             U, s, vt = np.linalg.svd(R[:, two_d:])
@@ -317,38 +317,34 @@ def eliminate(expansions, count: int = len(DISTRIBUTIONS)) -> list:
             if dropped:
                 notes[i].append((k, f"dropped {dropped} dependent constraint rows"))
             S[x, :two_d] = Tk
-            GS = G[j] @ S
-            V[j] = S.T @ GS
+            GS = G[i] @ S
+            V[i] = S.T @ GS
             S[x, :two_d] = 0.0
-            GS_x[j] = GS[:, x]
-            pivot = Z.T @ G[j, :, x, x] @ Z
+            GS_x[i] = GS[:, x]
+            pivot = Z.T @ G[i, :, x, x] @ Z
             lam, Q = np.linalg.eigh(0.5 * (pivot + pivot.swapaxes(-1, -2)))
             if Z.shape[1] and singular(i, k, lam):
                 continue
             law[i, k - 1, :, :, :two_d] = Tk
-            roots[i][k - 1] = fold(j, i, Z, lam, Q)
+            roots[i][k - 1] = fold(i, Z, lam, Q)
         if free:
             # Z_k = I: each pivot is the x_k block of G.  root is still
             # formed as the product Z_k Q, which equals Q but stores its
-            # -0.0 as +0.0, as the steps with rows do.
-            at = slice(None) if len(free) == len(alive) else np.array(free)
+            # -0.0 as +0.0, as the steps with rows do.  A singular pivot
+            # is folded at unit eigenvalues, so no NaN is formed.
+            at = slice(None) if len(free) == K else np.array(free)
             E = G[at, :, x, x]
             lam, Q = np.linalg.eigh(0.5 * (E + E.swapaxes(-1, -2)))
             if (lam[:, :, 0] <= _EIG_FLOOR * (lam.sum(axis=2) / d)).any():
-                ok = [not singular(alive[j], k, lam[n]) for n, j in enumerate(free)]
-                at, lam, Q = np.array(free)[ok], lam[ok], Q[ok]
-            dest = out if isinstance(at, slice) else np.array(alive)[at]
-            root = fold(at, dest, eye, lam, Q)
-            for i, r in zip(np.array(alive)[at].tolist(), root):
+                for n, i in enumerate(free):
+                    if singular(i, k, lam[n]):
+                        lam[n] = 1.0
+            for i, r in zip(free, fold(at, eye, lam, Q)):
                 roots[i][k - 1] = r
         V = 0.5 * (V + V.swapaxes(-1, -2))
-        values[out, k - 1] = V
-        if errors and len(errors) + len(alive) > K:
-            kept = [j for j, i in enumerate(alive) if i not in errors]
-            alive, V, grams = [alive[j] for j in kept], V[kept], grams[:k - 1, kept]
-            out = np.array(alive, dtype=int)
-            if not alive:
-                break
+        values[:, k - 1] = V
+        if errors:
+            V[list(errors)] = 0.0
     return [errors[i] if i in errors else
             Elimination(skeleton_id=e.skeleton_id, law=law[i], root=tuple(roots[i]),
                         half_logdet=half_logdet[i], V=values[i], notes=tuple(notes[i]))

@@ -12,6 +12,13 @@ the constraint violation stalls.  At an inner stationary point the merit
 gradient equals the Lagrangian gradient at the updated multipliers, so
 convergence is gated directly on the KKT residuals.
 
+A solve returns the point and multipliers of its last outer update, with
+status converged when they pass the gate.  Otherwise a Gauss-Newton step
+that cannot be taken ends it at the status its SolverError carries
+(hessian-overflow, hessian-not-positive-definite), a second outer
+iteration in a row without an accepted trial at line-search-failure, and
+max_outer iterations at max-iterations.
+
 Each inner loop minimizes the merit for multipliers that the next outer
 update replaces, so it is solved only as far as it pays.  While the
 violation exceeds 10 tol_constraint, an inner loop ends once its merit
@@ -54,6 +61,7 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
 LINE_SEARCH_FAILURE = "line-search-failure"
 HESSIAN_OVERFLOW = "hessian-overflow"
+HESSIAN_NOT_PD = "hessian-not-positive-definite"
 
 _MIN_STEP = 1e-12
 _INNER_CUT = 0.1  # relative gradient cut that ends an inner loop far from feasibility
@@ -67,11 +75,11 @@ _MU_MAX = 1e12
 
 
 class SolverError(RuntimeError):
-    pass
+    """No Gauss-Newton step can be taken; status is the one the solve ends in."""
 
-
-class HessianOverflowError(SolverError):
-    """The Gauss-Newton Hessian of the merit overflows float64."""
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,7 @@ def _merit_hessian(stack: FeatureStack, al: ALState, damping: float) -> Array:
         with np.errstate(over="raise"):
             ab = band_from_step_blocks(stack.gram(select, weights), stack.band)
     except FloatingPointError as exc:
-        raise HessianOverflowError(f"Gauss-Newton Hessian: {exc}") from None
+        raise SolverError(HESSIAN_OVERFLOW, f"Gauss-Newton Hessian: {exc}") from None
     ab[-1] += damping
     return ab
 
@@ -201,8 +209,8 @@ def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float,
     merit gradient at the stack; returns dx and the damping it was solved at.
 
     On factorization failure the damping is grown tenfold up to 1e+2
-    before giving up.  Raises HessianOverflowError when the Hessian
-    overflows float64.
+    before giving up.  Raises SolverError with status HESSIAN_NOT_PD when
+    it gives up, and HESSIAN_OVERFLOW when the Hessian overflows float64.
     """
     level = damping
     while True:
@@ -211,8 +219,8 @@ def gauss_newton_step(stack: FeatureStack, al: ALState, damping: float,
         except FactorizationError:
             level = max(level, 1e-12) * 10.0
             if level > _DAMPING_MAX:
-                raise SolverError("Gauss-Newton system not positive definite "
-                                  f"at damping {_DAMPING_MAX}")
+                raise SolverError(HESSIAN_NOT_PD, "Gauss-Newton system not positive "
+                                  f"definite at damping {_DAMPING_MAX}")
 
 
 def _kkt(stack: FeatureStack, lam: Array, nu: Array) -> KktResiduals:
@@ -237,8 +245,9 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
 
     The accepted trial point keeps its stack and its merit, so each point
     is assembled once and has its merit and gradient computed once.
-    Returns (x, stack at x, reason, iterations) with reason in
-    {"gradient", "step", "line-search", "overflow", "max-inner"}.
+    Returns (x, stack at x, failure, iterations): failure is None, or
+    LINE_SEARCH_FAILURE when no trial is accepted, or the status of the
+    SolverError when no step can be taken.
     """
     shape = (problem.N, problem.d)
     small_steps = 0
@@ -249,11 +258,11 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
         if it == 0:
             grad_tol = max(grad_tol, cut * grad_norm)
         if grad_norm <= grad_tol:
-            return x_flat, stack, "gradient", it
+            return x_flat, stack, None, it
         try:
             dx, damping = gauss_newton_step(stack, al, cfg.hessian_reg, grad)
-        except HessianOverflowError:
-            return x_flat, stack, "overflow", it
+        except SolverError as exc:
+            return x_flat, stack, exc.status, it
         slope = float(grad @ dx)
         alpha = 1.0
         backtracks = 0
@@ -275,15 +284,15 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
                                   alpha * float(np.abs(dx).max()) if accepted else 0.0,
                                   al.mu, backtracks, damping))
         if not accepted:
-            return x_flat, stack, "line-search", it + 1
+            return x_flat, stack, LINE_SEARCH_FAILURE, it + 1
         x_flat, stack, merit = trial, trial_stack, trial_merit
         if alpha * float(np.abs(dx).max()) <= cfg.tol_step:
             small_steps += 1
             if small_steps >= 2:
-                return x_flat, stack, "step", it + 1
+                return x_flat, stack, None, it + 1
         else:
             small_steps = 0
-    return x_flat, stack, "max-inner", _MAX_INNER
+    return x_flat, stack, None, _MAX_INNER
 
 
 def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
@@ -314,45 +323,31 @@ def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
     status = MAX_ITERATIONS
     total_inner = 0
     ls_failures = 0
-    outer_done = 0
 
     for outer in range(cfg.max_outer):
-        outer_done = outer + 1
         # A relative inner tolerance while far from feasibility, tight at the end.
         far = constrained and viol_prev > 10.0 * cfg.tol_constraint
-        x, stack, reason, used = _inner_gauss_newton(
+        x, stack, failure, used = _inner_gauss_newton(
             problem, skeleton, x, stack, al, cfg, 0.5 * grad_gate,
             _INNER_CUT if far else 0.0, trace, outer)
         total_inner += used
-        lam_new = np.clip(al.lam + 2.0 * al.mu * stack.ineq, 0.0, None)
-        nu_new = al.nu + 2.0 * al.mu * stack.eq
-        kkt = _kkt(stack, lam_new, nu_new)
-        viol = max(kkt.eq_violation, kkt.ineq_violation)
-        if cfg.accepts(kkt, lam_new):
-            al = ALState(lam=lam_new, nu=nu_new, mu=al.mu)
+        al = ALState(lam=np.clip(al.lam + 2.0 * al.mu * stack.ineq, 0.0, None),
+                     nu=al.nu + 2.0 * al.mu * stack.eq, mu=al.mu)
+        kkt = _kkt(stack, al.lam, al.nu)
+        ls_failures = ls_failures + 1 if failure == LINE_SEARCH_FAILURE else 0
+        if cfg.accepts(kkt, al.lam):
             status = CONVERGED
             break
-        if reason == "overflow":
-            al = ALState(lam=lam_new, nu=nu_new, mu=al.mu)
-            status = HESSIAN_OVERFLOW
+        elif failure not in (None, LINE_SEARCH_FAILURE) or ls_failures >= 2:
+            status = failure
             break
-        if reason == "line-search":
-            ls_failures += 1
-            if ls_failures >= 2:
-                al = ALState(lam=lam_new, nu=nu_new, mu=al.mu)
-                status = LINE_SEARCH_FAILURE
-                break
-        else:
-            ls_failures = 0
-        mu = al.mu
+        viol = max(kkt.eq_violation, kkt.ineq_violation)
         if viol > 0.25 * viol_prev and viol > cfg.tol_constraint:
-            mu = min(mu * _MU_GROWTH, _MU_MAX)
-        al = ALState(lam=lam_new, nu=nu_new, mu=mu)
+            al.mu = min(al.mu * _MU_GROWTH, _MU_MAX)
         viol_prev = max(viol, 1e-300)
 
-    x_star = x.reshape(shape).copy()
-    return NlpSolution(x_star=x_star, lam=al.lam.copy(), nu=al.nu.copy(),
+    return NlpSolution(x_star=x.reshape(shape).copy(), lam=al.lam.copy(), nu=al.nu.copy(),
                        f_star=cost_value(stack), status=status, active_set=al.lam > 0,
-                       kkt=kkt, outer_iterations=outer_done,
+                       kkt=kkt, outer_iterations=outer + 1,
                        inner_iterations=total_inner,
                        trace=tuple(trace) if trace is not None else ())

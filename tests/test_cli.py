@@ -127,6 +127,38 @@ def test_plan_honors_config_file_and_overrides(tmp_path):
         assert re.search(r" fStar=\d\.\d{6}e\+30\d ", line) and len(line) < 120
 
 
+def test_a_system_that_never_factors_ends_each_skeleton_with_its_status(tmp_path, capsys):
+    # Far below the overflow, the damped Gauss-Newton system at the start
+    # path does not factor even at the largest damping: every skeleton
+    # ends its solve with that status instead of raising.
+    code, out = _plan(tmp_path, "elbow", "--set", "scenario.arm_target_weight=1e20")
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    lines = (out / "report.txt").read_text().splitlines()[2:]
+    assert [line.split()[0] for line in lines] == ["free", "fix-joint-1", "fix-joint-2",
+                                                   "fix-both"]
+    for line in lines:
+        assert "status=hessian-not-positive-definite" in line
+    for sid in ("free", "fix-joint-1", "fix-joint-2", "fix-both"):
+        sol = json.loads((out / f"solution-{sid}.json").read_text())
+        assert sol["status"] == "hessian-not-positive-definite"
+        assert sol["dropReason"] == "solver status hessian-not-positive-definite"
+
+
+def test_a_feature_that_fails_at_the_start_path_exits_naming_the_skeleton(tmp_path,
+                                                                         fresh_python):
+    # The goal offset overflows to -inf when the scenario is built (numpy
+    # warns on stderr), so the first assembly of the first skeleton fails.
+    out = tmp_path / "x"
+    done = fresh_python(
+        "import sys; from slgp.cli import main; sys.exit(main(['plan', '--scenario', "
+        f"'tworoute', '--set', 'scenario.route_target=[1e308,0]', '--out', {str(out)!r}]))")
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == (
+        "plan: skeleton 'via-near' cannot be solved from its start path: "
+        "feature 'goal' at step 40: nonfinite value or Jacobian")
+
+
 # --- simulate ---------------------------------------------------------------
 
 
@@ -260,6 +292,7 @@ def test_bad_arguments_exit_with_a_message(tmp_path, monkeypatch):
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
     out = tmp_path / "x"
+    # The argv's own --out, given after this one, wins.
     for argv in (
         ["simulate", "--scenario", "tworoute", "--seeds", "a..z"],
         ["simulate", "--scenario", "tworoute", "--seeds", "3..1"],
@@ -275,10 +308,16 @@ def test_bad_arguments_exit_with_a_message(tmp_path, monkeypatch):
         ["plan", "--scenario", "tworoute", "--set", "scenario.N=40",
          "--set", "scenario.N.x=1"],
         ["plan", "--config", str(listed)],
+        ["plan", "--scenario", "tworoute", "--out", str(listed)],
+        ["simulate", "--scenario", "tworoute", "--out", str(listed / "below")],
     ):
-        with pytest.raises(SystemExit):
-            main([*argv, "--out", str(out)])
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--out", str(out), *argv[1:]])
         assert not out.exists(), argv
+        if argv[-2] == "--out":
+            assert str(info.value.code).startswith(
+                f"{argv[0]}: cannot create output directory '{argv[-1]}': ")
+    assert listed.read_text() == "[1, 2]"
 
 
 @pytest.mark.parametrize("text, cause", [

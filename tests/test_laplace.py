@@ -197,11 +197,15 @@ def test_one_pass_equals_the_skeletons_eliminated_alone(name, N, count):
     # A skeleton with rows leaves first: the free arm moves to the front of
     # the batch, and the contact skeletons still have rows at its steps.
     ("elbow", ["fix-both", "free", "fix-joint-1", "fix-joint-2"], "fix-both"),
+    # Every skeleton fails at step N, the free arm without rows and the
+    # contact skeletons with theirs; each keeps its own error.
+    ("elbow", ["free", "fix-joint-1", "fix-joint-2", "fix-both"], "all"),
 ])
 def test_a_singular_skeleton_leaves_the_batch_alone(bundle, order, victim, request,
                                                     monkeypatch):
-    # Leave only the victim's step-N effort rows out: its effort Hessian
-    # pivot at step N is singular, and the other skeletons must not notice.
+    # Leave only the victims' step-N effort rows out: their effort Hessian
+    # pivots at step N are singular, and the other skeletons must not notice.
+    victims = order if victim == "all" else [victim]
     bundle = request.getfixturevalue(bundle)
     problem = bundle.scenario.problem
     solved = [(bundle.scenario.skeleton(sid), bundle.solution(sid)) for sid in order]
@@ -209,21 +213,22 @@ def test_a_singular_skeleton_leaves_the_batch_alone(bundle, order, victim, reque
 
     def victim_last_step_without_effort(problem, skeleton, x):
         stack = assemble(problem, skeleton, x)
-        if skeleton.id != victim:
+        if skeleton.id not in victims:
             return stack
         return dataclasses.replace(
             stack, effort_mask=stack.effort_mask & (stack.steps != problem.N))
 
     monkeypatch.setattr("slgp.laplace.assemble", victim_last_step_without_effort)
     built = dict(zip(order, build_components(problem, solved)))
-    assert isinstance(built[victim], SingularComponentError)
-    with pytest.raises(SingularComponentError) as alone:
-        build_component(problem, *solved[order.index(victim)])
-    assert str(built[victim]) == str(alone.value) == (
-        f"effort Hessian pivot of skeleton '{victim}' at step {problem.N} is "
-        "numerically singular (smallest eigenvalue 0.000e+00)")
+    for sid in victims:
+        assert isinstance(built[sid], SingularComponentError)
+        with pytest.raises(SingularComponentError) as alone:
+            build_component(problem, *solved[order.index(sid)])
+        assert str(built[sid]) == str(alone.value) == (
+            f"effort Hessian pivot of skeleton '{sid}' at step {problem.N} is "
+            "numerically singular (smallest eigenvalue 0.000e+00)")
     for sid in order:
-        if sid != victim:
+        if sid not in victims:
             _assert_same_elimination(built[sid].elimination, clean[sid].elimination)
             assert (built[sid].log_ratio, built[sid].rank) == (clean[sid].log_ratio,
                                                                clean[sid].rank)

@@ -14,7 +14,7 @@ from slgp.problem import (FeatureEvalError, Mode, PathProblem, Skeleton,
                           assemble, constraint_violation, free_skeleton)
 from slgp.scenarios import ScenarioParams, build_scenario
 from slgp.selftest import dense_jacobian
-from slgp.solver import (ALState, SolverConfig, gauss_newton_step,
+from slgp.solver import (HESSIAN_NOT_PD, ALState, SolverConfig, gauss_newton_step,
                          kkt_residuals, solve)
 from slgp.solver import _merit, _merit_grad, _merit_hessian  # noqa: PLC2701
 from slgp.solver import (_ARMIJO_C, _ARMIJO_SHRINK, _MAX_INNER,  # noqa: PLC2701
@@ -145,6 +145,30 @@ def test_gauss_newton_step_reports_the_damping_it_factored_at(monkeypatch):
     dx, damping = gauss_newton_step(stack, al, 1e-8, _merit_grad(stack, al))
     assert len(calls) == 3 and np.isfinite(dx).all()
     assert np.isclose(damping, 1e-6, rtol=1e-12, atol=0.0)
+
+
+def test_a_system_that_never_factors_ends_the_solve_after_one_update(monkeypatch):
+    # The first Gauss-Newton step fails at every damping: the solve ends
+    # after one outer iteration at the start path, with that iteration's
+    # multiplier update.
+    problem, skeleton = _scalar_bound_problem()
+    pin = AffineFeature(np.eye(1), np.array([-0.5]), window=1, name="pin")
+    skeleton = dataclasses.replace(
+        skeleton, modes=(dataclasses.replace(skeleton.modes[0], eq=(pin,)),))
+
+    def never(ab, rhs):
+        raise FactorizationError("not positive definite")
+
+    monkeypatch.setattr("slgp.solver.banded_cholesky_solve", never)
+    x0 = np.zeros((problem.N, problem.d))
+    sol = solve(problem, skeleton, x_init=x0)
+    stack = assemble(problem, skeleton, x0)
+    assert sol.status == HESSIAN_NOT_PD and not sol.converged
+    assert (sol.outer_iterations, sol.inner_iterations) == (1, 0)
+    assert np.array_equal(sol.x_star, x0)
+    assert np.array_equal(sol.lam, np.clip(2.0 * _MU_INIT * stack.ineq, 0.0, None))
+    assert np.array_equal(sol.nu, 2.0 * _MU_INIT * stack.eq)
+    assert sol.lam.min() > 0.0 and sol.nu.size == 2 and sol.nu.min() < 0.0
 
 
 def test_gauss_newton_step_decreases_the_merit():
