@@ -248,6 +248,8 @@ def cmd_plan(args) -> int:
              f"dt={params.dt:g}, sigma={params.sigma:g})",
              f"skeletons: {len(records)}, converged: "
              f"{sum(sol.converged for _, sol, _, _ in records)}"]
+    # One status column: as wide as the longest status, and at least 20.
+    width = max([20, *(len(sol.status) for _, sol, _, _ in records)])
     for sk, sol, comp, reason in records:
         weight = weight_of.get(sk.id)
         _write_json(out / f"solution-{sk.id}.json",
@@ -263,7 +265,7 @@ def cmd_plan(args) -> int:
                      repr(float(np.exp(comp.log_ratio))) if comp else "",
                      comp.rank if comp else "",
                      repr(weight) if weight is not None else ""))
-        part = f"  {sk.id:<16} status={sol.status:<20} fStar={_fixed(sol.f_star)}"
+        part = f"  {sk.id:<16} status={sol.status:<{width}} fStar={_fixed(sol.f_star)}"
         if comp is not None:
             part += f" logRatio={_fixed(comp.log_ratio)} weight={_fixed(weight)}"
         else:

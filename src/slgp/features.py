@@ -22,7 +22,7 @@ axes as an (..., window, d) array, and the result is the values
 (..., size) and the Jacobians (..., size, window * d), each window
 evaluated on its own.  ``problem.assemble`` calls it once per feature
 over an (M, window, d) stack of all the steps where the feature applies,
-and checks the shapes and finiteness of what it returns.
+and checks the shapes of what it returns and the finiteness of the table.
 
 Features whose rows come out of one common computation may share it as a
 pass.  Such a feature holds the pass as ``shared``, whose own ``eval(xs)``

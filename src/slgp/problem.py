@@ -19,9 +19,9 @@ Gram blocks land in the banded Hessian.
 
 Features may share one pass (see slgp.features): assemble runs each
 shared pass once per path, over the union of the steps of the features
-that hold it, and slices every feature's rows out of it.  When the pass
-raises, or a feature's slice fails its checks, that feature is evaluated
-on its own, so the error names the same step and label.
+that hold it, and slices every feature's rows out of it; every other
+feature runs once over all its steps.  Only a failure makes it walk the
+rows step by step (_eval_step), as the rollout projection evaluates.
 """
 
 from __future__ import annotations
@@ -235,46 +235,25 @@ class FeatureStack:
         return slabs[0].transpose(0, 2, 1) @ slabs[1]
 
 
-def _eval_group(feat, label: str, xp: Array, steps: Array):
-    """Values (M, size) and Jacobians (M, size, window*d) of one feature at
-    each of its M steps; xp is the path with the two prefix rows in front.
-
-    One eval call covers all the steps.  A FeatureEvalError names the
-    first step that fails: when eval raises, the one-step slices are
-    evaluated in turn to find it.
-    """
-    w, m = feat.window, len(steps)
-    first = int(steps[0])
+def _eval_step(feat, label: str, xp: Array, n: int) -> tuple[Array, Array]:
+    """Values (size,) and Jacobian (size, window*d) of one feature at step
+    n alone, xp being the path with the prefix in front; a bad window, an
+    eval that raises, bad shapes or nonfinite entries name step n."""
+    w = feat.window
     if w not in (1, 2, 3):
-        raise FeatureEvalError(first, label, f"window {w} is not 1, 2 or 3")
+        raise FeatureEvalError(n, label, f"window {w} is not 1, 2 or 3")
     try:
-        values, jacs = feat.eval(xp[steps[:, None] + np.arange(2 - w, 2)])
+        values, jacs = feat.eval(xp[None, n + np.arange(2 - w, 2)])
     except FeatureEvalError:
         raise
     except Exception as exc:  # noqa: BLE001 - reported with step/feature index
-        if m == 1:
-            raise FeatureEvalError(first, label, repr(exc)) from exc
-        for i in range(m):
-            _eval_group(feat, label, xp, steps[i:i + 1])
-        raise FeatureEvalError(first, label, f"eval over steps {first}..{int(steps[-1])}: "
-                                             f"{exc!r}") from exc
-    return _checked(feat, label, steps, xp.shape[1], values, jacs)
-
-
-def _checked(feat, label: str, steps: Array, d: int, values, jacs):
-    """values and jacs as float arrays, once their shapes fit the feature
-    at the steps and they are finite; else the FeatureEvalError of the
-    first step that is not."""
-    values = np.asarray(values, dtype=float)
-    jacs = np.asarray(jacs, dtype=float)
-    m, first = len(steps), int(steps[0])
-    if values.shape != (m, feat.size) or jacs.shape != (m, feat.size, feat.window * d):
-        raise FeatureEvalError(first, label, f"bad shapes {values.shape}, {jacs.shape}")
-    finite = np.isfinite(values).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2))
-    if not finite.all():
-        raise FeatureEvalError(int(steps[np.argmin(finite)]), label,
-                               "nonfinite value or Jacobian")
-    return values, jacs
+        raise FeatureEvalError(n, label, repr(exc)) from exc
+    values, jacs = np.asarray(values, dtype=float), np.asarray(jacs, dtype=float)
+    if values.shape != (1, feat.size) or jacs.shape != (1, feat.size, w * xp.shape[1]):
+        raise FeatureEvalError(n, label, f"bad shapes {values.shape}, {jacs.shape}")
+    if not (np.isfinite(values).all() and np.isfinite(jacs).all()):
+        raise FeatureEvalError(n, label, "nonfinite value or Jacobian")
+    return values[0], jacs[0]
 
 
 def _frozen(values, dtype=int) -> Array:
@@ -286,11 +265,11 @@ def _frozen(values, dtype=int) -> Array:
 class _Rows:
     """The row layout from items (kind, label, feature, first step, last
     step) listed kind by kind in canonical order: rows come kind by kind,
-    step by step, then in item order.  Kept: per item its feature, label,
-    steps, first row at each and all rows; each row's (step, label), step
-    and path columns; the kind slices, the effort mask, the banded
+    step by step, then in item order.  Kept: each row's (step, label),
+    step and path columns; the kind slices, the effort mask, the banded
     Hessian's index, per step with equality rows its (feature, label)
-    pairs, and the shared passes.  Its arrays are shared, read-only.
+    pairs; the passes, and per item its feature, label, steps, rows, pass
+    and slice of that pass.  Its arrays are shared, read-only.
     """
 
     def __init__(self, N: int, d: int, items):
@@ -308,13 +287,30 @@ class _Rows:
         first = start[kind] + np.cumsum(fill, axis=0) - fill
         labels = np.empty(int(per.sum()), dtype=object)
         effort = np.zeros(labels.size, dtype=bool)
-        self.groups = []
-        for (k, label, feat, *_), on, at_first in zip(items, active, first):
-            at, firsts = n[on], at_first[on]
-            rows = (firsts[:, None] + np.arange(feat.size)).ravel()
+        # Each item reads one pass.  A shared pass runs once per window
+        # width on the union of the steps of the features that hold it, and
+        # each of them takes its slice: an item's steps are a run, and so
+        # are their places in the union.  Any other feature is its own pass
+        # (slice None).  A window the evaluator does not take has no stack.
+        groups, members = [], {}
+        for g, ((k, label, feat, *_), on, at_first) in enumerate(zip(items, active, first)):
+            rows = (at_first[on][:, None] + np.arange(feat.size)).ravel()
             labels[rows] = label
             effort[rows] = k == 0 and getattr(feat, "group", None) == EFFORT
-            self.groups.append((feat, label, _frozen(at), _frozen(firsts), _frozen(rows)))
+            groups.append((feat, label, _frozen(n[on]), _frozen(rows)))
+            shared = getattr(feat, "shared", None)
+            key = g if shared is None else (id(shared), feat.window)
+            members.setdefault(key, (feat if shared is None else shared, []))[1].append(g)
+        self.passes, self.groups = [], groups
+        for source, gs in members.values():
+            union = n[active[gs].any(axis=0)]
+            for g in gs:
+                feat, label, at, rows = groups[g]
+                a = int(np.searchsorted(union, at[0]))
+                groups[g] = (feat, label, at, rows, len(self.passes),
+                             None if source is feat else slice(a, a + len(at)))
+            self.passes.append((source, _frozen(union[:, None] + np.arange(2 - feat.window, 2))
+                                if feat.window in (1, 2, 3) else None))
         ends = np.cumsum([0, *per.sum(axis=1)]).tolist()
         self.kinds = tuple(map(slice, ends[:-1], ends[1:]))
         self.steps = _frozen(np.repeat(np.tile(n, 3), per.ravel()))
@@ -328,58 +324,47 @@ class _Rows:
         self.equalities = {m: tuple(p for p, on in zip(pairs, col) if on)
                            for m, col in enumerate((fill[kind == 1] > 0).T.tolist(), 1)
                            if any(col)}
-        # Each shared pass once, on the window stack of the union of its
-        # features' steps; an item's steps are a run, and so are their
-        # places in the union.
-        members = {}
-        for g, (feat, _, at, *_) in enumerate(self.groups):
-            shared = getattr(feat, "shared", None)
-            if shared is not None and feat.window in (1, 2, 3):
-                members.setdefault((id(shared), feat.window), (shared, []))[1].append(g)
-        self.passes = []
-        for (_, w), (shared, groups) in members.items():
-            steps = [self.groups[g][2] for g in groups]
-            on = np.zeros(N + 1, dtype=bool)
-            on[np.concatenate(steps)] = True
-            union = np.flatnonzero(on)
-            starts = np.searchsorted(union, [at[0] for at in steps]).tolist()
-            runs = [(g, slice(a, a + len(at))) for g, a, at in zip(groups, starts, steps)]
-            self.passes.append((shared, _frozen(union[:, None] + np.arange(2 - w, 2)), runs))
 
-    def evaluate(self, xp: Array):
-        """Values and (rows, 3d) Jacobian blocks in table order, and the
-        failures as (step, row, error)."""
-        width = 3 * xp.shape[1]
+    def evaluate(self, xp: Array) -> tuple[Array, Array]:
+        """Values and (rows, 3d) Jacobian blocks in table order; a failure
+        raises the FeatureEvalError that assemble describes."""
+        d = xp.shape[1]
         values = np.zeros(len(self.index))
-        blocks = np.zeros((len(self.index), width))
-        sliced = {}
-        for shared, windows, members in self.passes:
-            # A feature left out of sliced is evaluated on its own below,
-            # and its own eval names the step that fails.
-            try:
-                out = shared.eval(xp[windows])
-            except Exception:  # noqa: BLE001
-                continue
-            for g, pos in members:
-                feat, label, at, *_ = self.groups[g]
-                try:
-                    vals, jacs = feat.take(out)
-                    sliced[g] = _checked(feat, label, at, xp.shape[1],
-                                         np.asarray(vals)[pos], np.asarray(jacs)[pos])
-                except Exception:  # noqa: BLE001
-                    pass
-        failures = []
-        for g, (feat, label, at, first, rows) in enumerate(self.groups):
-            try:
-                vals, jacs = sliced[g] if g in sliced else _eval_group(feat, label, xp, at)
-            except FeatureEvalError as exc:
-                hit = np.flatnonzero(at == exc.step)
-                failures.append((exc.step, int(first[hit[0] if hit.size else 0]), exc))
-                continue
-            values[rows] = vals.ravel()
-            jacs = jacs.reshape(len(rows), -1)
-            blocks[rows, width - jacs.shape[1]:] = jacs
-        return values, blocks, failures
+        blocks = np.zeros((len(self.index), 3 * d))
+        outs = {}
+        try:
+            for feat, label, at, rows, p, pos in self.groups:
+                if p not in outs:
+                    source, windows = self.passes[p]
+                    if windows is None:
+                        raise FeatureEvalError(int(at[0]), label,
+                                               f"window {feat.window} is not 1, 2 or 3")
+                    outs[p] = source.eval(xp[windows])
+                vals, jacs = (outs[p] if pos is None
+                              else (np.asarray(a)[pos] for a in feat.take(outs[p])))
+                vals, jacs = np.asarray(vals, dtype=float), np.asarray(jacs, dtype=float)
+                if (vals.shape != (len(at), feat.size)
+                        or jacs.shape != (len(at), feat.size, feat.window * d)):
+                    raise FeatureEvalError(int(at[0]), label,
+                                           f"bad shapes {vals.shape}, {jacs.shape}")
+                values[rows] = vals.ravel()
+                blocks[rows, 3 * d - jacs.shape[2]:] = jacs.reshape(len(rows), jacs.shape[2])
+            if not (np.isfinite(values).all() and np.isfinite(blocks).all()):
+                bad = np.flatnonzero(~np.isfinite(values) | ~np.isfinite(blocks).all(axis=1))
+                step, label = self.index[bad[np.argmin(self.steps[bad])]]
+                raise FeatureEvalError(step, label, "nonfinite value or Jacobian")
+        except Exception as exc:  # noqa: BLE001 - named step by step
+            if not isinstance(exc, FeatureEvalError):
+                first = int(at[0])
+                exc = FeatureEvalError(first, label, f"eval over steps {first}..{int(at[-1])}: "
+                                                     f"{exc!r}")
+            # Within a step the rows come in item order.
+            for n in range(1, len(xp) - 1):
+                for feat, label, at, *_ in self.groups:
+                    if at[0] <= n <= at[-1]:
+                        _eval_step(feat, label, xp, n)
+            raise exc
+        return values, blocks
 
 
 def _label(feat) -> str:
@@ -421,14 +406,14 @@ def step_equalities(eq, n: int, xp: Array) -> tuple[Array, Array]:
     eq is the nonempty tuple of (feature, label) pairs that the row layout
     lists for step n (_Rows.equalities), and the rows come in its order;
     xp is the path with the two prefix rows in front, read up to x_n.
-    Checked and labelled as in assemble.
+    Each feature is evaluated and checked at step n alone, as assemble
+    does to locate a failure.
     """
-    steps, d = np.array([n]), xp.shape[1]
-    values, jacs = zip(*(_eval_group(feat, label, xp, steps) for feat, label in eq))
+    values, jacs = zip(*(_eval_step(feat, label, xp, n) for feat, label in eq))
     # Features of different windows may share a step: keep the x_n columns
-    # of each group before joining them.
-    return (np.concatenate(values, axis=1)[0],
-            np.concatenate([jac[0, :, -d:] for jac in jacs]))
+    # of each before joining them.
+    d = xp.shape[1]
+    return np.concatenate(values), np.concatenate([jac[:, -d:] for jac in jacs])
 
 
 def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack:
@@ -436,8 +421,12 @@ def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack
 
     Each feature object is evaluated once over all the steps where it
     applies, and each shared pass once over all the steps of its
-    features.  A failure raises the FeatureEvalError of the first row in
-    canonical step order that fails, as a step-by-step evaluation would.
+    features; one check covers the finiteness of the table.  A failure
+    raises the FeatureEvalError of the first row in canonical step order
+    that fails, as a step-by-step evaluation would: the rows are then
+    walked step by step, each feature evaluated at one step alone.  If
+    none fails alone, a batch that raised names its feature's first step,
+    and a nonfinite table its first nonfinite row.
     The table's layout (steps, index, kinds, effort mask and the index
     tables) is built once per (problem, skeleton) and shared, read-only,
     by its stacks.
@@ -448,9 +437,7 @@ def assemble(problem: PathProblem, skeleton: Skeleton, x: Array) -> FeatureStack
     if x.shape != (problem.N, problem.d):
         raise ValueError(f"path must be ({problem.N}, {problem.d}), got {x.shape}")
 
-    values, blocks, failures = table.evaluate(np.vstack([problem.prefix, x]))
-    if failures:
-        raise min(failures, key=lambda f: f[:2])[2]
+    values, blocks = table.evaluate(np.vstack([problem.prefix, x]))
     return FeatureStack(N=problem.N, d=problem.d, values=values, blocks=blocks,
                         steps=table.steps, index=table.index, kinds=table.kinds,
                         effort_mask=table.effort_mask, columns=table.columns,

@@ -13,9 +13,10 @@ gradient equals the Lagrangian gradient at the updated multipliers, so
 convergence is gated directly on the KKT residuals.
 
 A solve returns the point and multipliers of its last outer update, with
-status converged when they pass the gate.  Otherwise a Gauss-Newton step
-that cannot be taken ends it at the status its SolverError carries
-(hessian-overflow, hessian-not-positive-definite), a second outer
+status converged when they pass the gate.  Otherwise an overflowing merit
+at an inner loop's start point, or a Gauss-Newton step that cannot be
+taken, ends it at the status its SolverError carries (merit-overflow,
+hessian-overflow, hessian-not-positive-definite), a second outer
 iteration in a row without an accepted trial at line-search-failure, and
 max_outer iterations at max-iterations.
 
@@ -62,6 +63,7 @@ MAX_ITERATIONS = "max-iterations"
 LINE_SEARCH_FAILURE = "line-search-failure"
 HESSIAN_OVERFLOW = "hessian-overflow"
 HESSIAN_NOT_PD = "hessian-not-positive-definite"
+MERIT_OVERFLOW = "merit-overflow"
 
 _MIN_STEP = 1e-12
 _INNER_CUT = 0.1  # relative gradient cut that ends an inner loop far from feasibility
@@ -75,7 +77,7 @@ _MU_MAX = 1e12
 
 
 class SolverError(RuntimeError):
-    """No Gauss-Newton step can be taken; status is the one the solve ends in."""
+    """The merit overflows or no Gauss-Newton step can be taken; status ends the solve."""
 
     def __init__(self, status: str, message: str):
         super().__init__(message)
@@ -175,6 +177,8 @@ def _merit(stack: FeatureStack, al: ALState) -> float:
         g = stack.ineq
         gi = np.where(al.active_rows(g), g, 0.0)
         value += float(al.lam @ g) + al.mu * float(gi @ gi)
+    if not np.isfinite(value):
+        raise SolverError(MERIT_OVERFLOW, f"augmented-Lagrangian merit is {value}")
     return value
 
 
@@ -251,7 +255,10 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
     """
     shape = (problem.N, problem.d)
     small_steps = 0
-    merit = _merit(stack, al)
+    try:
+        merit = _merit(stack, al)
+    except SolverError as exc:
+        return x_flat, stack, exc.status, 0
     for it in range(_MAX_INNER):
         grad = _merit_grad(stack, al)
         grad_norm = float(np.abs(grad).max())
@@ -272,8 +279,8 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
             try:
                 trial_stack = assemble(problem, skeleton, trial.reshape(shape))
                 trial_merit = _merit(trial_stack, al)
-            except FeatureEvalError:
-                trial_merit = np.inf  # reject nonfinite trial points
+            except (FeatureEvalError, SolverError):
+                trial_merit = np.inf  # reject trial points that fail or overflow
             if trial_merit <= merit + _ARMIJO_C * alpha * slope:
                 accepted = True
                 break
@@ -295,6 +302,9 @@ def _inner_gauss_newton(problem, skeleton, x_flat, stack, al, cfg, grad_tol, cut
     return x_flat, stack, None, _MAX_INNER
 
 
+# In a solve float overflow reads inf: a nonfinite merit ends the inner
+# loop or rejects the trial, and the Hessian raises its own.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: PathProblem, skeleton: Skeleton, x_init: Array | None = None,
           config: SolverConfig | None = None, collect_trace: bool = False) -> NlpSolution:
     """Solve the skeleton-constrained path problem.

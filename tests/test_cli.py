@@ -13,6 +13,7 @@ from slgp.cli import _config, _load_config, _parse_seeds, build_parser, main
 from slgp.execution import rollout
 from slgp.laplace import SingularComponentError, build_components, eliminate
 from slgp.problem import assemble
+from slgp.solver import solve
 
 PLAN_WEIGHTS_HEADER = ["skeletonId", "status", "fStar", "logRatio",
                        "entropyRatio", "rank", "weight"]
@@ -143,6 +144,47 @@ def test_a_system_that_never_factors_ends_each_skeleton_with_its_status(tmp_path
         sol = json.loads((out / f"solution-{sid}.json").read_text())
         assert sol["status"] == "hessian-not-positive-definite"
         assert sol["dropReason"] == "solver status hessian-not-positive-definite"
+
+
+def test_a_merit_that_overflows_ends_each_skeleton_with_its_status(tmp_path, capsys):
+    # Every residual is finite, but the route target's squared cost
+    # overflows float64 at the start path: each solve ends there instead of
+    # running all its outer iterations on an infinite merit.  The suite
+    # turns any overflow warning into an error.
+    code, out = _plan(tmp_path, "tworoute", "--set", "scenario.route_target=[1e300,0]",
+                      "--set", "scenario.route_target_weight=1e10")
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    lines = (out / "report.txt").read_text().splitlines()[2:]
+    assert [line.split()[:2] for line in lines] == [
+        ["via-near", "status=merit-overflow"], ["via-far", "status=merit-overflow"]]
+    for sid in ("via-near", "via-far"):
+        sol = json.loads((out / f"solution-{sid}.json").read_text())
+        assert (sol["status"], sol["outerIterations"], sol["innerIterations"]) == (
+            "merit-overflow", 1, 0)
+
+
+def test_the_report_keeps_one_status_column(tmp_path, monkeypatch):
+    # Statuses up to 20 characters keep the column at its width; a longer
+    # one widens it on every line.
+    code, out = _plan(tmp_path, "tworoute")
+    assert code == 0
+    lines = (out / "report.txt").read_text().splitlines()[2:4]
+    assert [line.index("fStar=") for line in lines] == [47, 47]
+
+    def solve_failing_far(problem, skeleton, **kwargs):
+        sol = solve(problem, skeleton, **kwargs)
+        if skeleton.id == "via-far":
+            sol = dataclasses.replace(sol, status="hessian-not-positive-definite")
+        return sol
+
+    monkeypatch.setattr("slgp.cli.solve", solve_failing_far)
+    code, out = _plan(tmp_path / "mixed", "tworoute")
+    assert code == 1
+    lines = (out / "report.txt").read_text().splitlines()[2:4]
+    assert "status=converged " in lines[0]
+    assert "status=hessian-not-positive-definite fStar=" in lines[1]
+    assert [line.index("fStar=") for line in lines] == [56, 56]
 
 
 def test_a_feature_that_fails_at_the_start_path_exits_naming_the_skeleton(tmp_path,

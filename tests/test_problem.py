@@ -305,18 +305,21 @@ def test_stack_rows_equal_each_features_own_eval_bit_for_bit(name, N):
 
 class _RootPass:
     """Square roots of a configuration's coordinates and their slopes, one
-    pass shared by _Root features; raises on a negative coordinate when
-    raising is set, else returns NaN there."""
+    pass shared by _Root features.  On a negative coordinate it raises
+    (failure "raising"), returns NaN there ("nonfinite"), or returns its
+    results with a stray leading axis ("shape")."""
 
-    def __init__(self, raising):
-        self.raising = raising
+    def __init__(self, failure):
+        self.failure = failure
         self.calls = 0
 
     def eval(self, xs):
         self.calls += 1
         v = xs[..., 0, :]
-        if self.raising and (v < 0).any():
-            raise ValueError("negative")
+        if self.failure != "nonfinite" and (v < 0).any():
+            if self.failure == "raising":
+                raise ValueError("negative")
+            v = v[None]
         with np.errstate(invalid="ignore"):
             return np.sqrt(v), 0.5 / np.sqrt(np.abs(v))
 
@@ -352,8 +355,8 @@ class _Alone:
         return self.feat.eval(xs)
 
 
-def _root_skeleton(raising, alone=False):
-    shared = _RootPass(raising)
+def _root_skeleton(failure, alone=False):
+    shared = _RootPass(failure)
     first, second = _Root(shared, 0, "root0"), _Root(shared, 1, "root1")
     if alone:
         first, second = _Alone(first), _Alone(second)
@@ -363,18 +366,18 @@ def _root_skeleton(raising, alone=False):
     return sk, shared
 
 
-@pytest.mark.parametrize("raising", [True, False], ids=["raising", "nonfinite"])
-def test_a_failing_shared_pass_names_the_step_each_feature_alone_names(raising):
+@pytest.mark.parametrize("failure", ["raising", "nonfinite", "shape"])
+def test_a_failing_shared_pass_names_the_step_each_feature_alone_names(failure):
     problem = _toy_problem()
-    sk, shared = _root_skeleton(raising)
-    alone, _ = _root_skeleton(raising, alone=True)
+    sk, shared = _root_skeleton(failure)
+    alone, _ = _root_skeleton(failure, alone=True)
     x = np.ones((6, 2))
     _stacks_equal(assemble(problem, sk, x), assemble(problem, alone, x))
     assert shared.calls == 1
-    # A raising pass fails every feature at the step; a NaN only the
-    # feature that reads it.
+    # A pass that raises, or returns the wrong shape, fails every feature
+    # at the step; a NaN only the feature that reads it.
     for bad, expected in (((4, 1), (5, "b:root1")), ((1, 0), (2, "a:root0")),
-                          ((5, 0), (6, "b:root1" if raising else "b:root0"))):
+                          ((5, 0), (6, "b:root0" if failure == "nonfinite" else "b:root1"))):
         x = np.ones((6, 2))
         x[bad] = -1.0
         with pytest.raises(FeatureEvalError) as err:
@@ -481,6 +484,68 @@ def test_raising_batch_names_the_step_that_raises():
     assert err.value.step == 4
     assert err.value.label == "m:sqrt"
     assert "ValueError('negative')" in str(err.value)
+
+
+class _BatchOnly(_Sqrt):
+    """Fails only on a batch of several windows: it raises (failure
+    "raising") or puts NaN in the values of its last `nans` windows
+    ("nonfinite")."""
+
+    def __init__(self, failure, name="sqrt", nans=1):
+        super().__init__(name=name)
+        self.failure, self.nans = failure, nans
+
+    def eval(self, xs):
+        values, jacs = super().eval(xs)
+        if len(xs) > 1:
+            if self.failure == "raising":
+                raise ValueError("batch")
+            values[-self.nans:] = np.nan
+        return values, jacs
+
+
+def test_a_batch_that_fails_only_as_a_batch_is_still_named():
+    # Every window evaluates on its own, so no step fails alone.
+    def batched(eq):
+        return Skeleton(id="batched", modes=(Mode("a", (1, 2)), Mode("m", (3, 6), eq=(eq,))),
+                        switches=(Switch("s", 3),))
+
+    # A batch that raised names its feature's first step.
+    with pytest.raises(FeatureEvalError) as err:
+        assemble(_toy_problem(), batched(_BatchOnly("raising")), np.ones((6, 2)))
+    assert (err.value.step, err.value.label, str(err.value)) == (
+        3, "m:sqrt", "feature 'm:sqrt' at step 3: eval over steps 3..6: ValueError('batch')")
+    # A nonfinite table names its first nonfinite row in (step, row)
+    # order: the equality row at step 5 before the cost rows at step 6.
+    d = 2
+    problem = PathProblem(N=6, d=d, dt=0.2, sigma=0.4, prefix=np.zeros((2, d)),
+                          costs=(AccelerationPenalty(d, 0.2, 0.4),
+                                 _BatchOnly("nonfinite", "cost-sqrt")))
+    with pytest.raises(FeatureEvalError) as err:
+        assemble(problem, batched(_BatchOnly("nonfinite", nans=2)), np.ones((6, d)))
+    assert (err.value.step, err.value.label, str(err.value)) == (
+        5, "m:sqrt", "feature 'm:sqrt' at step 5: nonfinite value or Jacobian")
+
+
+def test_a_clean_path_makes_no_single_step_evaluation(monkeypatch):
+    def single_step(*args):
+        raise AssertionError("single-step evaluation on a clean path")
+
+    monkeypatch.setattr("slgp.problem._eval_step", single_step)
+    rng = np.random.default_rng(61)
+    for name in ("elbow", "push", "tworoute"):
+        sc = build_scenario(ScenarioParams(name=name))
+        problem = sc.problem
+        for skeleton in sc.skeletons:
+            x = (np.tile(problem.prefix[1], (problem.N, 1))
+                 + rng.normal(scale=0.3, size=(problem.N, problem.d)))
+            assemble(problem, skeleton, x)
+    # The walk that names a failure is the one that evaluates steps alone.
+    x = np.ones((6, 2))
+    x[3, 0] = -1.0
+    with pytest.raises(AssertionError, match="single-step"):
+        assemble(_toy_problem(),
+                 Skeleton(id="rooted", modes=(Mode("m", (1, 6), ineq=(_Sqrt(),)),)), x)
 
 
 def test_first_bad_step_wins_across_costs_and_constraints():

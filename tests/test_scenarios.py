@@ -8,7 +8,8 @@ from slgp.execution import build_controller, rollout
 from slgp.features import check_jacobian
 from slgp.kodp import backward_pass, quadratize
 from slgp.laplace import build_component, mixture_weights, sample_paths
-from slgp.problem import _layout, assemble, skeleton_structure_violations
+from slgp.problem import (Mode, Skeleton, _layout, assemble,
+                          skeleton_structure_violations)
 from slgp.scenarios import (ArmChain, ArmTips, ContactFacePlane, ContactPointTouch,
                             ScenarioParams, arm_joint_positions, build_scenario)
 from slgp.selftest import dense_jacobian
@@ -182,6 +183,19 @@ def test_an_arm_tip_set_may_be_empty():
     tips = ArmTips((0.5, 0.5), [], [], -1.0, "table-clearance")
     values, jacs = tips.eval(np.zeros((3, 1, 2)))
     assert tips.size == 0 and values.shape == (3, 0) and jacs.shape == (3, 0, 2)
+
+
+def test_an_empty_tip_set_assembles_to_no_rows():
+    # A feature with no rows places no blocks and leaves the other rows alone.
+    sc = build_scenario(ScenarioParams(name="elbow"))
+    problem = sc.problem
+    empty = ArmTips(problem.terminal_costs[0].shared, [], [], -1.0, "none")
+    free = sc.skeleton("free")
+    sk = Skeleton(id="empty", modes=(Mode("m", (1, problem.N), ineq=(empty,)),))
+    x = np.tile(problem.prefix[1], (problem.N, 1))
+    stack, plain = assemble(problem, sk, x), assemble(problem, free, x)
+    assert stack.ineq.size == 0
+    assert np.array_equal(stack.values, plain.residuals)
 
 
 def _count_chain_passes(monkeypatch):

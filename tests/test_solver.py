@@ -324,22 +324,26 @@ def test_solve_computes_each_merit_quantity_once_per_point(elbow, monkeypatch):
 
 
 @pytest.mark.parametrize("error", [RuntimeError("a bug in assembly"),
-                                   FeatureEvalError(3, "probe", "nonfinite value")],
-                         ids=["bug", "feature-failure"])
+                                   FeatureEvalError(3, "probe", "nonfinite value"), None],
+                         ids=["bug", "feature-failure", "merit-overflow"])
 def test_line_search_rejects_only_feature_failures(error, monkeypatch):
     # The third assembly is the second line-search trial.  A feature that
-    # fails there rejects the trial; any other error propagates.
+    # fails there rejects the trial, and so does a point whose merit
+    # overflows (error None); any other error propagates.
     calls = []
 
     def failing_assemble(problem, skeleton, x):
         calls.append(None)
+        stack = assemble(problem, skeleton, x)
         if len(calls) == 3:
+            if error is None:
+                return dataclasses.replace(stack, values=stack.values * 1e300)
             raise error
-        return assemble(problem, skeleton, x)
+        return stack
 
     monkeypatch.setattr("slgp.solver.assemble", failing_assemble)
     scenario = build_scenario(ScenarioParams(name="tworoute"))
-    if isinstance(error, FeatureEvalError):
+    if error is None or isinstance(error, FeatureEvalError):
         assert solve(scenario.problem, scenario.skeletons[0]).converged
     else:
         with pytest.raises(RuntimeError, match="a bug in assembly"):
