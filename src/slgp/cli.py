@@ -9,8 +9,9 @@ exits with a message before any skeleton is solved or any output
 directory is created.  It then plans once: it solves every skeleton, then
 builds the Laplace components of the converged ones in one elimination
 pass, into one record per skeleton, and writes every artifact from those
-records.  `simulate` writes each seed's rollout records as soon as the
-seed finishes, so its memory does not grow with the record count.
+records.  `simulate` writes each step once, as a `rollouts.jsonl` record,
+and each seed's records and `summary.csv` row as soon as the seed
+finishes, so its memory does not grow with the record count.
 
 Skeletons (plan) and seeds (simulate) run one after another on one
 thread.  The solves and rollouts are mostly Python code holding the global
@@ -356,13 +357,10 @@ def cmd_simulate(args) -> int:
     errors, deviations, switch_counts = [], [], []
     encode = json.JSONEncoder(sort_keys=True).encode
     with (open(out / "rollouts.jsonl", "w", encoding="utf-8", newline="\n") as jsonl,
-          open(out / "summary.csv", "w", encoding="utf-8", newline="") as summary_file,
-          open(out / "weights.csv", "w", encoding="utf-8", newline="") as weights_file):
+          open(out / "summary.csv", "w", encoding="utf-8", newline="") as summary_file):
         summary = csv.writer(summary_file, lineterminator="\n")
-        weight_rows = csv.writer(weights_file, lineterminator="\n")
         summary.writerow(("seed", "aborted", "finalError", "planDeviation", "totalCost",
                           "switchCount"))
-        weight_rows.writerow(("seed", "step", "active", *(f"w_{sid}" for sid in ids)))
         for seed in seeds:
             try:
                 ro = rollout(scenario.problem, truth, controller, noise_scale=noise,
@@ -382,15 +380,12 @@ def cmd_simulate(args) -> int:
             deviations.append(deviation)
             switches = int(np.sum(ro.active[1:] != ro.active[:-1]))
             switch_counts.append(switches)
-            active = [ids[i] for i in ro.active.tolist()]
-            weights = ro.weights.tolist()
-            per_step = zip(ro.path.tolist(), ro.commands.tolist(), weights, active)
+            per_step = zip(ro.path.tolist(), ro.commands.tolist(), ro.weights.tolist(),
+                           (ids[i] for i in ro.active.tolist()))
             jsonl.write("".join(
                 encode({"seed": seed, "n": n, "x": x, "command": cmd, "weights": w,
                         "active": a}) + "\n"
                 for n, (x, cmd, w, a) in enumerate(per_step, 1)))
-            weight_rows.writerows((seed, n, a, *map(repr, w))
-                                  for n, (a, w) in enumerate(zip(active, weights), 1))
             summary.writerow((seed, 0, repr(err), repr(deviation), repr(ro.total_cost),
                               switches))
     aborted = len(seeds) - len(errors)

@@ -134,13 +134,19 @@ class AffineFeature:
 
 def coordinate_target(dim: int, coords, values, weight: float = 1.0,
                       name: str = "target") -> AffineFeature:
-    """Task rows sqrt(weight) * (x[coords] - values) on a single configuration."""
+    """Task rows sqrt(weight) * (x[coords] - values) on a single configuration;
+    a ValueError names the feature when sqrt(weight) * values is not finite."""
     coords = np.asarray(coords, dtype=int)
     values = np.asarray(values, dtype=float)
     w = np.sqrt(weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = -w * values
+    if not np.isfinite(offset).all():
+        raise ValueError(f"feature '{name}': offset sqrt(weight) * values is not finite "
+                         f"for weight {weight!r} and values {values.tolist()}")
     A = np.zeros((len(coords), dim))
     A[np.arange(len(coords)), coords] = w
-    return AffineFeature(A, -w * values, window=1, name=name)
+    return AffineFeature(A, offset, window=1, name=name)
 
 
 def check_jacobian(feature, xs: Array, h: float = 1e-6) -> float:

@@ -235,6 +235,9 @@ def build_elbow(params: ScenarioParams) -> Scenario:
     theta0 = np.asarray(params.start_angles, dtype=float)
     if theta0.shape != (d,):
         raise ValueError(f"start_angles must have length {d}")
+    if d < 2:
+        raise ValueError(f"link_lengths must hold two or more links, got {lengths!r}: "
+                         f"the contact skeletons pin link tips 1 and 2")
     N, dt = params.N, params.dt
     arm = ArmChain(lengths)
     problem = PathProblem(

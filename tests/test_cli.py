@@ -7,10 +7,12 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slgp.cli import _config, _load_config, _parse_seeds, build_parser, main
 from slgp.execution import rollout
+from slgp.features import AffineFeature
 from slgp.laplace import SingularComponentError, build_components, eliminate
 from slgp.problem import assemble
 from slgp.solver import solve
@@ -188,15 +190,19 @@ def test_the_report_keeps_one_status_column(tmp_path, monkeypatch):
 
 
 def test_a_feature_that_fails_at_the_start_path_exits_naming_the_skeleton(tmp_path,
-                                                                         fresh_python):
-    # The goal offset overflows to -inf when the scenario is built (numpy
-    # warns on stderr), so the first assembly of the first skeleton fails.
-    out = tmp_path / "x"
-    done = fresh_python(
-        "import sys; from slgp.cli import main; sys.exit(main(['plan', '--scenario', "
-        f"'tworoute', '--set', 'scenario.route_target=[1e308,0]', '--out', {str(out)!r}]))")
-    assert done.returncode == 1 and "Traceback" not in done.stderr
-    assert done.stderr.splitlines()[-1] == (
+                                                                         monkeypatch):
+    # The goal feature returns NaN, so the first assembly of the first
+    # skeleton fails.
+    plain = AffineFeature.eval
+
+    def nan_goal(self, xs):
+        values, jac = plain(self, xs)
+        return (np.full_like(values, np.nan) if self.name == "goal" else values), jac
+
+    monkeypatch.setattr(AffineFeature, "eval", nan_goal)
+    with pytest.raises(SystemExit) as info:
+        main(["plan", "--scenario", "tworoute", "--out", str(tmp_path / "x")])
+    assert str(info.value.code) == (
         "plan: skeleton 'via-near' cannot be solved from its start path: "
         "feature 'goal' at step 40: nonfinite value or Jacobian")
 
@@ -209,27 +215,28 @@ def test_disturbed_routes_switch_to_the_far_waypoint(tmp_path):
     code = main(["simulate", "--scenario", "tworoute", "--out", str(out),
                  "--disturb", "12:0.0,0.8", "--seeds", "1..20"])
     assert code == 0
-    header, rows = _read_csv(out / "weights.csv")
-    assert header[:3] == ["seed", "step", "active"]
-    far_col = header.index("w_via-far")
-    for seed, step, active, *ws in rows:
-        if int(step) < 12:
-            assert active == "via-near"
-            assert float(ws[far_col - 3]) < 0.5
-    finals = {r[0]: r for r in rows if int(r[1]) == 40}
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "rollouts.jsonl",
+                                                     "summary.csv"]
+    steps = [json.loads(line)
+             for line in (out / "rollouts.jsonl").read_text().splitlines()]
+    assert len(steps) == 20 * 40
+    assert {"seed", "n", "x", "command", "weights", "active"} <= set(steps[0])
+    # The weights follow the order of the executed skeletons.
+    executed = re.search(r"skeletons executed: (.*)", (out / "report.txt").read_text())
+    far_col = executed.group(1).split(", ").index("via-far")
+    for step in steps:
+        if step["n"] < 12:
+            assert step["active"] == "via-near"
+            assert step["weights"][far_col] < 0.5
+    finals = {step["seed"]: step for step in steps if step["n"] == 40}
     assert len(finals) == 20
-    assert all(r[2] == "via-far" for r in finals.values())
-    assert all(float(r[far_col]) > 0.5 for r in finals.values())
+    assert all(step["active"] == "via-far" for step in finals.values())
+    assert all(step["weights"][far_col] > 0.5 for step in finals.values())
 
     header, srows = _read_csv(out / "summary.csv")
     assert header == SUMMARY_HEADER
     assert len(srows) == 20
     assert all(int(r[5]) >= 1 for r in srows)
-
-    steps = [json.loads(line)
-             for line in (out / "rollouts.jsonl").read_text().splitlines()]
-    assert len(steps) == 20 * 40
-    assert {"seed", "n", "x", "command", "weights", "active"} <= set(steps[0])
 
 
 def test_noiseless_rollout_stays_on_the_plan(tmp_path):
@@ -418,9 +425,9 @@ def test_a_stopped_simulate_keeps_the_seeds_finished_so_far(tmp_path, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--scenario", "tworoute", "--seeds", "0..5",
               "--out", str(stopped)])
-    for name in ("rollouts.jsonl", "summary.csv", "weights.csv"):
+    assert sorted(p.name for p in stopped.iterdir()) == ["rollouts.jsonl", "summary.csv"]
+    for name in ("rollouts.jsonl", "summary.csv"):
         assert (stopped / name).read_bytes() == (full / name).read_bytes()
-    assert not (stopped / "report.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])
@@ -529,12 +536,20 @@ def _tuple_error(field, size):
     ("elbow", "scenario.T=1e308",
      "bad scenario config: effort scale 1/(sigma dt^1.5) is not finite for sigma 0.1 "
      "and time step dt 2.5e+306"),
+    # Once a numpy overflow warning, then a failed solve at the start path.
+    ("tworoute", "scenario.route_target=[1e308,0]",
+     "bad scenario config: feature 'goal': offset sqrt(weight) * values is not finite "
+     "for weight 300.0 and values [1e+308, 0.0]"),
+    ("push", "scenario.box_target=[1e308,0,0]",
+     "bad scenario config: feature 'box-target': offset sqrt(weight) * values is not "
+     "finite for weight 100.0 and values [1e+308, 0.0, 0.0]"),
 ], ids=["misspelt-section", "retired-solver-key", "fractional-n",
         "short-link-lengths", "infinite-sigma", "infinite-waypoint",
         "nan-arm-target", "nan-start-angle", "infinite-route-start",
         "nan-box-angle", "short-box-target", "short-route-target",
         "short-box-start", "short-start-angles", "scalar-arm-target",
-        "bool-sigma", "bool-route-target", "offset-off-the-face", "overflowing-t"])
+        "bool-sigma", "bool-route-target", "offset-off-the-face", "overflowing-t",
+        "overflowing-route-target", "overflowing-box-target"])
 def test_bad_sections_and_scenario_values_are_named(tmp_path, command, scenario,
                                                     setting, message):
     with pytest.raises(SystemExit) as info:

@@ -55,6 +55,14 @@ def test_unreachable_arm_target_is_rejected():
         build_scenario(ScenarioParams(name="elbow", arm_target=(3.0, 3.0)))
 
 
+def test_a_one_link_elbow_is_rejected_naming_link_lengths():
+    # The contact skeletons pin link tips 1 and 2, so one link once failed
+    # inside ArmTips with a message naming neither the field nor the rule.
+    with pytest.raises(ValueError, match="link_lengths must hold two or more links"):
+        build_scenario(ScenarioParams(name="elbow", link_lengths=(1.0,),
+                                      start_angles=(1.0,), arm_target=(0.5, 0.5)))
+
+
 def test_push_geometry_is_validated():
     with pytest.raises(ValueError, match="half-width"):
         build_scenario(ScenarioParams(name="push", contact_offset=0.2,
